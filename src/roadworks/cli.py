@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from itertools import combinations
 from typing import Sequence
 
@@ -237,12 +238,19 @@ def cmd_solve(args) -> int:
     if args.apply:
         upgrades = _load_upgrades(args, net)
         net = apply_upgrades(net, upgrades, _split_tokens(args.apply))
-    assignment = solve_with(net, demand, _settings(args))
+    settings = _settings(args)
+    assignment = solve_with(net, demand, settings)
     if args.out:
         write_flow_file(args.out, net, assignment)
     print(f"vht {assignment.vht!r}")
     print(f"relative_gap {assignment.relative_gap!r}")
     print(f"iterations {assignment.iterations}")
+    if assignment.relative_gap > settings.target_gap:
+        print(
+            f"warning: stopped after {assignment.iterations} iterations at relative gap "
+            f"{assignment.relative_gap:.3e} > target {settings.target_gap:g}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -486,12 +494,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _merge_config(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            args = parser.parse_args(argv)
+            _merge_config(args)
+            return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

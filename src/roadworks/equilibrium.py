@@ -1,14 +1,29 @@
-"""User-equilibrium traffic assignment by the Frank-Wolfe method.
+"""User-equilibrium traffic assignment by conjugate Frank-Wolfe.
 
 Latencies follow the BPR form ``l(f) = t (1 + alpha (f/Q)^beta)`` and the
 objective is the Beckmann sum of link latency integrals, for which the BPR
 integral has the closed form ``t F + t alpha F^(beta+1) / ((beta+1) Q^beta)``.
-Each iteration builds an all-or-nothing (AON) direction from shortest paths
-under current latencies, measures the relative gap
+Each iteration builds an all-or-nothing (AON) point ``y`` from shortest paths
+under current latencies and measures the relative gap
 
-    gap = (f . l(f) - f_aon . l(f)) / (f . l(f)),
+    gap = (f . l(f) - y . l(f)) / (f . l(f)).
 
-and moves by an exact 1-D line search (bisection on the derivative).
+The step then runs from ``x`` towards the conjugate point
+``s = a s_prev + (1 - a) y`` of Mitradjieva & Lindberg (2013, "The stiff is
+moving - conjugate direction Frank-Wolfe methods with applications to traffic
+assignment"), whose weight makes the new direction conjugate to the previous
+one under the diagonal Hessian ``H = diag(l'(x))`` of separable BPR:
+
+    a = (s_prev - x)' H (y - x) / (s_prev - x)' H (y - s_prev).
+
+The first iteration, and any iteration with a zero denominator, takes
+``a = 0``: a plain Frank-Wolfe step.  ``a`` is clamped to ``[0, 1 - delta]``
+with ``delta = 0.05``; without that margin the conjugate point can stall on small networks
+at tight gaps, because a step of zero leaves ``x`` and ``s`` where they were.
+The step length is exact: a safeguarded Newton iteration on the derivative
+``g'(lam) = d . l(x + lam d)`` with ``g''(lam) = sum d^2 l'(x + lam d)``,
+falling back to bisection whenever Newton leaves the bracket.  Each step is
+exact along a feasible direction, so the Beckmann objective never rises.
 
 Determinism contract: per-origin loading is accumulated in a fixed origin
 order using a fixed chunk size, so flows are bit-identical for any thread
@@ -47,7 +62,14 @@ __all__ = [
 # how many threads run.
 _CHUNK = 16
 
-_LINE_SEARCH_STEPS = 48
+# Margin that keeps the conjugate weight below 1, so the AON point always
+# enters the conjugate point with weight at least _CONJUGATE_MARGIN.
+_CONJUGATE_MARGIN = 0.05
+
+# Line-search tolerance on the step length, and a bound on its Newton and
+# bisection steps (bisection alone needs 47 to narrow [0, 1] this far).
+_STEP_TOL = 1e-14
+_LINE_SEARCH_MAX_STEPS = 100
 
 
 @dataclass(eq=False)
@@ -62,6 +84,8 @@ class Assignment:
     beckmann: float
     beckmann_history: list[float] = field(default_factory=list)
     gap_history: list[float] = field(default_factory=list)
+    # step lengths taken along the conjugate directions, one per iteration
+    # that moved on (all but the last)
     step_sizes: list[float] = field(default_factory=list)
 
 
@@ -118,6 +142,13 @@ class _LinkArrays:
 
     def latencies(self, flows: np.ndarray) -> np.ndarray:
         return self.t * (1.0 + self.alpha * np.power(flows / self.cap, self.beta))
+
+    def slopes(self, flows: np.ndarray) -> np.ndarray:
+        """l'(f), the diagonal of the Beckmann Hessian; non-finite slopes
+        (zero flow with beta < 1) read as 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = self.t * self.alpha * self.beta * np.power(flows / self.cap, self.beta - 1.0) / self.cap
+        return np.where(np.isfinite(s), s, 0.0)
 
     def beckmann(self, flows: np.ndarray) -> float:
         terms = self.t * flows + self.t * self.alpha * np.power(flows, self.beta + 1.0) / (
@@ -200,25 +231,60 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
     """Exact step length for the Beckmann objective along `direction`.
 
     g'(lam) = direction . l(flows + lam * direction) is nondecreasing in lam
-    (convex objective), so bisection brackets the root. g'(0) < 0 whenever the
-    AON direction improves; if even g'(1) <= 0 the full step is optimal.
+    (convex objective), so [0, 1] brackets its root whenever g'(0) < 0 < g'(1).
+    Newton steps on g' use g''(lam) = sum direction^2 l'(flows + lam *
+    direction); a step that leaves the bracket, or a non-positive g'', is
+    replaced by bisection.  Stops when the bracket or the Newton step is
+    narrower than _STEP_TOL, or g' is exactly zero.
     """
 
     def gprime(lam: float) -> float:
         return float(np.dot(direction, arrays.latencies(flows + lam * direction)))
 
-    if gprime(0.0) >= 0.0:
+    g0 = gprime(0.0)
+    if g0 >= 0.0:
         return 0.0
-    if gprime(1.0) <= 0.0:
+    g1 = gprime(1.0)
+    if g1 <= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(_LINE_SEARCH_STEPS):
-        mid = 0.5 * (lo + hi)
-        if gprime(mid) < 0.0:
-            lo = mid
+    lam = g0 / (g0 - g1)  # secant through the bracket ends
+    d2 = direction * direction
+    for _ in range(_LINE_SEARCH_MAX_STEPS):
+        x = flows + lam * direction
+        g = float(np.dot(direction, arrays.latencies(x)))
+        if g == 0.0:
+            return lam
+        if g < 0.0:
+            lo = lam
         else:
-            hi = mid
+            hi = lam
+        if hi - lo < _STEP_TOL:
+            break
+        h = float(np.dot(d2, arrays.slopes(x)))
+        newton = lam - g / h if h > 0.0 else math.nan
+        if not lo < newton < hi:  # outside the bracket, or no usable g''
+            lam = 0.5 * (lo + hi)
+        elif abs(newton - lam) < _STEP_TOL:
+            return newton
+        else:
+            lam = newton
     return 0.5 * (lo + hi)
+
+
+def _conjugate_point(
+    arrays: _LinkArrays, flows: np.ndarray, aon_flows: np.ndarray, previous: np.ndarray | None
+) -> np.ndarray:
+    """The conjugate point s = a s_prev + (1 - a) y, with a in [0, 1 - margin]."""
+    if previous is None:
+        return aon_flows
+    slope = arrays.slopes(flows)
+    hp = slope * (previous - flows)
+    den = float(np.dot(hp, aon_flows - previous))
+    if den == 0.0:
+        return aon_flows
+    a = min(max(float(np.dot(hp, aon_flows - flows)) / den, 0.0), 1.0 - _CONJUGATE_MARGIN)
+    return a * previous + (1.0 - a) * aon_flows
 
 
 def solve_ue(
@@ -267,6 +333,7 @@ def solve_ue(
         beck_hist: list[float] = []
         gap_hist: list[float] = []
         steps: list[float] = []
+        conjugate = None
         for iteration in range(1, max_iters + 1):
             lat = arrays.latencies(flows)
             if not np.all(np.isfinite(lat)):
@@ -289,7 +356,8 @@ def solve_ue(
                     gap_history=gap_hist,
                     step_sizes=steps,
                 )
-            direction = aon_flows - flows
+            conjugate = _conjugate_point(arrays, flows, aon_flows, conjugate)
+            direction = conjugate - flows
             lam = _line_search(arrays, flows, direction)
             steps.append(lam)
             flows = flows + lam * direction

@@ -196,6 +196,9 @@ class Upgrade:
     def __post_init__(self):
         if not self.id or re.search(r"[\s,]", self.id):
             raise DataError(f"upgrade id {self.id!r} must be non-empty with no whitespace or commas")
+        if self.id == "BASELINE" or self.id.startswith("#"):
+            # delta caches read these as the baseline row and as comments
+            raise DataError(f"upgrade id {self.id!r} is reserved (BASELINE, or a leading '#')")
         if self.cost < 0:
             raise DataError(f"upgrade {self.id}: negative cost")
         if self.kind not in UPGRADE_KINDS:

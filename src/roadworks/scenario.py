@@ -17,6 +17,7 @@ cached on disk keyed by network and demand fingerprints plus the gap target.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -212,6 +213,16 @@ def _coefficients(
     return coeffs
 
 
+def _warn_if_capped(label: str, iterations: int, gap: float, settings: SolverSettings) -> None:
+    if gap > settings.target_gap:
+        warnings.warn(
+            f"{label}: stopped after {iterations} iterations at relative gap "
+            f"{gap:.3e} > target {settings.target_gap:g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def compute_deltas(
     net: Network,
     demand: DemandMatrix,
@@ -237,6 +248,7 @@ def compute_deltas(
     base = cache.baseline() if cache is not None else None
     if base is None:
         assignment = solve_with(net, demand, settings)
+        _warn_if_capped("baseline", assignment.iterations, assignment.relative_gap, settings)
         base = (assignment.vht, assignment.relative_gap)
         solves += 1
         if cache is not None:
@@ -252,10 +264,10 @@ def compute_deltas(
         else:
             results[S] = hit
 
-    def evaluate(S: Subset) -> tuple[float, float]:
+    def evaluate(S: Subset) -> tuple[float, float, int]:
         modified = apply_upgrades(net, upgrades, S)
         assignment = solve_with(modified, demand, settings)
-        return baseline_vht - assignment.vht, assignment.relative_gap
+        return baseline_vht - assignment.vht, assignment.relative_gap, assignment.iterations
 
     if missing:
         if workers > 1:
@@ -263,11 +275,12 @@ def compute_deltas(
                 fresh = list(pool.map(evaluate, missing))
         else:
             fresh = [evaluate(S) for S in missing]
-        for S, row in zip(missing, fresh):
-            results[S] = row
+        for S, (delta, gap, iterations) in zip(missing, fresh):
+            _warn_if_capped(f"subset {{{','.join(S)}}}", iterations, gap, settings)
+            results[S] = (delta, gap)
             solves += 1
             if cache is not None:
-                cache.put(S, *row)
+                cache.put(S, delta, gap)
 
     evaluated = {S: results[S][0] for S in wanted}
     gaps = {S: results[S][1] for S in wanted}

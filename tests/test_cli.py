@@ -90,6 +90,20 @@ def test_garbage_network_is_a_data_error(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_reserved_upgrade_id_is_a_data_error(data_dir, tmp_path, capsys):
+    text = (data_dir / DESK["upgrades"]).read_text()
+    upg = tmp_path / "renamed.upg"
+    upg.write_text(text.replace("PROJECT C-A1 ", "PROJECT BASELINE "))
+    cache = tmp_path / "c.cache"
+    args = desk_args(data_dir, "deltas", "--mode", "individual", "--cache", str(cache))
+    args[args.index("--upgrades") + 1] = str(upg)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "BASELINE" in err
+    assert not cache.exists()
+
+
 def test_usage_errors_exit_1(data_dir, capsys):
     assert main([]) == 1
     capsys.readouterr()
@@ -100,6 +114,49 @@ def test_usage_errors_exit_1(data_dir, capsys):
     assert main(desk_args(data_dir, "solve", "--algorithm", "warp")) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() or "error" in err.lower()
+
+
+def test_solve_converges_sioux_falls_with_defaults(data_dir, capsys):
+    sf = [
+        "solve",
+        "--net", str(data_dir / "siouxfalls_net.tntp"),
+        "--trips", str(data_dir / "siouxfalls_trips.tntp"),
+    ]
+    assert main(sf) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[1].startswith("relative_gap ")
+    assert float(lines[1].split()[1]) <= 1e-4
+    assert int(lines[2].split()[1]) <= 1000
+    assert captured.err == ""
+
+
+def test_solve_warns_when_stopped_at_the_cap(data_dir, capsys):
+    rc = main(desk_args(data_dir, "solve", "--gap", "1e-8", "--max-iters", "1"))
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["vht", "relative_gap", "iterations"]
+    assert lines[2] == "iterations 1"
+    gap = float(lines[1].split()[1])
+    assert captured.err == (
+        f"warning: stopped after 1 iterations at relative gap {gap:.3e} > target 1e-08\n"
+    )
+
+
+def test_deltas_warns_per_capped_subset(data_dir, tmp_path, capsys):
+    cache = tmp_path / "c.cache"
+    args = desk_args(
+        data_dir, "deltas", "--mode", "explicit", "--subset", "C-A1", "--subset", "C-B1,C-B2",
+        "--gap", "1e-8", "--max-iters", "1", "--cache", str(cache),
+    )
+    assert main(args) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3  # the baseline and both subsets
+    assert err[0].startswith("warning: baseline: stopped after 1 iterations")
+    assert err[1].startswith("warning: subset {C-A1}: stopped after 1 iterations")
+    assert err[2].startswith("warning: subset {C-B1,C-B2}: stopped after 1 iterations")
+    assert all(line.endswith("> target 1e-08") for line in err)
 
 
 def test_threads_flag_is_bit_stable(data_dir, tmp_path, capsys):

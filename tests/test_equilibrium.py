@@ -1,8 +1,10 @@
-"""Frank-Wolfe equilibrium solver against closed-form and bisection oracles."""
+"""Conjugate Frank-Wolfe equilibrium solver against closed-form and bisection oracles."""
 
 import io
 import math
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from roadworks import (
     SolverError,
     SolverSettings,
     all_or_nothing,
+    apply_upgrades,
     bpr_integral,
     bpr_latency,
     format_flow_file,
@@ -92,21 +95,61 @@ def test_interior_instance_matches_oracle():
 
 
 def test_random_two_link_instances_match_oracle():
+    # beta < 1 has an infinite latency slope at zero flow, beta = 0 a zero one
+    betas = (0.0, 0.5, 1.0, 2.0, 4.0)
     rng = random.Random(424242)
-    for _ in range(30):
+    for i in range(40):
         net = two_link_net(
             t1=rng.uniform(1, 30),
             t2=rng.uniform(1, 30),
             q1=rng.uniform(200, 3000),
             q2=rng.uniform(200, 3000),
             alpha=rng.uniform(0.05, 1.0),
-            beta=rng.choice([1.0, 2.0, 4.0]),
+            beta=betas[i % len(betas)],
         )
         total = rng.uniform(10, 5000)
         x1, x2 = two_link_flows(net, total)
         a = solve_ue(net, two_link_demand(total), target_gap=1e-10, max_iters=20000)
+        assert a.relative_gap <= 1e-10
         assert a.flows[0] == pytest.approx(x1, abs=1e-3)
         assert a.flows[1] == pytest.approx(x2, abs=1e-3)
+
+
+def test_sublinear_power_with_idle_links(sioux):
+    # With beta < 1 the latency slope is infinite at zero flow.  An idle link
+    # keeps such a slope in every iteration; the conjugate weight and the
+    # Newton step must read it as 0, not let it turn the flows into NaN.
+    links = tuple(replace(link, beta=0.5) for link in sioux.net.links)
+    idle = Link(1, 2, 1000.0, 1e9, 0.15, 0.5)
+    net = replace(sioux.net, links=links + (idle,))
+    a = solve_ue(net, sioux.demand, target_gap=1e-6, max_iters=2000)
+    assert a.relative_gap <= 1e-6
+    assert a.iterations > 2  # the conjugate weight was used
+    assert a.flows[-1] == 0.0
+    assert independent_gap(net, sioux.demand, a.flows) <= 2e-6
+
+
+def test_every_desk_subset_converges_tight(desk):
+    subsets = [S for r in range(1, 9) for S in combinations(desk.upgrades.ids, r)]
+    assert len(subsets) == 255
+    assert ("C-A1", "C-B3", "C-X1", "C-X2") in subsets
+    assert ("C-A3", "C-B1", "C-X1", "C-X2") in subsets
+    for S in subsets:
+        net = apply_upgrades(desk.net, desk.upgrades, S)
+        a = solve_ue(net, desk.demand, target_gap=1e-8, max_iters=1000)
+        assert a.relative_gap <= 1e-8, S
+        assert a.iterations < 1000, S
+
+
+def test_sioux_falls_converges_in_few_iterations(sioux):
+    a = solve_ue(sioux.net, sioux.demand, target_gap=1e-4, max_iters=300)
+    assert a.relative_gap <= 1e-4
+    assert a.iterations <= 300
+    hist = a.beckmann_history
+    assert len(hist) == a.iterations
+    for before, after in zip(hist, hist[1:]):
+        assert after <= before + 1e-12 * abs(before)
+    assert all(0.0 <= lam <= 1.0 for lam in a.step_sizes)
 
 
 def test_gap_verified_independently(desk):

@@ -11,6 +11,7 @@ from roadworks import (
     Link,
     Network,
     ParseError,
+    Upgrade,
     apply_upgrades,
     demand_fingerprint,
     network_fingerprint,
@@ -168,6 +169,18 @@ def test_parse_upgrades_errors():
     with pytest.raises(ParseError) as err:
         parse_upgrades("PROJECT a 1 new-road\nADD 1 2 100 1 1 0.15\n")
     assert err.value.line == 2
+
+
+def test_reserved_upgrade_ids_are_rejected():
+    road = (Link(1, 2, 100.0, 1.0, 0.15, 4.0),)
+    for reserved in ("BASELINE", "#1", "#"):
+        with pytest.raises(DataError, match="reserved"):
+            Upgrade(reserved, 10.0, "new-road", additions=road)
+    # only the exact cache keyword is reserved
+    assert Upgrade("BASELINE-2", 10.0, "new-road", additions=road).id == "BASELINE-2"
+    with pytest.raises(ParseError) as err:
+        parse_upgrades("PROJECT BASELINE 1 new-road\nADD 1 2 100 1 1 0.15 4\n")
+    assert "reserved" in str(err.value)
 
 
 def test_parse_upgrades_checks_links_against_network(desk):

@@ -260,3 +260,21 @@ def test_workers_do_not_change_results(desk):
     assert serial.singles == parallel.singles
     assert serial.pair_corrections == parallel.pair_corrections
     assert serial.evaluated_subsets == parallel.evaluated_subsets
+
+
+def test_capped_solves_warn_once_per_subset(desk):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1)
+    subsets = [("C-A1",), ("C-A1", "C-B1")]
+    with pytest.warns(RuntimeWarning) as record:
+        table = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings)
+    messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+    assert [m.split(":")[0] for m in messages] == ["baseline", "subset {C-A1}", "subset {C-A1,C-B1}"]
+    assert all("stopped after 1 iterations" in m for m in messages)
+    # the table is still built from the capped solves, as before
+    assert set(table.evaluated_subsets) == set(subsets)
+
+
+def test_converged_solves_do_not_warn(desk, recwarn):
+    settings = SolverSettings(target_gap=1e-6, max_iters=1000)
+    compute_deltas(desk.net, desk.demand, desk.upgrades, [("C-A1",)], settings)
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
