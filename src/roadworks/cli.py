@@ -423,7 +423,12 @@ def _add_common(p: argparse.ArgumentParser, *, nodes=True, upgrades=True) -> Non
         p.add_argument("--upgrades", help="candidate upgrade file")
     p.add_argument("--gap", type=float, help="relative-gap convergence target")
     p.add_argument("--max-iters", type=int, help="iteration cap per equilibrium solve")
-    p.add_argument("--algorithm", choices=list(ALGORITHMS), help="shortest-path kernel")
+    p.add_argument(
+        "--algorithm",
+        choices=list(ALGORITHMS),
+        help="per-origin shortest-path kernel (large networks build trees for many "
+        "origins at once instead); the output is the same for every choice",
+    )
     p.add_argument("--threads", type=int, help="threads inside one solve")
     p.add_argument("--workers", type=int, help="concurrent subset evaluations")
     p.add_argument("--out", help="also write the command's output here")

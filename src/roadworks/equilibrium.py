@@ -27,7 +27,11 @@ exact along a feasible direction, so the Beckmann objective never rises.
 
 Determinism contract: per-origin loading is accumulated in a fixed origin
 order using a fixed chunk size, so flows are bit-identical for any thread
-count; threads only affect wall time.
+count; threads only affect wall time.  A chunk's trees come from the
+per-origin kernel or, on large inputs, from the array path, which build the
+same trees.  Inner products of link vectors never call BLAS from
+_BLAS_FREE_MIN_LINKS links on, where OpenBLAS would split them over threads,
+so flows do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .network import DemandMatrix, Link, Network
-from .shortest_path import ALGORITHMS, DEFAULT_ALGORITHM, _tree_arrays
+from .shortest_path import ALGORITHMS, DEFAULT_ALGORITHM, _tree_arrays, _trees_for_origins
 
 __all__ = [
     "Assignment",
@@ -61,6 +65,19 @@ __all__ = [
 # floating-point reduction order, and therefore the flows, cannot depend on
 # how many threads run.
 _CHUNK = 16
+
+# Origins times links from which a chunk's trees come from the array path
+# (_trees_for_origins, all origins of the chunk at once) instead of one
+# per-origin kernel call each.  Measured on square grids from 16 to 16k links,
+# the two break even at 6k-18k for chunks of 1 to 16 origins; the Sioux Falls
+# (16 x 76) and desk (1 x 6) chunks stay far below.
+_ARRAY_TREES_MIN_WORK = 16384
+
+# Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
+# splits ddot over threads above about 10k elements, so the sum would depend
+# on the BLAS thread count and the idle threads spin.  Below it np.dot is the
+# cheapest call (about 1 us against 3-4 us for einsum).
+_BLAS_FREE_MIN_LINKS = 8192
 
 # Margin that keeps the conjugate weight below 1, so the AON point always
 # enters the conjugate point with weight at least _CONJUGATE_MARGIN.
@@ -114,24 +131,37 @@ def bpr_integral(link: Link, flow: float) -> float:
     return t * flow + t * a * flow ** (b + 1.0) / ((b + 1.0) * q**b)
 
 
+def _einsum_dot(x: np.ndarray, y: np.ndarray) -> float:
+    return np.einsum("i,i->", x, y)
+
+
+def _link_dot(m: int):
+    """The inner product for link vectors of length m; the same m always
+    gets the same summation order."""
+    return np.dot if m < _BLAS_FREE_MIN_LINKS else _einsum_dot
+
+
 def vht(flows: np.ndarray, latencies: np.ndarray) -> float:
     """Total vehicle-hours (flow-weighted travel time)."""
-    return float(np.dot(np.asarray(flows, dtype=float), np.asarray(latencies, dtype=float)))
+    flows = np.asarray(flows, dtype=float)
+    return float(_link_dot(flows.size)(flows, np.asarray(latencies, dtype=float)))
 
 
 def relative_gap(flows: np.ndarray, costs: np.ndarray, aon_flows: np.ndarray) -> float:
     """Relative difference between current total cost and the AON total cost."""
     flows = np.asarray(flows, dtype=float)
     costs = np.asarray(costs, dtype=float)
-    total = float(np.dot(flows, costs))
+    dot = _link_dot(flows.size)
+    total = float(dot(flows, costs))
     if total == 0.0:
         raise DataError("relative gap undefined: total travel cost is zero")
-    best = float(np.dot(np.asarray(aon_flows, dtype=float), costs))
+    best = float(dot(np.asarray(aon_flows, dtype=float), costs))
     return (total - best) / total
 
 
 class _LinkArrays:
-    """Per-link BPR parameters as numpy columns."""
+    """Per-link BPR parameters as numpy columns, and the inner product of
+    link vectors for this link count."""
 
     def __init__(self, net: Network):
         self.t = np.array([l.free_flow_time for l in net.links], dtype=float)
@@ -139,6 +169,7 @@ class _LinkArrays:
         self.alpha = np.array([l.alpha for l in net.links], dtype=float)
         self.beta = np.array([l.beta for l in net.links], dtype=float)
         self.from_nodes = [l.from_node for l in net.links]
+        self.dot = _link_dot(len(net.links))
 
     def latencies(self, flows: np.ndarray) -> np.ndarray:
         return self.t * (1.0 + self.alpha * np.power(flows / self.cap, self.beta))
@@ -166,12 +197,18 @@ def _check_demand(net: Network, demand: DemandMatrix) -> None:
 
 
 def _load_chunk(net, arrays, costs, algorithm, chunk):
-    """AON-load every origin in `chunk`; returns a dense flow vector."""
+    """AON-load every origin in `chunk` under the cost array `costs`; returns
+    a dense flow vector.  Both tree paths give the same trees."""
+    if len(chunk) * len(net.links) >= _ARRAY_TREES_MIN_WORK:
+        dist, pred = _trees_for_origins(net, costs, [origin for origin, _ in chunk])
+        trees = ((d.tolist(), p.tolist()) for d, p in zip(dist, pred))
+    else:
+        cost_list = costs.tolist()
+        trees = (_tree_arrays(net, cost_list, origin, algorithm) for origin, _ in chunk)
     flows = [0.0] * len(net.links)
     from_nodes = arrays.from_nodes
     limit = net.node_count + 1
-    for origin, dests in chunk:
-        dist, pred = _tree_arrays(net, costs, origin, algorithm)
+    for (origin, dests), (dist, pred) in zip(chunk, trees):
         for dest, q in dests:
             if not math.isfinite(dist[dest]):
                 raise SolverError(f"no path for demanded O-D pair ({origin},{dest})")
@@ -221,10 +258,11 @@ def all_or_nothing(
         if not (c >= 0 and math.isfinite(c)):
             raise DataError(f"invalid link cost {c}")
     arrays = _LinkArrays(net)
+    cost_array = np.array(costs, dtype=float)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _aon(net, arrays, costs, demand.by_origin, algorithm, pool)
-    return _aon(net, arrays, costs, demand.by_origin, algorithm, None)
+            return _aon(net, arrays, cost_array, demand.by_origin, algorithm, pool)
+    return _aon(net, arrays, cost_array, demand.by_origin, algorithm, None)
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> float:
@@ -239,7 +277,7 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
     """
 
     def gprime(lam: float) -> float:
-        return float(np.dot(direction, arrays.latencies(flows + lam * direction)))
+        return float(arrays.dot(direction, arrays.latencies(flows + lam * direction)))
 
     g0 = gprime(0.0)
     if g0 >= 0.0:
@@ -252,7 +290,7 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
     d2 = direction * direction
     for _ in range(_LINE_SEARCH_MAX_STEPS):
         x = flows + lam * direction
-        g = float(np.dot(direction, arrays.latencies(x)))
+        g = float(arrays.dot(direction, arrays.latencies(x)))
         if g == 0.0:
             return lam
         if g < 0.0:
@@ -261,7 +299,7 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
             hi = lam
         if hi - lo < _STEP_TOL:
             break
-        h = float(np.dot(d2, arrays.slopes(x)))
+        h = float(arrays.dot(d2, arrays.slopes(x)))
         newton = lam - g / h if h > 0.0 else math.nan
         if not lo < newton < hi:  # outside the bracket, or no usable g''
             lam = 0.5 * (lo + hi)
@@ -280,10 +318,10 @@ def _conjugate_point(
         return aon_flows
     slope = arrays.slopes(flows)
     hp = slope * (previous - flows)
-    den = float(np.dot(hp, aon_flows - previous))
+    den = float(arrays.dot(hp, aon_flows - previous))
     if den == 0.0:
         return aon_flows
-    a = min(max(float(np.dot(hp, aon_flows - flows)) / den, 0.0), 1.0 - _CONJUGATE_MARGIN)
+    a = min(max(float(arrays.dot(hp, aon_flows - flows)) / den, 0.0), 1.0 - _CONJUGATE_MARGIN)
     return a * previous + (1.0 - a) * aon_flows
 
 
@@ -328,7 +366,7 @@ def solve_ue(
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         freeflow = arrays.latencies(np.zeros(m, dtype=float))
-        flows = _aon(net, arrays, freeflow.tolist(), by_origin, algorithm, executor)
+        flows = _aon(net, arrays, freeflow, by_origin, algorithm, executor)
 
         beck_hist: list[float] = []
         gap_hist: list[float] = []
@@ -340,7 +378,7 @@ def solve_ue(
                 bad = int(np.argmax(~np.isfinite(lat)))
                 link = net.links[bad]
                 raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
-            aon_flows = _aon(net, arrays, lat.tolist(), by_origin, algorithm, executor)
+            aon_flows = _aon(net, arrays, lat, by_origin, algorithm, executor)
             gap = relative_gap(flows, lat, aon_flows)
             gap_hist.append(gap)
             beck_hist.append(arrays.beckmann(flows))
@@ -348,7 +386,7 @@ def solve_ue(
                 return Assignment(
                     flows=flows,
                     latencies=lat,
-                    vht=float(np.dot(flows, lat)),
+                    vht=float(arrays.dot(flows, lat)),
                     relative_gap=gap,
                     iterations=iteration,
                     beckmann=beck_hist[-1],

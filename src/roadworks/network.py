@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -106,6 +108,28 @@ class Network:
         return tuple(tuple(entries) for entries in out)
 
     @cached_property
+    def out_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR layout of ``adjacency``: ``(start, link, head)`` int arrays; the
+        out-links of node u are ``link[start[u]:start[u + 1]]``, in file order,
+        and ``head`` holds their to-nodes."""
+        tails = np.array([l.from_node for l in self.links], dtype=np.int64)
+        link = np.argsort(tails, kind="stable")
+        start = np.zeros(self.node_count + 2, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.node_count + 1), out=start[1:])
+        head = np.array([l.to_node for l in self.links], dtype=np.int64)[link]
+        return start, link, head
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        """Stable 16-hex digest of the contents (coordinates included)."""
+        h = hashlib.sha256(write_network(self).encode())
+        if self.coordinates:
+            for node in sorted(self.coordinates):
+                x, y = self.coordinates[node]
+                h.update(f"{node}:{x!r}:{y!r};".encode())
+        return h.hexdigest()[:16]
+
+    @cached_property
     def _parallel_index(self) -> dict[tuple[int, int, int], int]:
         seen: dict[tuple[int, int], int] = {}
         table: dict[tuple[int, int, int], int] = {}
@@ -152,6 +176,14 @@ class DemandMatrix:
         return tuple(
             (r, tuple(sorted(dests))) for r, dests in sorted(grouped.items())
         )
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        """Stable 16-hex digest of the entries."""
+        h = hashlib.sha256()
+        for (r, s), q in sorted(self.entries.items()):
+            h.update(f"{r},{s}:{q!r};".encode())
+        return h.hexdigest()[:16]
 
     def scaled(self, zones: frozenset[int] | set[int], factor: float) -> "DemandMatrix":
         """Multiply every entry whose origin or destination lies in `zones`."""
@@ -636,18 +668,11 @@ def write_trips(demand: DemandMatrix, zone_count: int) -> str:
 
 
 def network_fingerprint(net: Network) -> str:
-    """Stable 16-hex digest of the network contents (coordinates included)."""
-    h = hashlib.sha256(write_network(net).encode())
-    if net.coordinates:
-        for node in sorted(net.coordinates):
-            x, y = net.coordinates[node]
-            h.update(f"{node}:{x!r}:{y!r};".encode())
-    return h.hexdigest()[:16]
+    """Stable 16-hex digest of the network contents (coordinates included),
+    computed once per instance."""
+    return net._fingerprint
 
 
 def demand_fingerprint(demand: DemandMatrix) -> str:
-    """Stable 16-hex digest of the demand matrix."""
-    h = hashlib.sha256()
-    for (r, s), q in sorted(demand.entries.items()):
-        h.update(f"{r},{s}:{q!r};".encode())
-    return h.hexdigest()[:16]
+    """Stable 16-hex digest of the demand matrix, computed once per instance."""
+    return demand._fingerprint

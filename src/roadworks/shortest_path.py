@@ -7,10 +7,17 @@ SLF (smaller-label-first).  Both deque methods run with the LLL
 (larger-label-last) refinement: the front node is rotated to the back while
 its label exceeds the current queue average.
 
-All kernels honor the centroid rule: node ids below ``first_thru_node`` are
-never expanded as intermediate nodes (the source itself is always expanded).
-Ties between equal-cost paths are broken toward the lower link index, so all
-four algorithms return the same predecessor tree.
+Large networks take an array path instead, ``_trees_for_origins``: numpy
+Bellman-Ford in passes over a whole chunk of origins at once, along a CSR
+layout of the out-links (``Network.out_links``).  The equilibrium solver picks
+it when origins times links reaches ``_ARRAY_TREES_MIN_WORK`` (see
+``equilibrium``); below that the per-origin kernel is faster.
+
+All kernels and the array path honor the centroid rule: node ids below
+``first_thru_node`` are never expanded as intermediate nodes (the source
+itself is always expanded).  Labels are the same IEEE sums and exact minima
+everywhere, and ties between equal-cost paths are broken toward the lower
+link index, so every path returns the same labels and predecessor tree.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .network import Network
@@ -72,6 +81,51 @@ def shortest_paths(
 def _tree_arrays(net: Network, costs: list[float], source: int, algorithm: str):
     """Internal fast path: raw (dist, pred) lists, no validation or dict wrapping."""
     return _KERNELS[algorithm](net.node_count, net.adjacency, costs, source, net.first_thru_node)
+
+
+def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):
+    """Internal array path: trees from every origin in `origins` at once.
+
+    Returns ``(dist, pred)`` of shape ``(len(origins), node_count + 1)``, row
+    i holding what the per-origin kernels return for ``origins[i]``.  Runs
+    Bellman-Ford in passes over all rows together: the frontier is the
+    (row, node) pairs whose label fell in the last pass, expanded along
+    ``net.out_links``.  A predecessor is reset when its label falls and then
+    lowered to the smallest tight link index, which is the kernels' tie rule.
+    """
+    start, link, head = net.out_links
+    width = net.node_count + 1
+    none = len(net.links)  # "no tight link yet", above every link index
+    roots = np.arange(len(origins)) * width + np.asarray(origins, dtype=np.int64)
+    dist = np.full(len(origins) * width, _INF)
+    pred = np.full(len(origins) * width, none, dtype=np.int64)
+    dist[roots] = 0.0
+    pred[roots] = -1  # below every link index, so a root never takes a link
+    frontier = roots
+    while frontier.size:
+        node = frontier % width
+        first = start[node]
+        degree = start[node + 1] - first
+        ends = np.cumsum(degree)
+        pos = np.arange(ends[-1]) + np.repeat(first - (ends - degree), degree)
+        via = link[pos]
+        target = np.repeat(frontier - node, degree) + head[pos]
+        label = np.repeat(dist[frontier], degree) + costs[via]
+        before = dist[target]
+        np.minimum.at(dist, target, label)
+        after = dist[target]
+        tight = label == after
+        fell = np.sort(target[tight & (after < before)])
+        pred[fell] = none
+        np.minimum.at(pred, target[tight], via[tight])
+        # each fallen pair once (np.diff costs 2-4x as much here, np.unique up to 30x)
+        frontier = fell[np.concatenate(([True], fell[1:] != fell[:-1]))] if fell.size else fell
+        if net.first_thru_node > 1:
+            # centroids never relay; roots never fall, so only the first
+            # frontier holds them
+            frontier = frontier[frontier % width >= net.first_thru_node]
+    pred[pred == none] = -1
+    return dist.reshape(len(origins), width), pred.reshape(len(origins), width)
 
 
 def _dijkstra(n, adj, costs, source, first_thru):

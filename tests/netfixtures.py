@@ -1,4 +1,7 @@
-"""Tiny hand-built networks shared across test modules."""
+"""Hand-built networks shared across test modules: tiny ones, and a seeded
+grid large enough for the array path and BLAS-free reductions."""
+
+import random
 
 from roadworks import DemandMatrix, Link, Network, parse_upgrades
 
@@ -42,3 +45,31 @@ PROJECT bypass 100 new-road
 
 def braess_upgrades(net):
     return parse_upgrades(BRAESS_UPGRADE_TEXT, network=net)
+
+
+def grid_net(side=51, zone_lines=(0, 12, 25, 38, 50)):
+    """A side x side lattice with a link each way between neighbours (side 51:
+    2,601 nodes, 10,200 links).  Zones sit where the zone rows and columns
+    cross and take ids 1..25 in row-major order; they never relay.  Costs and
+    capacities come from a fixed seed."""
+    rng = random.Random(51)
+    ids = {(r, c): i + 1 for i, (r, c) in enumerate((r, c) for r in zone_lines for c in zone_lines)}
+    for r in range(side):
+        for c in range(side):
+            ids.setdefault((r, c), len(ids) + 1)
+    links = []
+    for (r, c), u in sorted(ids.items()):
+        for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+            v = ids.get((r + dr, c + dc))
+            if v is not None:
+                links.append(Link(u, v, 1000.0 * rng.uniform(0.8, 1.2), rng.uniform(0.8, 1.2), 0.15, 4.0))
+    zones = len(zone_lines) ** 2
+    return Network(node_count=side * side, links=tuple(links), zone_count=zones, first_thru_node=zones + 1)
+
+
+def grid_demand(zones=25, per_pair=40.0):
+    """Demand between every ordered pair of the grid's zones."""
+    rng = random.Random(52)
+    return DemandMatrix(
+        {(o, d): per_pair * rng.uniform(0.8, 1.2) for o in range(1, zones + 1) for d in range(1, zones + 1) if o != d}
+    )

@@ -2,7 +2,10 @@
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -27,8 +30,9 @@ from roadworks import (
     vht,
     write_flow_file,
 )
+from roadworks import equilibrium
 
-from netfixtures import two_link_demand, two_link_net
+from netfixtures import grid_demand, grid_net, two_link_demand, two_link_net
 from oracles import independent_gap, latency, two_link_flows
 
 
@@ -235,6 +239,59 @@ def test_thread_count_does_not_change_flows(sioux):
     three = solve_ue(sioux.net, sioux.demand, target_gap=1e-3, threads=3)
     assert np.array_equal(one.flows, three.flows)
     assert one.iterations == three.iterations
+
+
+# Large-network determinism: the grid's 10,200 links put every chunk on the
+# array path and every inner product on the reduction that avoids BLAS.  A
+# few iterations suffice for a last-bit difference to show in the flows.
+GRID_SETTINGS = {"target_gap": 1e-12, "max_iters": 4}
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return grid_net(), grid_demand()
+
+
+def _grid_solve(grid, **kwargs):
+    net, demand = grid
+    return solve_ue(net, demand, **GRID_SETTINGS, **kwargs)
+
+
+def test_grid_flows_do_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    code = (
+        "from netfixtures import grid_demand, grid_net\n"
+        "from roadworks import solve_ue\n"
+        f"a = solve_ue(grid_net(), grid_demand(), **{GRID_SETTINGS!r})\n"
+        "print(a.flows.tobytes().hex(), a.gap_history)\n"
+    )
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join([src, tests]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    array = _grid_solve(grid)
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    per_origin = _grid_solve(grid)
+    assert array.flows.tobytes() == per_origin.flows.tobytes()
+    assert array.gap_history == per_origin.gap_history
+
+
+def test_grid_thread_count_does_not_change_flows(grid, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    one = _grid_solve(grid, threads=1)
+    three = _grid_solve(grid, threads=3)
+    assert one.flows.tobytes() == three.flows.tobytes()
+    assert one.gap_history == three.gap_history
 
 
 def test_solve_with_mirrors_solve_ue(desk):

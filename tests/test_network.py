@@ -133,6 +133,16 @@ def test_fingerprints_differ(desk, sioux):
     assert demand_fingerprint(desk.demand) != demand_fingerprint(sioux.demand)
 
 
+def test_fingerprints_are_stable_and_computed_once(sioux):
+    # delta-cache headers written before memoisation carry these digests
+    net, demand = replace(sioux.net), DemandMatrix(dict(sioux.demand.entries))
+    assert network_fingerprint(net) == "fdf87fc1a78723de"
+    assert demand_fingerprint(demand) == "ac1dc8d82654c65d"
+    # a recomputed digest would be a new string object
+    assert network_fingerprint(net) is network_fingerprint(net)
+    assert demand_fingerprint(demand) is demand_fingerprint(demand)
+
+
 def test_scaled_touches_origin_or_destination():
     dem = DemandMatrix({(1, 2): 10.0, (2, 1): 20.0, (3, 4): 30.0})
     out = dem.scaled({1}, 2.0)

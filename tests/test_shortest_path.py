@@ -1,8 +1,10 @@
-"""Shortest-path kernels against a naive relaxation oracle."""
+"""Shortest-path kernels and the many-origin array path against a naive
+relaxation oracle."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from roadworks import (
@@ -10,8 +12,10 @@ from roadworks import (
     DataError,
     Link,
     Network,
+    ShortestPathTree,
     shortest_paths,
 )
+from roadworks.shortest_path import _trees_for_origins
 
 from oracles import bellman_ford_labels
 
@@ -37,6 +41,16 @@ def random_digraph(rng, max_nodes=60, max_arcs=400, cost_pool=None):
     return net, costs
 
 
+def every_tree(net, costs, source):
+    """The tree from `source` by each kernel, then by the array path, which
+    builds it in one chunk with two more origins."""
+    trees = [shortest_paths(net, costs, source, algorithm=a) for a in ALGORITHMS]
+    dist, pred = _trees_for_origins(net, np.array(costs, dtype=float), [net.node_count, source, 1])
+    labels = {node: float(dist[1, node]) for node in net.nodes}
+    preds = {node: int(pred[1, node]) for node in net.nodes if pred[1, node] >= 0}
+    return trees + [ShortestPathTree(source=source, labels=labels, predecessor_link=preds)]
+
+
 def assert_labels_close(got, want, rel=1e-12):
     assert got.keys() == want.keys()
     for node, w in want.items():
@@ -53,19 +67,19 @@ def test_all_kernels_match_naive_relaxation():
         net, costs = random_digraph(rng)
         source = rng.randint(1, net.node_count)
         want = bellman_ford_labels(net, costs, source)
-        for algorithm in ALGORITHMS:
-            tree = shortest_paths(net, costs, source, algorithm=algorithm)
+        for tree in every_tree(net, costs, source):
             assert_labels_close(tree.labels, want)
 
 
 def test_kernels_agree_on_predecessor_trees_under_ties():
-    # integer cost pool forces many equal-label paths; the shared tie rule
-    # (keep the lower link index) must make every kernel build the same tree
+    # integer cost pool (zero included) forces many equal-label paths; the
+    # shared tie rule (keep the lower link index) must make every kernel and
+    # the array path build the same tree
     rng = random.Random(7)
     for _ in range(60):
-        net, costs = random_digraph(rng, max_nodes=40, max_arcs=300, cost_pool=[1.0, 2.0, 3.0])
+        net, costs = random_digraph(rng, max_nodes=40, max_arcs=300, cost_pool=[0.0, 1.0, 2.0, 3.0])
         source = rng.randint(1, net.node_count)
-        trees = [shortest_paths(net, costs, source, algorithm=a) for a in ALGORITHMS]
+        trees = every_tree(net, costs, source)
         for other in trees[1:]:
             assert other.labels == trees[0].labels
             assert other.predecessor_link == trees[0].predecessor_link
@@ -77,8 +91,7 @@ def test_source_and_unreachable_conventions():
         links=(Link(1, 2, 1.0, 1.0, 0.0, 1.0), Link(4, 3, 1.0, 1.0, 0.0, 1.0)),
         zone_count=1,
     )
-    for algorithm in ALGORITHMS:
-        tree = shortest_paths(net, [2.0, 5.0], 1, algorithm=algorithm)
+    for tree in every_tree(net, [2.0, 5.0], 1):
         assert tree.labels[1] == 0.0
         assert tree.labels[2] == 2.0
         assert math.isinf(tree.labels[3])
@@ -95,8 +108,7 @@ def test_centroids_never_relay():
         Link(2, 3, 1.0, 1.0, 0.0, 1.0),
     )
     net = Network(node_count=3, links=links, zone_count=2, first_thru_node=3)
-    for algorithm in ALGORITHMS:
-        tree = shortest_paths(net, [1.0, 1.0], 1, algorithm=algorithm)
+    for tree in every_tree(net, [1.0, 1.0], 1):
         assert tree.labels[2] == 1.0
         assert math.isinf(tree.labels[3])
 
@@ -105,8 +117,7 @@ def test_centroid_source_can_leave():
     # the source is below first_thru_node but its own out-arcs still count
     links = (Link(1, 3, 1.0, 1.0, 0.0, 1.0), Link(3, 2, 1.0, 1.0, 0.0, 1.0))
     net = Network(node_count=3, links=links, zone_count=2, first_thru_node=3)
-    for algorithm in ALGORITHMS:
-        tree = shortest_paths(net, [4.0, 2.0], 1, algorithm=algorithm)
+    for tree in every_tree(net, [4.0, 2.0], 1):
         assert tree.labels[3] == 4.0
         assert tree.labels[2] == 6.0
 
@@ -117,8 +128,7 @@ def test_parallel_links_prefer_lower_index():
         Link(1, 2, 1.0, 1.0, 0.0, 1.0),
     )
     net = Network(node_count=2, links=links, zone_count=1)
-    for algorithm in ALGORITHMS:
-        tree = shortest_paths(net, [3.0, 3.0], 1, algorithm=algorithm)
+    for tree in every_tree(net, [3.0, 3.0], 1):
         assert tree.predecessor_link[2] == 0
 
 
@@ -130,8 +140,7 @@ def test_zero_cost_cycles_terminate():
         Link(3, 4, 1.0, 1.0, 0.0, 1.0),
     )
     net = Network(node_count=4, links=links, zone_count=1)
-    for algorithm in ALGORITHMS:
-        tree = shortest_paths(net, [0.0, 0.0, 0.0, 0.0], 1, algorithm=algorithm)
+    for tree in every_tree(net, [0.0, 0.0, 0.0, 0.0], 1):
         assert tree.labels == {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
 
 
