@@ -3,11 +3,12 @@
 
 This drives the whole pipeline (baseline assignment, per-project deltas,
 pair screening, subset selection, multi-period scheduling) against a
-full-size TNTP dataset such as Chicago Regional or Berlin.  It is NOT part
-of the test suite: a single baseline assignment on Chicago Regional takes
-on the order of an hour at gap 1e-5, and the delta tables multiply that by
-the number of candidate projects.  Run it on a beefy machine, point
---cache-dir at persistent storage, and expect to leave it overnight.
+full-size TNTP dataset such as Chicago Regional or Berlin.  Full-size runs
+are NOT part of the test suite (the suite runs the script only on the small
+desk network): a single baseline assignment on Chicago Regional takes on
+the order of an hour at gap 1e-5, and the delta tables multiply that by the
+number of candidate projects.  Run it on a beefy machine, point --cache-dir
+at persistent storage, and expect to leave it overnight.
 
 Reference values for the original datasets (for eyeballing your output):
 
@@ -77,7 +78,6 @@ def main(argv=None):
     ap.add_argument("--growth-file", help="SCALE rules for per-period demand growth")
     ap.add_argument("--gap", type=float, default=1e-5, help="relative gap target")
     ap.add_argument("--max-iters", type=int, default=10_000)
-    ap.add_argument("--threads", type=int, default=8)
     ap.add_argument("--workers", type=int, default=2, help="concurrent subset solves")
     ap.add_argument("--budget", type=float, default=10_000.0, help="selection budget, k$")
     ap.add_argument(
@@ -94,9 +94,7 @@ def main(argv=None):
 
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    settings = SolverSettings(
-        target_gap=args.gap, max_iters=args.max_iters, threads=args.threads
-    )
+    settings = SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
     stamp(f"parsing {args.net}")
     net = parse_network(Path(args.net).read_text())

@@ -19,12 +19,7 @@ from .network import (
     write_network,
     write_trips,
 )
-from .shortest_path import (
-    ALGORITHMS,
-    DEFAULT_ALGORITHM,
-    ShortestPathTree,
-    shortest_paths,
-)
+from .shortest_path import ShortestPathTree, shortest_paths
 from .equilibrium import (
     Assignment,
     SolverSettings,

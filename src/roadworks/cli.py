@@ -64,7 +64,6 @@ from .scheduler import (
     independent_schedule,
     parse_growth_rules,
 )
-from .shortest_path import ALGORITHMS, DEFAULT_ALGORITHM
 
 
 class _UsageError(Exception):
@@ -80,8 +79,6 @@ class _Parser(argparse.ArgumentParser):
 _DEFAULTS = {
     "gap": 1e-4,
     "max_iters": 1000,
-    "algorithm": DEFAULT_ALGORITHM,
-    "threads": 1,
     "workers": 1,
     "m": 3650.0,
     "rate": 0.0,
@@ -98,7 +95,6 @@ _COERCE = {
     "budget": float,
     "pairs_threshold": float,
     "max_iters": int,
-    "threads": int,
     "workers": int,
     "seed": int,
     "pairs_count": int,
@@ -160,12 +156,7 @@ def _load_upgrades(args, net: Network) -> UpgradeSet:
 
 
 def _settings(args) -> SolverSettings:
-    return SolverSettings(
-        target_gap=args.gap,
-        max_iters=args.max_iters,
-        algorithm=args.algorithm,
-        threads=args.threads,
-    )
+    return SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
 
 def _split_tokens(text: str) -> list[str | int]:
@@ -423,13 +414,6 @@ def _add_common(p: argparse.ArgumentParser, *, nodes=True, upgrades=True) -> Non
         p.add_argument("--upgrades", help="candidate upgrade file")
     p.add_argument("--gap", type=float, help="relative-gap convergence target")
     p.add_argument("--max-iters", type=int, help="iteration cap per equilibrium solve")
-    p.add_argument(
-        "--algorithm",
-        choices=list(ALGORITHMS),
-        help="per-origin shortest-path kernel (large networks build trees for many "
-        "origins at once instead); the output is the same for every choice",
-    )
-    p.add_argument("--threads", type=int, help="threads inside one solve")
     p.add_argument("--workers", type=int, help="concurrent subset evaluations")
     p.add_argument("--out", help="also write the command's output here")
 

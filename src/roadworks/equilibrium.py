@@ -25,19 +25,19 @@ The step length is exact: a safeguarded Newton iteration on the derivative
 falling back to bisection whenever Newton leaves the bracket.  Each step is
 exact along a feasible direction, so the Beckmann objective never rises.
 
-Determinism contract: per-origin loading is accumulated in a fixed origin
-order using a fixed chunk size, so flows are bit-identical for any thread
-count; threads only affect wall time.  A chunk's trees come from the
-per-origin kernel or, on large inputs, from the array path, which build the
-same trees.  Inner products of link vectors never call BLAS from
-_BLAS_FREE_MIN_LINKS links on, where OpenBLAS would split them over threads,
-so flows do not depend on the BLAS thread count either.
+Determinism contract: a solve runs on one thread, and the same inputs give
+bit-identical flows.  Origins are loaded in chunks of _CHUNK in a fixed
+order and the chunk flows are summed in that order.  A chunk's trees come
+from Bellman-Ford in one of two forms, the per-origin kernel or, on large
+inputs, the array path, and both build the same trees.  Inner products of
+link vectors never call BLAS from _BLAS_FREE_MIN_LINKS links on, where
+OpenBLAS would split them over threads, so flows do not depend on the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .network import DemandMatrix, Link, Network
-from .shortest_path import ALGORITHMS, DEFAULT_ALGORITHM, _tree_arrays, _trees_for_origins
+from .shortest_path import _bellman_ford, _trees_for_origins
 
 __all__ = [
     "Assignment",
@@ -61,9 +61,9 @@ __all__ = [
     "format_flow_file",
 ]
 
-# Origins per loading task. Fixed (never derived from the thread count) so the
-# floating-point reduction order, and therefore the flows, cannot depend on
-# how many threads run.
+# Origins per loading chunk.  It fixes the order in which chunk flows are
+# summed and the number of origins the array path takes at once, so any
+# other value changes the flows in their last bits.
 _CHUNK = 16
 
 # Origins times links from which a chunk's trees come from the array path
@@ -112,8 +112,6 @@ class SolverSettings:
 
     target_gap: float = 1e-6
     max_iters: int = 10_000
-    algorithm: str = DEFAULT_ALGORITHM
-    threads: int = 1
 
 
 def bpr_latency(link: Link, flow: float) -> float:
@@ -196,7 +194,7 @@ def _check_demand(net: Network, demand: DemandMatrix) -> None:
             )
 
 
-def _load_chunk(net, arrays, costs, algorithm, chunk):
+def _load_chunk(net, arrays, costs, chunk):
     """AON-load every origin in `chunk` under the cost array `costs`; returns
     a dense flow vector.  Both tree paths give the same trees."""
     if len(chunk) * len(net.links) >= _ARRAY_TREES_MIN_WORK:
@@ -204,7 +202,8 @@ def _load_chunk(net, arrays, costs, algorithm, chunk):
         trees = ((d.tolist(), p.tolist()) for d, p in zip(dist, pred))
     else:
         cost_list = costs.tolist()
-        trees = (_tree_arrays(net, cost_list, origin, algorithm) for origin, _ in chunk)
+        adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
+        trees = (_bellman_ford(n, adj, cost_list, origin, first_thru) for origin, _ in chunk)
     flows = [0.0] * len(net.links)
     from_nodes = arrays.from_nodes
     limit = net.node_count + 1
@@ -224,19 +223,10 @@ def _load_chunk(net, arrays, costs, algorithm, chunk):
     return np.array(flows, dtype=float)
 
 
-def _aon(net, arrays, costs, by_origin, algorithm, executor):
-    chunks = [by_origin[i : i + _CHUNK] for i in range(0, len(by_origin), _CHUNK)]
+def _aon(net, arrays, costs, by_origin):
     total = np.zeros(len(net.links), dtype=float)
-    if executor is None:
-        for chunk in chunks:
-            total += _load_chunk(net, arrays, costs, algorithm, chunk)
-    else:
-        # Reduction stays in chunk order, so results match the serial path bit
-        # for bit regardless of worker count.
-        for part in executor.map(
-            lambda c: _load_chunk(net, arrays, costs, algorithm, c), chunks
-        ):
-            total += part
+    for i in range(0, len(by_origin), _CHUNK):
+        total += _load_chunk(net, arrays, costs, by_origin[i : i + _CHUNK])
     return total
 
 
@@ -244,12 +234,8 @@ def all_or_nothing(
     net: Network,
     demand: DemandMatrix,
     link_costs: Sequence[float],
-    algorithm: str = DEFAULT_ALGORITHM,
-    threads: int = 1,
 ) -> np.ndarray:
     """Load all demand onto shortest paths under fixed link costs."""
-    if algorithm not in ALGORITHMS:
-        raise DataError(f"unknown algorithm {algorithm!r}")
     _check_demand(net, demand)
     costs = [float(c) for c in link_costs]
     if len(costs) != len(net.links):
@@ -257,12 +243,7 @@ def all_or_nothing(
     for c in costs:
         if not (c >= 0 and math.isfinite(c)):
             raise DataError(f"invalid link cost {c}")
-    arrays = _LinkArrays(net)
-    cost_array = np.array(costs, dtype=float)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _aon(net, arrays, cost_array, demand.by_origin, algorithm, pool)
-    return _aon(net, arrays, cost_array, demand.by_origin, algorithm, None)
+    return _aon(net, _LinkArrays(net), np.array(costs, dtype=float), demand.by_origin)
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> float:
@@ -330,8 +311,6 @@ def solve_ue(
     demand: DemandMatrix,
     target_gap: float = 1e-4,
     max_iters: int = 1000,
-    algorithm: str = DEFAULT_ALGORITHM,
-    threads: int = 1,
 ) -> Assignment:
     """Frank-Wolfe user-equilibrium assignment.
 
@@ -343,10 +322,6 @@ def solve_ue(
         raise DataError("target_gap must be positive")
     if max_iters < 1:
         raise DataError("max_iters must be at least 1")
-    if algorithm not in ALGORITHMS:
-        raise DataError(f"unknown algorithm {algorithm!r}")
-    if threads < 1:
-        raise DataError("threads must be at least 1")
     _check_demand(net, demand)
 
     arrays = _LinkArrays(net)
@@ -363,57 +338,45 @@ def solve_ue(
             beckmann=0.0,
         )
 
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        freeflow = arrays.latencies(np.zeros(m, dtype=float))
-        flows = _aon(net, arrays, freeflow, by_origin, algorithm, executor)
+    freeflow = arrays.latencies(np.zeros(m, dtype=float))
+    flows = _aon(net, arrays, freeflow, by_origin)
 
-        beck_hist: list[float] = []
-        gap_hist: list[float] = []
-        steps: list[float] = []
-        conjugate = None
-        for iteration in range(1, max_iters + 1):
-            lat = arrays.latencies(flows)
-            if not np.all(np.isfinite(lat)):
-                bad = int(np.argmax(~np.isfinite(lat)))
-                link = net.links[bad]
-                raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
-            aon_flows = _aon(net, arrays, lat, by_origin, algorithm, executor)
-            gap = relative_gap(flows, lat, aon_flows)
-            gap_hist.append(gap)
-            beck_hist.append(arrays.beckmann(flows))
-            if gap <= target_gap or iteration == max_iters:
-                return Assignment(
-                    flows=flows,
-                    latencies=lat,
-                    vht=float(arrays.dot(flows, lat)),
-                    relative_gap=gap,
-                    iterations=iteration,
-                    beckmann=beck_hist[-1],
-                    beckmann_history=beck_hist,
-                    gap_history=gap_hist,
-                    step_sizes=steps,
-                )
-            conjugate = _conjugate_point(arrays, flows, aon_flows, conjugate)
-            direction = conjugate - flows
-            lam = _line_search(arrays, flows, direction)
-            steps.append(lam)
-            flows = flows + lam * direction
-        raise AssertionError("unreachable")  # loop always returns
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    beck_hist: list[float] = []
+    gap_hist: list[float] = []
+    steps: list[float] = []
+    conjugate = None
+    for iteration in range(1, max_iters + 1):
+        lat = arrays.latencies(flows)
+        if not np.all(np.isfinite(lat)):
+            bad = int(np.argmax(~np.isfinite(lat)))
+            link = net.links[bad]
+            raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
+        aon_flows = _aon(net, arrays, lat, by_origin)
+        gap = relative_gap(flows, lat, aon_flows)
+        gap_hist.append(gap)
+        beck_hist.append(arrays.beckmann(flows))
+        if gap <= target_gap or iteration == max_iters:
+            return Assignment(
+                flows=flows,
+                latencies=lat,
+                vht=float(arrays.dot(flows, lat)),
+                relative_gap=gap,
+                iterations=iteration,
+                beckmann=beck_hist[-1],
+                beckmann_history=beck_hist,
+                gap_history=gap_hist,
+                step_sizes=steps,
+            )
+        conjugate = _conjugate_point(arrays, flows, aon_flows, conjugate)
+        direction = conjugate - flows
+        lam = _line_search(arrays, flows, direction)
+        steps.append(lam)
+        flows = flows + lam * direction
+    raise AssertionError("unreachable")  # loop always returns
 
 
 def solve_with(net: Network, demand: DemandMatrix, settings: SolverSettings) -> Assignment:
-    return solve_ue(
-        net,
-        demand,
-        target_gap=settings.target_gap,
-        max_iters=settings.max_iters,
-        algorithm=settings.algorithm,
-        threads=settings.threads,
-    )
+    return solve_ue(net, demand, target_gap=settings.target_gap, max_iters=settings.max_iters)
 
 
 def format_flow_file(net: Network, assignment: Assignment) -> str:

@@ -95,8 +95,8 @@ class MemoryDeltaCache:
         return dict(self._rows)
 
 
-class FileDeltaCache:
-    """Append-only delta cache file.
+class FileDeltaCache(MemoryDeltaCache):
+    """A MemoryDeltaCache that also appends each row to its file.
 
     Layout: a header binding the cache to its inputs, then one row per
     evaluated subset::
@@ -108,16 +108,17 @@ class FileDeltaCache:
         BASELINE <vht> <gap>
         id1,id2 <delta_vht> <gap>
 
-    Opening an existing file for different inputs raises DataError.
+    Opening an existing file for different inputs raises DataError.  A last
+    line with no newline is a row torn by a run that died mid-write: loading
+    drops it with a warning and truncates the file after the last newline.
     """
 
     def __init__(self, path: str, network_hash: str, demand_hash: str, target_gap: float):
+        super().__init__()
         self.path = path
         self.network_hash = network_hash
         self.demand_hash = demand_hash
         self.target_gap = target_gap
-        self._baseline: tuple[float, float] | None = None
-        self._rows: dict[Subset, tuple[float, float]] = {}
         if os.path.exists(path):
             self._load()
         else:
@@ -132,53 +133,62 @@ class FileDeltaCache:
         return cls(path, network_fingerprint(net), demand_fingerprint(demand), settings.target_gap)
 
     def _load(self) -> None:
-        header: dict[str, str] = {}
-        with open(self.path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split()
-                if fields[0] in ("network", "demand", "target_gap") and len(fields) == 2:
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        header: dict[str, str | float] = {}
+        for number, raw in enumerate(data[:whole].decode().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            try:
+                if fields[0] in ("network", "demand") and len(fields) == 2:
                     header[fields[0]] = fields[1]
+                elif fields[0] == "target_gap" and len(fields) == 2:
+                    header[fields[0]] = float(fields[1])
                 elif fields[0] == "BASELINE" and len(fields) == 3:
                     self._baseline = (float(fields[1]), float(fields[2]))
                 elif len(fields) == 3:
                     subset = tuple(fields[0].split(","))
                     self._rows[subset] = (float(fields[1]), float(fields[2]))
                 else:
-                    raise DataError(f"cache {self.path}: unrecognized line {line!r}")
+                    raise DataError(f"cache {self.path}, line {number}: unrecognized line {line!r}")
+            except ValueError:
+                raise DataError(f"cache {self.path}, line {number}: bad number in {line!r}") from None
         mismatches = []
         if header.get("network") != self.network_hash:
             mismatches.append("network")
         if header.get("demand") != self.demand_hash:
             mismatches.append("demand")
-        if float(header.get("target_gap", "nan")) != self.target_gap:
+        if header.get("target_gap") != self.target_gap:
             mismatches.append("target_gap")
         if mismatches:
             raise DataError(
                 f"cache {self.path} was built for a different {'/'.join(mismatches)}; "
                 "delete it or point at a fresh path"
             )
-
-    def baseline(self) -> tuple[float, float] | None:
-        return self._baseline
+        if whole < len(data):
+            warnings.warn(
+                f"cache {self.path}: dropped the incomplete last line "
+                f"{data[whole:].decode(errors='replace')!r}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            with open(self.path, "r+b") as fh:
+                fh.truncate(whole)
 
     def set_baseline(self, vht: float, gap: float) -> None:
-        self._baseline = (vht, gap)
-        with open(self.path, "a") as fh:
-            fh.write(f"BASELINE {vht!r} {gap!r}\n")
-
-    def get(self, subset: Subset) -> tuple[float, float] | None:
-        return self._rows.get(subset)
+        super().set_baseline(vht, gap)
+        self._append(f"BASELINE {vht!r} {gap!r}\n")
 
     def put(self, subset: Subset, delta: float, gap: float) -> None:
-        self._rows[subset] = (delta, gap)
-        with open(self.path, "a") as fh:
-            fh.write(f"{','.join(subset)} {delta!r} {gap!r}\n")
+        super().put(subset, delta, gap)
+        self._append(f"{','.join(subset)} {delta!r} {gap!r}\n")
 
-    def rows(self) -> dict[Subset, tuple[float, float]]:
-        return dict(self._rows)
+    def _append(self, line: str) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(line)
 
 
 def _coefficients(
@@ -284,18 +294,9 @@ def compute_deltas(
 
     evaluated = {S: results[S][0] for S in wanted}
     gaps = {S: results[S][1] for S in wanted}
-    max_order = max((len(S) for S in wanted), default=0)
-    coeffs = _coefficients(evaluated, max_order, strict=False)
-    return DeltaTable(
-        baseline_vht=baseline_vht,
-        singles={W[0]: c for W, c in coeffs.items() if len(W) == 1},
-        pair_corrections={W: c for W, c in coeffs.items() if len(W) == 2},
-        higher_order={W: c for W, c in coeffs.items() if len(W) >= 3},
-        evaluated_subsets=evaluated,
-        gaps=gaps,
-        baseline_gap=baseline_gap,
-        tap_solves=solves,
-    )
+    table = table_from_evaluated(baseline_vht, baseline_gap, evaluated, gaps)
+    table.tap_solves = solves
+    return table
 
 
 def table_from_evaluated(

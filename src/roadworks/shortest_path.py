@@ -1,23 +1,19 @@
 """Single-source shortest paths over the road network.
 
-Four kernels share one relaxation contract: a binary-heap Dijkstra
-(label-setting) and three label-correcting queue disciplines, namely the
-classic FIFO-queue Bellman-Ford method, d'Esopo-Pape (two-ended queue), and
-SLF (smaller-label-first).  Both deque methods run with the LLL
-(larger-label-last) refinement: the front node is rotated to the back while
-its label exceeds the current queue average.
+One algorithm, label-correcting Bellman-Ford, in two forms.  Small networks
+take the per-origin kernel ``_bellman_ford``: a FIFO queue of nodes whose
+label fell.  Large networks take the array path ``_trees_for_origins``:
+numpy Bellman-Ford in passes over a whole chunk of origins at once, along a
+CSR layout of the out-links (``Network.out_links``).  The equilibrium solver
+picks the array path when origins times links reaches
+``_ARRAY_TREES_MIN_WORK`` (see ``equilibrium``); below that the kernel is
+faster.
 
-Large networks take an array path instead, ``_trees_for_origins``: numpy
-Bellman-Ford in passes over a whole chunk of origins at once, along a CSR
-layout of the out-links (``Network.out_links``).  The equilibrium solver picks
-it when origins times links reaches ``_ARRAY_TREES_MIN_WORK`` (see
-``equilibrium``); below that the per-origin kernel is faster.
-
-All kernels and the array path honor the centroid rule: node ids below
-``first_thru_node`` are never expanded as intermediate nodes (the source
-itself is always expanded).  Labels are the same IEEE sums and exact minima
-everywhere, and ties between equal-cost paths are broken toward the lower
-link index, so every path returns the same labels and predecessor tree.
+Both forms honor the centroid rule: node ids below ``first_thru_node`` are
+never expanded as intermediate nodes (the source itself is always expanded).
+Labels are the same IEEE sums and exact minima in both, and ties between
+equal-cost paths are broken toward the lower link index, so both return the
+same labels and predecessor tree.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +28,7 @@ import numpy as np
 from .errors import DataError
 from .network import Network
 
-__all__ = ["ALGORITHMS", "DEFAULT_ALGORITHM", "ShortestPathTree", "shortest_paths"]
-
-ALGORITHMS = ("dijkstra", "bellman-ford", "desopo-pape-lll", "slf-lll")
-DEFAULT_ALGORITHM = "desopo-pape-lll"
+__all__ = ["ShortestPathTree", "shortest_paths"]
 
 _INF = math.inf
 
@@ -58,11 +50,8 @@ def shortest_paths(
     net: Network,
     link_costs: Sequence[float],
     source: int,
-    algorithm: str = DEFAULT_ALGORITHM,
 ) -> ShortestPathTree:
     """Solve one single-source problem under the given per-link costs."""
-    if algorithm not in ALGORITHMS:
-        raise DataError(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
     if not 1 <= source <= net.node_count:
         raise DataError(f"source {source} outside 1..{net.node_count}")
     costs = [float(c) for c in link_costs]
@@ -72,26 +61,21 @@ def shortest_paths(
         if not (c >= 0 and math.isfinite(c)):
             link = net.links[i]
             raise DataError(f"link {link.from_node}->{link.to_node} has invalid cost {c}")
-    dist, pred = _KERNELS[algorithm](net.node_count, net.adjacency, costs, source, net.first_thru_node)
+    dist, pred = _bellman_ford(net.node_count, net.adjacency, costs, source, net.first_thru_node)
     labels = {node: dist[node] for node in range(1, net.node_count + 1)}
     preds = {node: pred[node] for node in range(1, net.node_count + 1) if pred[node] >= 0}
     return ShortestPathTree(source=source, labels=labels, predecessor_link=preds)
-
-
-def _tree_arrays(net: Network, costs: list[float], source: int, algorithm: str):
-    """Internal fast path: raw (dist, pred) lists, no validation or dict wrapping."""
-    return _KERNELS[algorithm](net.node_count, net.adjacency, costs, source, net.first_thru_node)
 
 
 def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):
     """Internal array path: trees from every origin in `origins` at once.
 
     Returns ``(dist, pred)`` of shape ``(len(origins), node_count + 1)``, row
-    i holding what the per-origin kernels return for ``origins[i]``.  Runs
+    i holding what ``_bellman_ford`` returns for ``origins[i]``.  Runs
     Bellman-Ford in passes over all rows together: the frontier is the
     (row, node) pairs whose label fell in the last pass, expanded along
     ``net.out_links``.  A predecessor is reset when its label falls and then
-    lowered to the smallest tight link index, which is the kernels' tie rule.
+    lowered to the smallest tight link index, which is the kernel's tie rule.
     """
     start, link, head = net.out_links
     width = net.node_count + 1
@@ -128,31 +112,9 @@ def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):
     return dist.reshape(len(origins), width), pred.reshape(len(origins), width)
 
 
-def _dijkstra(n, adj, costs, source, first_thru):
-    dist = [_INF] * (n + 1)
-    pred = [-1] * (n + 1)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        if u < first_thru and u != source:
-            continue  # centroids terminate paths
-        for v, a in adj[u]:
-            nd = d + costs[a]
-            dv = dist[v]
-            if nd < dv:
-                dist[v] = nd
-                pred[v] = a
-                heappush(heap, (nd, v))
-            elif nd == dv and a < pred[v]:
-                pred[v] = a
-    return dist, pred
-
-
 def _bellman_ford(n, adj, costs, source, first_thru):
-    # Label-correcting with a plain FIFO queue.
+    # Label-correcting with a plain FIFO queue; equal labels keep the lower
+    # link index.
     dist = [_INF] * (n + 1)
     pred = [-1] * (n + 1)
     dist[source] = 0.0
@@ -177,104 +139,3 @@ def _bellman_ford(n, adj, costs, source, first_thru):
             elif nd == dv and a < pred[v]:
                 pred[v] = a
     return dist, pred
-
-
-def _desopo_pape_lll(n, adj, costs, source, first_thru):
-    # Two-ended queue: first-time nodes enter at the back, re-entrants at the
-    # front. Status: 0 never queued, 1 in queue, 2 previously dequeued.
-    dist = [_INF] * (n + 1)
-    pred = [-1] * (n + 1)
-    dist[source] = 0.0
-    status = bytearray(n + 1)
-    queue = deque([source])
-    status[source] = 1
-    queue_sum = 0.0
-    while queue:
-        m = len(queue)
-        if m > 1:
-            # LLL: defer the front node while its label exceeds the queue
-            # average. The rotation count is capped so float drift in the
-            # running sum can never cycle forever.
-            avg = queue_sum / m
-            rotations = 0
-            while dist[queue[0]] > avg and rotations < m:
-                queue.rotate(-1)
-                rotations += 1
-        u = queue.popleft()
-        status[u] = 2
-        queue_sum -= dist[u]
-        if u < first_thru and u != source:
-            continue
-        du = dist[u]
-        for v, a in adj[u]:
-            nd = du + costs[a]
-            dv = dist[v]
-            if nd < dv:
-                dist[v] = nd
-                pred[v] = a
-                s = status[v]
-                if s == 1:
-                    queue_sum += nd - dv
-                elif s == 0:
-                    queue.append(v)
-                    status[v] = 1
-                    queue_sum += nd
-                else:
-                    queue.appendleft(v)
-                    status[v] = 1
-                    queue_sum += nd
-            elif nd == dv and a < pred[v]:
-                pred[v] = a
-    return dist, pred
-
-
-def _slf_lll(n, adj, costs, source, first_thru):
-    # SLF: enqueue at the front when the new label beats the front label,
-    # else at the back. Same LLL pop discipline as d'Esopo-Pape.
-    dist = [_INF] * (n + 1)
-    pred = [-1] * (n + 1)
-    dist[source] = 0.0
-    in_queue = bytearray(n + 1)
-    queue = deque([source])
-    in_queue[source] = 1
-    queue_sum = 0.0
-    while queue:
-        m = len(queue)
-        if m > 1:
-            avg = queue_sum / m
-            rotations = 0
-            while dist[queue[0]] > avg and rotations < m:
-                queue.rotate(-1)
-                rotations += 1
-        u = queue.popleft()
-        in_queue[u] = 0
-        queue_sum -= dist[u]
-        if u < first_thru and u != source:
-            continue
-        du = dist[u]
-        for v, a in adj[u]:
-            nd = du + costs[a]
-            dv = dist[v]
-            if nd < dv:
-                dist[v] = nd
-                pred[v] = a
-                if in_queue[v]:
-                    queue_sum += nd - dv
-                else:
-                    if queue and nd < dist[queue[0]]:
-                        queue.appendleft(v)
-                    else:
-                        queue.append(v)
-                    in_queue[v] = 1
-                    queue_sum += nd
-            elif nd == dv and a < pred[v]:
-                pred[v] = a
-    return dist, pred
-
-
-_KERNELS = {
-    "dijkstra": _dijkstra,
-    "bellman-ford": _bellman_ford,
-    "desopo-pape-lll": _desopo_pape_lll,
-    "slf-lll": _slf_lll,
-}

@@ -45,6 +45,19 @@ def desk():
 
 
 @pytest.fixture(scope="session")
+def sioux_tables_by_workers(sioux):
+    """Sioux Falls deltas of the 4 upgrades and their 6 pairs at gap 1e-4,
+    computed with 1 subset worker and with 2."""
+    ids = sioux.upgrades.ids
+    subsets = [(i,) for i in ids] + list(combinations(ids, 2))
+    settings = SolverSettings(target_gap=1e-4, max_iters=2000)
+    return tuple(
+        compute_deltas(sioux.net, sioux.demand, sioux.upgrades, subsets, settings, workers=w)
+        for w in (1, 2)
+    )
+
+
+@pytest.fixture(scope="session")
 def desk_table(desk):
     """All 63 subsets of the six corridor-widening projects, solved tight."""
     corridor = desk.upgrades.ids[:6]

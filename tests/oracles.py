@@ -1,10 +1,12 @@
 """Reference implementations the suite checks the package against.
 
 Everything here favours obviousness over speed: full relaxation sweeps,
-bisection equilibria, exhaustive enumeration.
+bisection equilibria, exhaustive enumeration, and a label-setting Dijkstra
+to check the package's label-correcting Bellman-Ford against.
 """
 
 import math
+from heapq import heappop, heappush
 from itertools import combinations, product
 
 from roadworks import (
@@ -38,6 +40,36 @@ def bellman_ford_labels(net, costs, source):
         if not changed:
             break
     return {v: dist[v] for v in range(1, net.node_count + 1)}
+
+
+def dijkstra(n, adj, costs, source, first_thru):
+    """Binary-heap Dijkstra with the package's tree conventions.
+
+    Takes and returns what ``roadworks.shortest_path._bellman_ford`` does:
+    ``(dist, pred)`` lists indexed by node, +inf and -1 where unreachable.
+    Centroids below ``first_thru`` never relay, and equal labels keep the
+    lower link index, so the tree must equal Bellman-Ford's.
+    """
+    dist = [math.inf] * (n + 1)
+    pred = [-1] * (n + 1)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry
+        if u < first_thru and u != source:
+            continue  # centroids terminate paths
+        for v, a in adj[u]:
+            nd = d + costs[a]
+            dv = dist[v]
+            if nd < dv:
+                dist[v] = nd
+                pred[v] = a
+                heappush(heap, (nd, v))
+            elif nd == dv and a < pred[v]:
+                pred[v] = a
+    return dist, pred
 
 
 def latency(link, flow):

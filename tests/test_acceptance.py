@@ -41,8 +41,11 @@ from roadworks import (
     solve_with,
 )
 
+from roadworks.shortest_path import _trees_for_origins
+
 from netfixtures import braess_demand, braess_net, braess_upgrades, two_link_demand, two_link_net
 from oracles import (
+    dijkstra,
     exhaustive_best_schedule,
     exhaustive_best_subset,
     knapsack_best_value,
@@ -105,12 +108,12 @@ def test_criterion_1_shortest_path_oracle_equivalence(criterion_line):
     for _ in range(1000):
         net, costs = _random_digraph(rng)
         source = rng.randint(1, net.node_count)
-        ref = shortest_paths(net, costs, source, algorithm="dijkstra")
-        for algorithm in ("bellman-ford", "desopo-pape-lll", "slf-lll"):
-            tree = shortest_paths(net, costs, source, algorithm=algorithm)
-            assert tree.labels.keys() == ref.labels.keys()
-            for node, want in ref.labels.items():
-                got = tree.labels[node]
+        ref, _ = dijkstra(net.node_count, net.adjacency, costs, source, net.first_thru_node)
+        kernel = shortest_paths(net, costs, source).labels
+        array, _ = _trees_for_origins(net, np.array(costs), [source])
+        for labels in (kernel, array[0].tolist()):
+            for node in net.nodes:
+                got, want = labels[node], ref[node]
                 if got == want:
                     continue
                 if math.isinf(got) != math.isinf(want):
@@ -120,7 +123,7 @@ def test_criterion_1_shortest_path_oracle_equivalence(criterion_line):
     elapsed = time.perf_counter() - t0
     criterion_line(
         worst <= 1e-12 and elapsed < 30.0,
-        f"3 kernels vs binary-heap dijkstra on 1000 digraphs, "
+        f"bellman-ford kernel and array path vs binary-heap dijkstra on 1000 digraphs, "
         f"max relative label diff {worst:.1e}, {elapsed:.1f}s (< 30s)",
     )
 
@@ -159,11 +162,9 @@ def test_criterion_3_braess_bypass_hurts(criterion_line):
     )
 
 
-def test_criterion_4_sioux_falls_convergence(criterion_line, sioux):
+def test_criterion_4_sioux_falls_convergence(criterion_line, sioux, sioux_tables_by_workers):
     t0 = time.perf_counter()
-    result = solve_with(
-        sioux.net, sioux.demand, SolverSettings(target_gap=1e-4, max_iters=2000, threads=4)
-    )
+    result = solve_with(sioux.net, sioux.demand, SolverSettings(target_gap=1e-4, max_iters=2000))
     elapsed = time.perf_counter() - t0
 
     hist = result.beckmann_history
@@ -178,13 +179,8 @@ def test_criterion_4_sioux_falls_convergence(criterion_line, sioux):
         excess[s] += q
     worst_node = max(abs(excess[v]) for v in range(1, sioux.net.node_count + 1))
 
-    one = solve_with(
-        sioux.net, sioux.demand, SolverSettings(target_gap=1e-4, max_iters=2000, threads=1)
-    )
-    eight = solve_with(
-        sioux.net, sioux.demand, SolverSettings(target_gap=1e-4, max_iters=2000, threads=8)
-    )
-    identical = np.array_equal(one.flows, eight.flows)
+    one, two = sioux_tables_by_workers
+    identical = one == two
 
     criterion_line(
         result.relative_gap <= 1e-4
@@ -194,8 +190,8 @@ def test_criterion_4_sioux_falls_convergence(criterion_line, sioux):
         and identical
         and elapsed < 10.0,
         f"gap {result.relative_gap:.2e} in {result.iterations} iterations, Beckmann "
-        f"monotone, worst node imbalance {worst_node:.1e}, threads 1 vs 8 "
-        f"{'bit-identical' if identical else 'DIFFER'}, {elapsed:.1f}s on 4 threads (< 10s)",
+        f"monotone, worst node imbalance {worst_node:.1e}, delta tables on workers 1 vs 2 "
+        f"{'bit-identical' if identical else 'DIFFER'}, {elapsed:.1f}s (< 10s)",
     )
 
 

@@ -114,6 +114,10 @@ def test_usage_errors_exit_1(data_dir, capsys):
     assert main(desk_args(data_dir, "solve", "--algorithm", "warp")) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() or "error" in err.lower()
+    # one solver, on one thread: neither option exists
+    for flag in ("--algorithm", "--threads"):
+        assert main(desk_args(data_dir, "solve", flag, "1")) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_converges_sioux_falls_with_defaults(data_dir, capsys):
@@ -159,19 +163,19 @@ def test_deltas_warns_per_capped_subset(data_dir, tmp_path, capsys):
     assert all(line.endswith("> target 1e-08") for line in err)
 
 
-def test_threads_flag_is_bit_stable(data_dir, tmp_path, capsys):
-    sf = [
-        "solve",
-        "--net", str(data_dir / "siouxfalls_net.tntp"),
-        "--trips", str(data_dir / "siouxfalls_trips.tntp"),
-        "--gap", "5e-3",
-    ]
-    one = tmp_path / "one.txt"
-    eight = tmp_path / "eight.txt"
-    assert main(sf + ["--threads", "1", "--out", str(one)]) == 0
-    assert main(sf + ["--threads", "8", "--out", str(eight)]) == 0
-    assert one.read_bytes() == eight.read_bytes()
-    capsys.readouterr()
+def test_workers_flag_is_bit_stable(data_dir, tmp_path, capsys):
+    stdout, caches = [], []
+    for workers in ("1", "2"):
+        cache = tmp_path / f"workers{workers}.cache"
+        args = desk_args(
+            data_dir, "deltas", "--mode", "pairs", "--gap", "1e-8", "--cache", str(cache),
+            "--workers", workers,
+        )
+        assert main(args) == 0
+        stdout.append(capsys.readouterr().out)
+        caches.append(cache.read_bytes())
+    assert stdout[0] == stdout[1]
+    assert caches[0] == caches[1]
 
 
 def test_deltas_individual_and_cache_reuse(data_dir, tmp_path, capsys):
@@ -290,6 +294,53 @@ def select_pipeline(data_dir, tmp_path, capsys, budget):
         )
     )
     return rc, out_lines(capsys)
+
+
+def test_malformed_cache_number_is_a_data_error(data_dir, tmp_path, capsys):
+    rc, _ = select_pipeline(data_dir, tmp_path, capsys, 2400.0)
+    assert rc == 0
+    cache = tmp_path / "desk.cache"
+    lines = cache.read_text().count("\n")
+    with open(cache, "a") as fh:
+        fh.write("C-A1 1.2.3 1e-16\n")
+    args = desk_args(data_dir, "select", "--gap", "1e-6", "--cache", str(cache), "--budget", "2400")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{cache}, line {lines + 1}: bad number in 'C-A1 1.2.3 1e-16'" in err
+
+
+def test_torn_last_cache_row_is_dropped(data_dir, tmp_path, capsys):
+    cache = tmp_path / "desk.cache"
+    args = desk_args(
+        data_dir, "deltas", "--mode", "explicit", "--subset", "C-A1,C-A2", "--gap", "1e-6",
+        "--cache", str(cache),
+    )
+    assert main(args) == 0
+    whole = cache.read_text()
+    capsys.readouterr()
+    # a run killed mid-write: a cut gap that still parses, and no newline
+    torn = "C-A1,C-B1 123.4 1"
+    with open(cache, "a") as fh:
+        fh.write(torn)
+
+    more = desk_args(
+        data_dir, "deltas", "--mode", "explicit", "--subset", "C-A1,C-B1", "--gap", "1e-6",
+        "--cache", str(cache),
+    )
+    assert main(more) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: cache {cache}: dropped the incomplete last line {torn!r}\n"
+    assert "tap_solves 1" in captured.out  # re-solved, not read from the torn row
+    text = cache.read_text()
+    assert text.startswith(whole)
+    assert text[len(whole):].startswith("C-A1,C-B1 ")
+    assert text.endswith("\n") and text.count("\n") == whole.count("\n") + 1
+
+    assert main(more) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "tap_solves 0" in captured.out
 
 
 def test_select_full_pipeline(data_dir, tmp_path, capsys):
@@ -456,9 +507,10 @@ def test_config_file_fills_unset_flags(data_dir, tmp_path, capsys):
 
 def test_config_rejects_unknown_keys(data_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"nett": "x"}))
-    assert main(["solve", "--config", str(config)]) == 1
-    capsys.readouterr()
+    for key in ("nett", "threads", "algorithm"):
+        config.write_text(json.dumps({key: 1}))
+        assert main(["solve", "--config", str(config)]) == 1
+        assert "matches no flag" in capsys.readouterr().err
     config.write_text("{not json")
     assert main(["solve", "--config", str(config)]) == 1
     capsys.readouterr()

@@ -234,13 +234,6 @@ def test_repeat_solves_are_bit_identical(desk):
     assert a.vht == b.vht
 
 
-def test_thread_count_does_not_change_flows(sioux):
-    one = solve_ue(sioux.net, sioux.demand, target_gap=1e-3, threads=1)
-    three = solve_ue(sioux.net, sioux.demand, target_gap=1e-3, threads=3)
-    assert np.array_equal(one.flows, three.flows)
-    assert one.iterations == three.iterations
-
-
 # Large-network determinism: the grid's 10,200 links put every chunk on the
 # array path and every inner product on the reduction that avoids BLAS.  A
 # few iterations suffice for a last-bit difference to show in the flows.
@@ -252,9 +245,9 @@ def grid():
     return grid_net(), grid_demand()
 
 
-def _grid_solve(grid, **kwargs):
+def _grid_solve(grid):
     net, demand = grid
-    return solve_ue(net, demand, **GRID_SETTINGS, **kwargs)
+    return solve_ue(net, demand, **GRID_SETTINGS)
 
 
 def test_grid_flows_do_not_depend_on_blas_threads():
@@ -286,29 +279,11 @@ def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch)
     assert array.gap_history == per_origin.gap_history
 
 
-def test_grid_thread_count_does_not_change_flows(grid, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
-    one = _grid_solve(grid, threads=1)
-    three = _grid_solve(grid, threads=3)
-    assert one.flows.tobytes() == three.flows.tobytes()
-    assert one.gap_history == three.gap_history
-
-
 def test_solve_with_mirrors_solve_ue(desk):
-    settings = SolverSettings(target_gap=1e-6, max_iters=500, algorithm="slf-lll")
+    settings = SolverSettings(target_gap=1e-6, max_iters=500)
     a = solve_with(desk.net, desk.demand, settings)
-    b = solve_ue(desk.net, desk.demand, target_gap=1e-6, max_iters=500, algorithm="slf-lll")
+    b = solve_ue(desk.net, desk.demand, target_gap=1e-6, max_iters=500)
     assert np.array_equal(a.flows, b.flows)
-
-
-def test_algorithm_choice_changes_nothing(desk):
-    flows = None
-    for algorithm in ("dijkstra", "bellman-ford", "desopo-pape-lll", "slf-lll"):
-        a = solve_ue(desk.net, desk.demand, target_gap=1e-7, algorithm=algorithm)
-        if flows is None:
-            flows = a.flows
-        else:
-            assert np.array_equal(a.flows, flows)
 
 
 def test_flow_file_format(desk, tmp_path):
@@ -337,7 +312,3 @@ def test_settings_validation():
         solve_ue(net, demand, target_gap=0.0)
     with pytest.raises(DataError):
         solve_ue(net, demand, target_gap=1e-4, max_iters=0)
-    with pytest.raises(DataError):
-        solve_ue(net, demand, target_gap=1e-4, threads=0)
-    with pytest.raises(DataError):
-        solve_ue(net, demand, target_gap=1e-4, algorithm="bogus")

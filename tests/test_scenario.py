@@ -262,6 +262,12 @@ def test_workers_do_not_change_results(desk):
     assert serial.evaluated_subsets == parallel.evaluated_subsets
 
 
+def test_sioux_falls_delta_tables_do_not_depend_on_workers(sioux_tables_by_workers):
+    one, two = sioux_tables_by_workers
+    assert len(one.evaluated_subsets) == 10
+    assert one == two
+
+
 def test_capped_solves_warn_once_per_subset(desk):
     settings = SolverSettings(target_gap=1e-8, max_iters=1)
     subsets = [("C-A1",), ("C-A1", "C-B1")]

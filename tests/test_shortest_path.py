@@ -1,5 +1,5 @@
-"""Shortest-path kernels and the many-origin array path against a naive
-relaxation oracle."""
+"""The Bellman-Ford kernel and the many-origin array path against a naive
+relaxation oracle and a binary-heap Dijkstra."""
 
 import math
 import random
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from roadworks import (
-    ALGORITHMS,
     DataError,
     Link,
     Network,
@@ -17,7 +16,7 @@ from roadworks import (
 )
 from roadworks.shortest_path import _trees_for_origins
 
-from oracles import bellman_ford_labels
+from oracles import bellman_ford_labels, dijkstra
 
 
 def random_digraph(rng, max_nodes=60, max_arcs=400, cost_pool=None):
@@ -41,14 +40,20 @@ def random_digraph(rng, max_nodes=60, max_arcs=400, cost_pool=None):
     return net, costs
 
 
+def as_tree(source, dist, pred, nodes):
+    labels = {node: float(dist[node]) for node in nodes}
+    preds = {node: int(pred[node]) for node in nodes if pred[node] >= 0}
+    return ShortestPathTree(source=source, labels=labels, predecessor_link=preds)
+
+
 def every_tree(net, costs, source):
-    """The tree from `source` by each kernel, then by the array path, which
-    builds it in one chunk with two more origins."""
-    trees = [shortest_paths(net, costs, source, algorithm=a) for a in ALGORITHMS]
+    """The tree from `source` by the kernel, by the Dijkstra reference, and by
+    the array path, which builds it in one chunk with two more origins."""
+    kernel = shortest_paths(net, costs, source)
+    dist, pred = dijkstra(net.node_count, net.adjacency, costs, source, net.first_thru_node)
+    reference = as_tree(source, dist, pred, net.nodes)
     dist, pred = _trees_for_origins(net, np.array(costs, dtype=float), [net.node_count, source, 1])
-    labels = {node: float(dist[1, node]) for node in net.nodes}
-    preds = {node: int(pred[1, node]) for node in net.nodes if pred[1, node] >= 0}
-    return trees + [ShortestPathTree(source=source, labels=labels, predecessor_link=preds)]
+    return [kernel, reference, as_tree(source, dist[1], pred[1], net.nodes)]
 
 
 def assert_labels_close(got, want, rel=1e-12):
@@ -62,6 +67,7 @@ def assert_labels_close(got, want, rel=1e-12):
 
 
 def test_all_kernels_match_naive_relaxation():
+    # the kernel, the array path and the Dijkstra reference
     rng = random.Random(20260819)
     for _ in range(150):
         net, costs = random_digraph(rng)
@@ -73,8 +79,8 @@ def test_all_kernels_match_naive_relaxation():
 
 def test_kernels_agree_on_predecessor_trees_under_ties():
     # integer cost pool (zero included) forces many equal-label paths; the
-    # shared tie rule (keep the lower link index) must make every kernel and
-    # the array path build the same tree
+    # shared tie rule (keep the lower link index) must make the kernel, the
+    # array path and the Dijkstra reference build the same tree
     rng = random.Random(7)
     for _ in range(60):
         net, costs = random_digraph(rng, max_nodes=40, max_arcs=300, cost_pool=[0.0, 1.0, 2.0, 3.0])
@@ -146,8 +152,6 @@ def test_zero_cost_cycles_terminate():
 
 def test_input_validation():
     net = Network(node_count=2, links=(Link(1, 2, 1.0, 1.0, 0.0, 1.0),), zone_count=1)
-    with pytest.raises(DataError):
-        shortest_paths(net, [1.0], 1, algorithm="a-star")
     with pytest.raises(DataError):
         shortest_paths(net, [1.0], 5)
     with pytest.raises(DataError):
