@@ -10,6 +10,11 @@ the order of an hour at gap 1e-5, and the delta tables multiply that by the
 number of candidate projects.  Run it on a beefy machine, point --cache-dir
 at persistent storage, and expect to leave it overnight.
 
+Every delta goes through one subset layer, `DeltaBook`: --cache-dir holds
+one `deltas_<network>_<demand>.cache` per network and demand, shared by every
+stage and by reruns.  The accuracy stage reports on every row of the base
+file; the stage prints its path for `roadworks deltas --mode all-subsets`.
+
 Reference values for the original datasets (for eyeballing your output):
 
   chicago   baseline 33,657,132 VHT at gap 1.2e-5 (10,000 iteration cap)
@@ -39,11 +44,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from roadworks import (
-    FileDeltaCache,
+    DataError,
+    DeltaBook,
+    ParseError,
     PlanningHorizon,
     SelectionProblem,
+    SolverError,
     SolverSettings,
-    compute_deltas,
     error_report,
     format_error_report,
     format_pair_list,
@@ -61,7 +68,7 @@ from roadworks import (
     parse_upgrades,
     predict_pairs_count,
     realized_npv,
-    solve_with,
+    table_from_cache,
 )
 
 
@@ -81,7 +88,8 @@ def main(argv=None):
     ap.add_argument("--workers", type=int, default=2, help="concurrent subset solves")
     ap.add_argument("--budget", type=float, default=10_000.0, help="selection budget, k$")
     ap.add_argument(
-        "--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$"
+        "--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$",
+        type=lambda text: tuple(float(b) for b in text.split(",") if b),
     )
     ap.add_argument("--rate", type=float, default=0.04, help="annual interest rate")
     ap.add_argument("--m", type=float, default=3650.0, help="$ per daily-VHT unit per year")
@@ -91,9 +99,17 @@ def main(argv=None):
         "--skip-schedule", action="store_true", help="stop after subset selection"
     )
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except (ParseError, DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+
+def run(args):
     settings = SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
     stamp(f"parsing {args.net}")
@@ -107,20 +123,14 @@ def main(argv=None):
         f"{len(demand.entries)} O-D entries, {len(upgrades.ids)} projects"
     )
 
+    book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
     stamp(f"baseline assignment (gap {args.gap:g}, up to {args.max_iters} iterations)")
-    t0 = time.perf_counter()
-    base = solve_with(net, demand, settings)
-    stamp(
-        f"baseline VHT {base.vht:,.0f} at gap {base.relative_gap:.3e} "
-        f"after {base.iterations} iterations ({time.perf_counter() - t0:,.0f} s)"
-    )
+    table = book.deltas(net, demand, upgrades, [])
+    stamp(f"baseline VHT {table.baseline_vht:,.0f} at gap {table.baseline_gap:.3e}")
 
-    cache = FileDeltaCache.open(str(cache_dir / "deltas.cache"), net, demand, settings)
     stamp("individual project deltas")
     singles = [(i,) for i in upgrades.ids]
-    table = compute_deltas(
-        net, demand, upgrades, singles, settings, cache=cache, workers=args.workers
-    )
+    table = book.deltas(net, demand, upgrades, singles)
     for i in upgrades.ids:
         stamp(f"  delta {i}: {table.singles[i]:,.0f} VHT/day")
 
@@ -131,17 +141,18 @@ def main(argv=None):
         stamp(f"evaluating the {len(pairs)} geographically closest pairs")
         print(format_pair_list(pairs, distances), end="")
         pair_subsets = [tuple(p) for p in sorted(pairs)]
-        table = compute_deltas(
-            net, demand, upgrades, singles + pair_subsets, settings,
-            cache=cache, workers=args.workers,
-        )
+        table = book.deltas(net, demand, upgrades, singles + pair_subsets)
 
     stamp("estimator accuracy over the cached subsets (orders 1-3)")
-    sized = [S for S in table.evaluated_subsets if len(S) >= 3]
-    if sized:
-        print(format_error_report(error_report(table, orders=[1, 2, 3])))
+    cache = book.cache(net, demand)
+    cached = table_from_cache(cache)
+    if any(len(S) >= 3 for S in cached.evaluated_subsets):
+        print(format_error_report(error_report(cached, orders=[1, 2, 3])))
     else:
-        stamp("  (no subsets of size >= 3 cached; run deltas --mode all-subsets to fill)")
+        stamp(
+            f"  (no subsets of size >= 3 cached; run deltas --mode all-subsets "
+            f"--gap {args.gap!r} --cache {cache.path} to fill)"
+        )
 
     stamp(f"subset selection at B = {args.budget:,.0f} k$, m = {args.m:g}")
     problem = SelectionProblem.from_delta_table(table, upgrades, args.budget, m=args.m)
@@ -151,32 +162,23 @@ def main(argv=None):
     if args.skip_schedule:
         return 0
 
-    budgets = tuple(float(b) for b in args.budgets.split(",") if b)
-    rules = (
-        parse_growth_rules(Path(args.growth_file).read_text())
-        if args.growth_file
-        else ()
-    )
-    horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
+    rules = parse_growth_rules(Path(args.growth_file).read_text()) if args.growth_file else ()
+    horizon = PlanningHorizon.with_growth(args.budgets, args.rate, demand, rules, m=args.m)
 
     stamp(f"greedy schedule over {horizon.T} periods at r = {args.rate:g}")
     sched = greedy_schedule(
         net, upgrades, horizon, settings,
-        pairs=pair_subsets, workers=args.workers, cache_dir=str(cache_dir),
+        pairs=pair_subsets, workers=args.workers, cache_dir=args.cache_dir,
     )
     print(format_schedule_table(upgrades, horizon, sched), end="")
     print(format_schedule_listing(sched), end="")
 
     stamp("independent (no-interaction) schedule for comparison")
+    # greedy_schedule appended to the cache files through a book of its own
+    book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
     period_values = {}
     for t in range(1, horizon.T + 1):
-        t_table = compute_deltas(
-            net, horizon.demand_for(t), upgrades, singles, settings,
-            cache=FileDeltaCache.open(
-                str(cache_dir / f"deltas_t{t}.cache"), net, horizon.demand_for(t), settings
-            ),
-            workers=args.workers,
-        )
+        t_table = book.deltas(net, horizon.demand_for(t), upgrades, singles)
         for i in upgrades.ids:
             period_values[(i, t)] = t_table.singles[i]
     indep = independent_schedule(period_values, upgrades, horizon)
@@ -187,11 +189,11 @@ def main(argv=None):
 
     stamp("everything-at-the-horizon schedule for comparison")
     final_only = PlanningHorizon.with_growth(
-        (0.0,) * (horizon.T - 1) + (sum(budgets),), args.rate, demand, rules, m=args.m
+        (0.0,) * (horizon.T - 1) + (sum(args.budgets),), args.rate, demand, rules, m=args.m
     )
     at_end = greedy_schedule(
         net, upgrades, final_only, settings,
-        pairs=pair_subsets, workers=args.workers, cache_dir=str(cache_dir),
+        pairs=pair_subsets, workers=args.workers, cache_dir=args.cache_dir,
     )
     stamp(f"at-horizon NPV {at_end.npv:,.0f} k$")
     return 0

@@ -34,6 +34,7 @@ from .equilibrium import (
     write_flow_file,
 )
 from .scenario import (
+    DeltaBook,
     DeltaTable,
     FileDeltaCache,
     MemoryDeltaCache,
@@ -45,6 +46,7 @@ from .scenario import (
     interaction_coefficients,
     relative_error,
     restricted,
+    table_from_cache,
     table_from_evaluated,
 )
 from .interaction import (

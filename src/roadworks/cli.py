@@ -3,7 +3,11 @@
 Subcommands: solve (one equilibrium run), deltas (populate a subset-delta
 cache), predict-pairs (geometric interaction screening), select (budgeted
 subset from cached deltas), schedule (multi-period plan), error-report
-(estimator accuracy against cached exact deltas).
+(estimator accuracy against cached exact deltas).  All of them reach the
+subset layer in `scenario`: deltas fills a cache through compute_deltas,
+select and error-report read it with table_from_cache and never solve, and
+schedule keeps one cache per network and demand in --cache-dir through a
+DeltaBook.
 
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 solver
 failure.  Any flag may instead be given in a JSON --config file keyed by the
@@ -47,16 +51,17 @@ from .portfolio import (
     optimize_subset,
 )
 from .scenario import (
+    DeltaBook,
     FileDeltaCache,
     compute_deltas,
     error_report,
     format_error_report,
     restricted,
-    table_from_evaluated,
+    table_from_cache,
+    warn_if_capped,
 )
 from .scheduler import (
     PlanningHorizon,
-    _DeltaBook,
     check_schedule,
     format_schedule_listing,
     format_schedule_table,
@@ -199,29 +204,6 @@ def _open_cache(args, net: Network, demand: DemandMatrix, settings: SolverSettin
     return FileDeltaCache.open(args.cache, net, demand, settings)
 
 
-def _table_from_cache(cache: FileDeltaCache, upgrades: UpgradeSet, wanted=None):
-    """Build a DeltaTable purely from cache rows; never solves.
-
-    `wanted` lists the subsets that must be present; missing ones raise with
-    a pointer at the deltas command.
-    """
-    base = cache.baseline()
-    if base is None:
-        raise DataError("delta cache has no baseline row; run the deltas command first")
-    rows = cache.rows()
-    if wanted is not None:
-        missing = sorted(S for S in wanted if S not in rows)
-        if missing:
-            names = "; ".join(",".join(S) for S in missing)
-            raise DataError(
-                f"delta cache is missing subsets: {names} (run the deltas command to add them)"
-            )
-        rows = {S: rows[S] for S in wanted}
-    evaluated = {S: d for S, (d, _) in rows.items()}
-    gaps = {S: g for S, (_, g) in rows.items()}
-    return table_from_evaluated(base[0], base[1], evaluated, gaps)
-
-
 def cmd_solve(args) -> int:
     _require(args, "net", "trips")
     net = _load_network(args)
@@ -236,12 +218,7 @@ def cmd_solve(args) -> int:
     print(f"vht {assignment.vht!r}")
     print(f"relative_gap {assignment.relative_gap!r}")
     print(f"iterations {assignment.iterations}")
-    if assignment.relative_gap > settings.target_gap:
-        print(
-            f"warning: stopped after {assignment.iterations} iterations at relative gap "
-            f"{assignment.relative_gap:.3e} > target {settings.target_gap:g}",
-            file=sys.stderr,
-        )
+    warn_if_capped(assignment.iterations, assignment.relative_gap, settings)
     return 0
 
 
@@ -317,7 +294,7 @@ def cmd_select(args) -> int:
         wanted += [tuple(p) for p in sorted(restriction)]
     else:
         wanted += [S for S in cache.rows() if len(S) == 2]
-    table = _table_from_cache(cache, upgrades, wanted)
+    table = table_from_cache(cache, wanted)
     problem = SelectionProblem.from_delta_table(table, upgrades, budget=args.budget, m=args.m)
     selection = optimize_subset(problem)
     check = evaluate_selection(problem, selection.chosen)
@@ -350,7 +327,7 @@ def cmd_schedule(args) -> int:
     rules = parse_growth_rules(_read(args.growth_file)) if args.growth_file else ()
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
     if args.independent:
-        book = _DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
+        book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
         period_values = {}
         for t in range(1, horizon.T + 1):
             table_t = book.deltas(
@@ -389,7 +366,7 @@ def cmd_error_report(args) -> int:
     upgrades = _load_upgrades(args, net)
     settings = _settings(args)
     cache = _open_cache(args, net, demand, settings)
-    table = _table_from_cache(cache, upgrades)
+    table = table_from_cache(cache)
     used = table
     if args.pairs_file is not None:
         used = restricted(table, pairs=parse_pair_list(_read(args.pairs_file)))
@@ -469,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, help="dollars per unit of daily VHT per year")
     p.add_argument("--growth-file", help="SCALE rules for per-period demand growth")
     p.add_argument("--independent", action="store_true", help="exact no-interaction model")
-    p.add_argument("--cache-dir", help="directory for per-period delta caches")
+    p.add_argument("--cache-dir", help="directory of delta caches, one per network and demand")
     _add_pair_flags(p)
     p.set_defaults(func=cmd_schedule)
 

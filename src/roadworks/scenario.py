@@ -10,8 +10,12 @@ v_j, higher-order correction terms follow the inclusion-exclusion recursion
 so the order-k estimate of any subset is the sum of e_W over W within S of
 size at most k.  At k = |S| the estimate telescopes back to the exact delta.
 
-Exact deltas are expensive (one equilibrium solve each), so they can be
-cached on disk keyed by network and demand fingerprints plus the gap target.
+Exact deltas are expensive (one equilibrium solve each), so every table is
+read from a cache of solved subsets, in memory or on disk keyed by network and
+demand fingerprints plus the gap target.  `DeltaBook` is the one subset
+layer: it maps each (network, demand) to its cache, solves what is missing on
+its subset workers and reads the table back; `compute_deltas` is the same over
+one given cache.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ from .network import (
 )
 
 __all__ = [
+    "DeltaBook",
     "DeltaTable",
     "MemoryDeltaCache",
     "FileDeltaCache",
     "compute_deltas",
+    "table_from_cache",
     "table_from_evaluated",
+    "warn_if_capped",
     "interaction_coefficients",
     "estimate_delta",
     "relative_error",
@@ -51,6 +58,7 @@ __all__ = [
 ]
 
 Subset = tuple[str, ...]
+Subsets = Iterable[Iterable[str | int]]
 
 
 def canonical_subset(upgrades: UpgradeSet, subset: Iterable[str | int]) -> Subset:
@@ -223,80 +231,123 @@ def _coefficients(
     return coeffs
 
 
-def _warn_if_capped(label: str, iterations: int, gap: float, settings: SolverSettings) -> None:
+def warn_if_capped(iterations: int, gap: float, settings: SolverSettings, label: str = "") -> None:
+    """Warn when a solve stopped at its iteration cap above the target gap."""
     if gap > settings.target_gap:
         warnings.warn(
-            f"{label}: stopped after {iterations} iterations at relative gap "
+            f"{label + ': ' if label else ''}stopped after {iterations} iterations at relative gap "
             f"{gap:.3e} > target {settings.target_gap:g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
+
+
+class DeltaBook:
+    """The subset layer: delta tables read from one cache per (network, demand).
+
+    Fingerprints map a network and demand to their cache, in memory or, with
+    `cache_dir`, in the file ``deltas_<network>_<demand>.cache`` there, so
+    conditions reached twice are cache hits, not fresh solves.  Missing
+    subsets are solved on `workers` subset workers; results do not depend on
+    the worker count.
+    """
+
+    def __init__(self, settings: SolverSettings, workers: int = 1, cache_dir: str | None = None):
+        self.settings = settings
+        self.workers = workers
+        self.cache_dir = cache_dir
+        self._caches: dict[tuple[str, str], MemoryDeltaCache] = {}
+
+    def cache(self, net: Network, demand: DemandMatrix) -> MemoryDeltaCache:
+        """The cache for this network and demand, opened on first use."""
+        key = (network_fingerprint(net), demand_fingerprint(demand))
+        if key not in self._caches:
+            if self.cache_dir:
+                os.makedirs(self.cache_dir, exist_ok=True)
+                path = os.path.join(self.cache_dir, f"deltas_{key[0]}_{key[1]}.cache")
+                self._caches[key] = FileDeltaCache(path, *key, self.settings.target_gap)
+            else:
+                self._caches[key] = MemoryDeltaCache()
+        return self._caches[key]
+
+    def deltas(self, net: Network, demand: DemandMatrix, upgrades: UpgradeSet, subsets: Subsets) -> DeltaTable:
+        """Delta table of `subsets`, solving only what this network and demand's cache lacks."""
+        return self._fill(self.cache(net, demand), net, demand, upgrades, subsets)
+
+    def _fill(
+        self, cache: MemoryDeltaCache, net: Network, demand: DemandMatrix, upgrades: UpgradeSet,
+        subsets: Subsets,
+    ) -> DeltaTable:
+        canonical = {canonical_subset(upgrades, list(s)) for s in subsets}
+        wanted = sorted((S for S in canonical if S), key=lambda s: (len(s), s))
+        settings = self.settings
+        solves = 0
+        if cache.baseline() is None:
+            assignment = solve_with(net, demand, settings)
+            warn_if_capped(assignment.iterations, assignment.relative_gap, settings, "baseline")
+            cache.set_baseline(assignment.vht, assignment.relative_gap)
+            solves += 1
+        baseline_vht = cache.baseline()[0]
+        missing = [S for S in wanted if cache.get(S) is None]
+
+        def evaluate(S: Subset) -> tuple[float, float, int]:
+            assignment = solve_with(apply_upgrades(net, upgrades, S), demand, settings)
+            return baseline_vht - assignment.vht, assignment.relative_gap, assignment.iterations
+
+        if self.workers > 1 and missing:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                fresh = list(pool.map(evaluate, missing))
+        else:
+            fresh = [evaluate(S) for S in missing]
+        for S, (delta, gap, iterations) in zip(missing, fresh):
+            warn_if_capped(iterations, gap, settings, f"subset {{{','.join(S)}}}")
+            cache.put(S, delta, gap)
+            solves += 1
+        table = table_from_cache(cache, wanted)
+        table.tap_solves = solves
+        return table
 
 
 def compute_deltas(
     net: Network,
     demand: DemandMatrix,
     upgrades: UpgradeSet,
-    subsets: Iterable[Iterable[str | int]],
+    subsets: Subsets,
     settings: SolverSettings,
-    cache: MemoryDeltaCache | FileDeltaCache | None = None,
+    cache: MemoryDeltaCache | None = None,
     workers: int = 1,
 ) -> DeltaTable:
     """Solve the base network plus every requested subset and tabulate deltas.
 
-    Already-cached subsets are not re-solved; `tap_solves` on the result
-    counts fresh equilibrium runs (baseline included).
+    Subsets already in `cache` (default: a fresh in-memory one) are not
+    re-solved; `tap_solves` on the result counts fresh equilibrium runs
+    (baseline included).
     """
-    unique: set[Subset] = set()
-    for s in subsets:
-        S = canonical_subset(upgrades, list(s))
-        if S:
-            unique.add(S)
-    wanted = sorted(unique, key=lambda s: (len(s), s))
-    solves = 0
+    cache = MemoryDeltaCache() if cache is None else cache
+    return DeltaBook(settings, workers)._fill(cache, net, demand, upgrades, subsets)
 
-    base = cache.baseline() if cache is not None else None
+
+def table_from_cache(cache: MemoryDeltaCache, wanted: Sequence[Subset] | None = None) -> DeltaTable:
+    """Build a DeltaTable from cache rows alone; never solves.
+
+    `wanted` lists the subsets that must be present (default: every row);
+    missing ones raise with a pointer at the deltas command.
+    """
+    base = cache.baseline()
     if base is None:
-        assignment = solve_with(net, demand, settings)
-        _warn_if_capped("baseline", assignment.iterations, assignment.relative_gap, settings)
-        base = (assignment.vht, assignment.relative_gap)
-        solves += 1
-        if cache is not None:
-            cache.set_baseline(*base)
-    baseline_vht, baseline_gap = base
-
-    results: dict[Subset, tuple[float, float]] = {}
-    missing: list[Subset] = []
-    for S in wanted:
-        hit = cache.get(S) if cache is not None else None
-        if hit is None:
-            missing.append(S)
-        else:
-            results[S] = hit
-
-    def evaluate(S: Subset) -> tuple[float, float, int]:
-        modified = apply_upgrades(net, upgrades, S)
-        assignment = solve_with(modified, demand, settings)
-        return baseline_vht - assignment.vht, assignment.relative_gap, assignment.iterations
-
-    if missing:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(evaluate, missing))
-        else:
-            fresh = [evaluate(S) for S in missing]
-        for S, (delta, gap, iterations) in zip(missing, fresh):
-            _warn_if_capped(f"subset {{{','.join(S)}}}", iterations, gap, settings)
-            results[S] = (delta, gap)
-            solves += 1
-            if cache is not None:
-                cache.put(S, delta, gap)
-
-    evaluated = {S: results[S][0] for S in wanted}
-    gaps = {S: results[S][1] for S in wanted}
-    table = table_from_evaluated(baseline_vht, baseline_gap, evaluated, gaps)
-    table.tap_solves = solves
-    return table
+        raise DataError("delta cache has no baseline row; run the deltas command first")
+    rows = cache.rows()
+    if wanted is not None:
+        missing = sorted(S for S in wanted if S not in rows)
+        if missing:
+            names = "; ".join(",".join(S) for S in missing)
+            raise DataError(
+                f"delta cache is missing subsets: {names} (run the deltas command to add them)"
+            )
+        rows = {S: rows[S] for S in wanted}
+    evaluated = {S: d for S, (d, _) in rows.items()}
+    gaps = {S: g for S, (_, g) in rows.items()}
+    return table_from_evaluated(base[0], base[1], evaluated, gaps)
 
 
 def table_from_evaluated(

@@ -15,20 +15,23 @@ two tractable strategies are provided: a greedy heuristic (pick the subset
 that is optimal at the horizon, then re-optimize what to build period by
 period on the evolving network) and an exact solver for the linear model
 that ignores interactions.
+
+The greedy heuristic takes its deltas from one `scenario.DeltaBook`, so a
+(network, demand) pair reached twice, in one run or, with a cache directory,
+across runs, is read from its cache rather than solved again.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .equilibrium import SolverSettings, solve_with
 from .errors import DataError, ParseError
-from .network import DemandMatrix, Network, UpgradeSet, apply_upgrades, demand_fingerprint, network_fingerprint
+from .network import DemandMatrix, Network, UpgradeSet, apply_upgrades
 from .portfolio import DEFAULT_M, SelectionProblem, optimize_subset
-from .scenario import FileDeltaCache, MemoryDeltaCache, compute_deltas
+from .scenario import DeltaBook
 
 __all__ = [
     "GrowthRule",
@@ -361,44 +364,6 @@ def independent_schedule(
     return make_schedule(period_values, {}, upgrades, horizon, best_assign)
 
 
-class _DeltaBook:
-    """Per-(network, demand) delta tables, shared across scheduling steps.
-
-    Keying by fingerprints makes repeated evaluations under identical
-    conditions bit-identical cache hits rather than fresh solves.
-    """
-
-    def __init__(self, settings: SolverSettings, workers: int = 1, cache_dir: str | None = None):
-        self.settings = settings
-        self.workers = workers
-        self.cache_dir = cache_dir
-        self._caches: dict[tuple[str, str], MemoryDeltaCache | FileDeltaCache] = {}
-        self.tap_solves = 0
-
-    def deltas(
-        self,
-        net: Network,
-        demand: DemandMatrix,
-        upgrades: UpgradeSet,
-        subsets: Iterable[tuple[str, ...]],
-    ):
-        key = (network_fingerprint(net), demand_fingerprint(demand))
-        cache = self._caches.get(key)
-        if cache is None:
-            if self.cache_dir:
-                os.makedirs(self.cache_dir, exist_ok=True)
-                path = os.path.join(self.cache_dir, f"deltas_{key[0]}_{key[1]}.cache")
-                cache = FileDeltaCache(path, key[0], key[1], self.settings.target_gap)
-            else:
-                cache = MemoryDeltaCache()
-            self._caches[key] = cache
-        table = compute_deltas(
-            net, demand, upgrades, subsets, self.settings, cache=cache, workers=self.workers
-        )
-        self.tap_solves += table.tap_solves
-        return table
-
-
 def greedy_schedule(
     net: Network,
     upgrades: UpgradeSet,
@@ -427,7 +392,7 @@ def greedy_schedule(
         for i in p:
             if i not in upgrades.by_id:
                 raise DataError(f"interaction pair names unknown upgrade {i!r}")
-    book = _DeltaBook(settings, workers=workers, cache_dir=cache_dir)
+    book = DeltaBook(settings, workers=workers, cache_dir=cache_dir)
     T = horizon.T
     discount_T = (1.0 + horizon.rate) ** T
 

@@ -438,6 +438,17 @@ def test_schedule_single_period_matches_select(data_dir, tmp_path, capsys):
     assert scheduled == chosen
 
 
+def test_schedule_cache_dir_rerun_at_another_gap_names_the_file(data_dir, tmp_path, capsys):
+    cache_dir = tmp_path / "caches"
+    flags = ("--budgets", "900", "--cache-dir", str(cache_dir))
+    assert main(desk_args(data_dir, "schedule", "--gap", "1e-6", *flags)) == 0
+    capsys.readouterr()
+    assert main(desk_args(data_dir, "schedule", "--gap", "1e-5", *flags)) == 2
+    err = capsys.readouterr().err
+    assert "different target_gap" in err
+    assert any(f"cache {path} was built" in err for path in cache_dir.glob("deltas_*.cache"))
+
+
 def test_error_report_from_cache(data_dir, tmp_path, capsys):
     cache = tmp_path / "full.cache"
     assert (

@@ -6,18 +6,22 @@ import pytest
 
 from roadworks import (
     DataError,
+    DeltaBook,
     FileDeltaCache,
     MemoryDeltaCache,
     SolverSettings,
     canonical_subset,
     compute_deltas,
+    demand_fingerprint,
     error_report,
     estimate_delta,
     format_error_report,
     interaction_coefficients,
+    network_fingerprint,
     relative_error,
     restricted,
     solve_ue,
+    table_from_cache,
     table_from_evaluated,
 )
 
@@ -228,6 +232,46 @@ def test_file_cache_drives_compute(desk, tmp_path):
     warm = compute_deltas(desk.net, desk.demand, desk.upgrades, [("C-A1",)], settings, cache=reopened)
     assert warm.tap_solves == 0
     assert warm.singles == table.singles
+
+
+def test_delta_book_keeps_one_cache_per_network_and_demand(desk, tmp_path):
+    settings = SolverSettings(target_gap=1e-6)
+    book = DeltaBook(settings, cache_dir=str(tmp_path))
+    first = book.deltas(desk.net, desk.demand, desk.upgrades, [("C-A1",)])
+    assert first.tap_solves == 2
+    again = book.deltas(desk.net, desk.demand, desk.upgrades, [("C-A1",)])
+    assert again.tap_solves == 0
+    assert again.singles == first.singles
+    assert book.cache(desk.net, desk.demand) is book.cache(desk.net, desk.demand)
+    net_hash = network_fingerprint(desk.net)
+    base_file = f"deltas_{net_hash}_{demand_fingerprint(desk.demand)}.cache"
+    assert [p.name for p in tmp_path.iterdir()] == [base_file]
+
+    grown = desk.demand.scaled({1}, 1.1)
+    book.deltas(desk.net, grown, desk.upgrades, [("C-A1",)])
+    grown_file = f"deltas_{net_hash}_{demand_fingerprint(grown)}.cache"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([base_file, grown_file])
+    # a second book over the same directory reads the rows back
+    warm = DeltaBook(settings, cache_dir=str(tmp_path)).deltas(desk.net, grown, desk.upgrades, [("C-A1",)])
+    assert warm.tap_solves == 0
+
+
+def test_table_from_cache_reads_rows_and_names_missing_subsets():
+    cache = MemoryDeltaCache()
+    with pytest.raises(DataError, match="no baseline row"):
+        table_from_cache(cache)
+    cache.set_baseline(1000.0, 1e-7)
+    cache.put(("a",), 10.0, 1e-8)
+    cache.put(("a", "b"), 25.0, 2e-8)
+    cache.put(("b",), 12.0, 3e-8)
+    table = table_from_cache(cache)
+    assert table == table_from_evaluated(
+        1000.0, 1e-7, {("a",): 10.0, ("a", "b"): 25.0, ("b",): 12.0},
+        {("a",): 1e-8, ("a", "b"): 2e-8, ("b",): 3e-8},
+    )
+    assert set(table_from_cache(cache, [("a",)]).evaluated_subsets) == {("a",)}
+    with pytest.raises(DataError, match="missing subsets: a,c; c .*run the deltas command"):
+        table_from_cache(cache, [("a",), ("a", "c"), ("c",)])
 
 
 def test_table_from_evaluated_matches_compute(desk_table):
