@@ -174,8 +174,6 @@ def run(args):
     print(format_schedule_listing(sched), end="")
 
     stamp("independent (no-interaction) schedule for comparison")
-    # greedy_schedule appended to the cache files through a book of its own
-    book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
     period_values = {}
     for t in range(1, horizon.T + 1):
         t_table = book.deltas(net, horizon.demand_for(t), upgrades, singles)

@@ -176,6 +176,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _read_pairs(path: str, upgrades: UpgradeSet) -> set[tuple[str, str]]:
+    """The pairs of a --pairs-file; an id that names no upgrade is a DataError."""
+    pairs = set(parse_pair_list(_read(path)))
+    for pair in sorted(pairs):
+        for i in pair:
+            if i not in upgrades.by_id:
+                raise DataError(f"pair file names unknown upgrade {i!r}")
+    return pairs
+
+
 def _pair_restriction(args, net: Network, upgrades: UpgradeSet):
     """Resolve the pair-screening flags to a set of id pairs, or None."""
     modes = [
@@ -186,12 +196,7 @@ def _pair_restriction(args, net: Network, upgrades: UpgradeSet):
     if sum(modes) > 1:
         raise _UsageError("give at most one of --pairs-file, --pairs-threshold, --pairs-count")
     if args.pairs_file is not None:
-        pairs = set(parse_pair_list(_read(args.pairs_file)))
-        for pair in sorted(pairs):
-            for i in pair:
-                if i not in upgrades.by_id:
-                    raise DataError(f"pair file names unknown upgrade {i!r}")
-        return pairs
+        return _read_pairs(args.pairs_file, upgrades)
     if args.pairs_threshold is not None:
         return predict_pairs_threshold(pairwise_distances(net, upgrades), args.pairs_threshold)
     if args.pairs_count is not None:
@@ -367,9 +372,14 @@ def cmd_error_report(args) -> int:
     settings = _settings(args)
     cache = _open_cache(args, net, demand, settings)
     table = table_from_cache(cache)
+    if not any(len(S) >= 3 for S in table.evaluated_subsets):
+        raise DataError(
+            f"cache {args.cache} holds no subset of size >= 3 to check the estimator against; "
+            f"run deltas --mode all-subsets --gap {args.gap!r} --cache {args.cache} to fill it"
+        )
     used = table
     if args.pairs_file is not None:
-        used = restricted(table, pairs=parse_pair_list(_read(args.pairs_file)))
+        used = restricted(table, pairs=_read_pairs(args.pairs_file, upgrades))
     try:
         orders = [int(p) for p in str(args.orders).split(",") if p]
     except ValueError:

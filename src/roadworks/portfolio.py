@@ -82,8 +82,13 @@ class SelectionProblem:
         budget: float,
         m: float = DEFAULT_M,
     ) -> "SelectionProblem":
-        """Wire a computed delta table and the candidate costs into a problem."""
-        missing = [i for i in upgrades.ids if i not in table.singles]
+        """Wire a computed delta table and the candidate costs into a problem.
+
+        Values are the table's single-upgrade coefficients and corrections its
+        pair coefficients among `upgrades`; other coefficients are ignored.
+        """
+        coeffs = table.coefficients
+        missing = [i for i in upgrades.ids if (i,) not in coeffs]
         if missing:
             raise DataError(
                 "delta table lacks single-upgrade rows for " + ", ".join(missing)
@@ -91,12 +96,12 @@ class SelectionProblem:
         idset = set(upgrades.ids)
         return cls(
             ids=upgrades.ids,
-            values={i: table.singles[i] for i in upgrades.ids},
+            values={i: coeffs[(i,)] for i in upgrades.ids},
             costs={u.id: u.cost for u in upgrades},
             corrections={
-                p: d
-                for p, d in table.pair_corrections.items()
-                if p[0] in idset and p[1] in idset
+                W: c
+                for W, c in coeffs.items()
+                if len(W) == 2 and W[0] in idset and W[1] in idset
             },
             budget=budget,
             m=m,

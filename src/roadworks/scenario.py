@@ -9,6 +9,8 @@ v_j, higher-order correction terms follow the inclusion-exclusion recursion
 
 so the order-k estimate of any subset is the sum of e_W over W within S of
 size at most k.  At k = |S| the estimate telescopes back to the exact delta.
+A `DeltaTable` keeps every derivable e_W in one map, `coefficients`, keyed by
+the sorted id tuple W; an absent W counts as zero.
 
 Exact deltas are expensive (one equilibrium solve each), so every table is
 read from a cache of solved subsets, in memory or on disk keyed by network and
@@ -47,7 +49,6 @@ __all__ = [
     "table_from_cache",
     "table_from_evaluated",
     "warn_if_capped",
-    "interaction_coefficients",
     "estimate_delta",
     "relative_error",
     "error_report",
@@ -68,16 +69,19 @@ def canonical_subset(upgrades: UpgradeSet, subset: Iterable[str | int]) -> Subse
 
 @dataclass
 class DeltaTable:
-    """Exact deltas plus the interaction coefficients derivable from them."""
+    """Exact deltas plus the coefficients e_W derivable from them."""
 
     baseline_vht: float
-    singles: dict[str, float] = field(default_factory=dict)
-    pair_corrections: dict[tuple[str, str], float] = field(default_factory=dict)
-    higher_order: dict[Subset, float] = field(default_factory=dict)
+    coefficients: dict[Subset, float] = field(default_factory=dict)
     evaluated_subsets: dict[Subset, float] = field(default_factory=dict)
     gaps: dict[Subset, float] = field(default_factory=dict)
     baseline_gap: float = 0.0
     tap_solves: int = 0
+
+    @property
+    def singles(self) -> dict[str, float]:
+        """e_W of the one-upgrade subsets, keyed by upgrade id."""
+        return {W[0]: c for W, c in self.coefficients.items() if len(W) == 1}
 
 
 class MemoryDeltaCache:
@@ -102,6 +106,9 @@ class MemoryDeltaCache:
     def rows(self) -> dict[Subset, tuple[float, float]]:
         return dict(self._rows)
 
+    def refresh(self) -> None:
+        """Read rows that other writers added; memory has no other writer."""
+
 
 class FileDeltaCache(MemoryDeltaCache):
     """A MemoryDeltaCache that also appends each row to its file.
@@ -119,6 +126,9 @@ class FileDeltaCache(MemoryDeltaCache):
     Opening an existing file for different inputs raises DataError.  A last
     line with no newline is a row torn by a run that died mid-write: loading
     drops it with a warning and truncates the file after the last newline.
+    `refresh` reads the complete rows that another writer (a second
+    DeltaBook over the same directory, say) appended since this object last
+    read or wrote the file; it never truncates.
     """
 
     def __init__(self, path: str, network_hash: str, demand_hash: str, target_gap: float):
@@ -127,25 +137,62 @@ class FileDeltaCache(MemoryDeltaCache):
         self.network_hash = network_hash
         self.demand_hash = demand_hash
         self.target_gap = target_gap
+        self._end = 0  # bytes of the file read or written by this object
+        self._lines = 0
         if os.path.exists(path):
             self._load()
         else:
-            with open(path, "w") as fh:
-                fh.write("# roadworks delta cache\n")
-                fh.write(f"network {network_hash}\n")
-                fh.write(f"demand {demand_hash}\n")
-                fh.write(f"target_gap {target_gap!r}\n")
+            self._append(
+                "# roadworks delta cache\n"
+                f"network {network_hash}\n"
+                f"demand {demand_hash}\n"
+                f"target_gap {target_gap!r}\n"
+            )
 
     @classmethod
     def open(cls, path: str, net: Network, demand: DemandMatrix, settings: SolverSettings):
         return cls(path, network_fingerprint(net), demand_fingerprint(demand), settings.target_gap)
 
     def _load(self) -> None:
+        header, torn = self._read_new()
+        mismatches = []
+        if header.get("network") != self.network_hash:
+            mismatches.append("network")
+        if header.get("demand") != self.demand_hash:
+            mismatches.append("demand")
+        if header.get("target_gap") != self.target_gap:
+            mismatches.append("target_gap")
+        if mismatches:
+            raise DataError(
+                f"cache {self.path} was built for a different {'/'.join(mismatches)}; "
+                "delete it or point at a fresh path"
+            )
+        if torn:
+            warnings.warn(
+                f"cache {self.path}: dropped the incomplete last line "
+                f"{torn.decode(errors='replace')!r}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            with open(self.path, "r+b") as fh:
+                fh.truncate(self._end)
+
+    def refresh(self) -> None:
+        self._read_new()
+
+    def _read_new(self) -> tuple[dict[str, str | float], bytes]:
+        """Parse the complete lines past those already read or written.
+
+        Returns the header fields among them and the bytes after the last
+        newline, which are left unread.
+        """
         with open(self.path, "rb") as fh:
+            fh.seek(self._end)
             data = fh.read()
         whole = data.rfind(b"\n") + 1
+        lines = data[:whole].decode().splitlines()
         header: dict[str, str | float] = {}
-        for number, raw in enumerate(data[:whole].decode().splitlines(), start=1):
+        for number, raw in enumerate(lines, start=self._lines + 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -164,27 +211,9 @@ class FileDeltaCache(MemoryDeltaCache):
                     raise DataError(f"cache {self.path}, line {number}: unrecognized line {line!r}")
             except ValueError:
                 raise DataError(f"cache {self.path}, line {number}: bad number in {line!r}") from None
-        mismatches = []
-        if header.get("network") != self.network_hash:
-            mismatches.append("network")
-        if header.get("demand") != self.demand_hash:
-            mismatches.append("demand")
-        if header.get("target_gap") != self.target_gap:
-            mismatches.append("target_gap")
-        if mismatches:
-            raise DataError(
-                f"cache {self.path} was built for a different {'/'.join(mismatches)}; "
-                "delete it or point at a fresh path"
-            )
-        if whole < len(data):
-            warnings.warn(
-                f"cache {self.path}: dropped the incomplete last line "
-                f"{data[whole:].decode(errors='replace')!r}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            with open(self.path, "r+b") as fh:
-                fh.truncate(whole)
+        self._end += whole
+        self._lines += len(lines)
+        return header, data[whole:]
 
     def set_baseline(self, vht: float, gap: float) -> None:
         super().set_baseline(vht, gap)
@@ -194,39 +223,28 @@ class FileDeltaCache(MemoryDeltaCache):
         super().put(subset, delta, gap)
         self._append(f"{','.join(subset)} {delta!r} {gap!r}\n")
 
-    def _append(self, line: str) -> None:
-        with open(self.path, "a") as fh:
-            fh.write(line)
+    def _append(self, text: str) -> None:
+        with open(self.path, "ab") as fh:
+            # another writer's rows past _end stay unread until the next refresh
+            caught_up = fh.tell() == self._end
+            fh.write(text.encode())
+            if caught_up:
+                self._end = fh.tell()
+                self._lines += text.count("\n")
 
 
-def _coefficients(
-    evaluated: Mapping[Subset, float], max_order: int, strict: bool
-) -> dict[Subset, float]:
-    """e_W for every evaluated subset up to max_order, by the recursion above.
+def _coefficients(evaluated: Mapping[Subset, float]) -> dict[Subset, float]:
+    """e_W for every evaluated subset, by the recursion above.
 
-    With strict=True a missing prerequisite subset raises; otherwise the
-    affected W is skipped.
+    A W with a proper subset that was never evaluated is skipped.
     """
     coeffs: dict[Subset, float] = {}
     for W in sorted(evaluated, key=lambda s: (len(s), s)):
-        if len(W) > max_order:
-            continue
-        total = 0.0
-        complete = True
-        for size in range(1, len(W)):
-            for V in combinations(W, size):
-                if V not in coeffs:
-                    if strict:
-                        raise DataError(
-                            f"cannot derive coefficient for {{{','.join(W)}}}: "
-                            f"subset {{{','.join(V)}}} was never evaluated"
-                        )
-                    complete = False
-                    break
+        proper = [V for size in range(1, len(W)) for V in combinations(W, size)]
+        if all(V in coeffs for V in proper):
+            total = 0.0
+            for V in proper:
                 total += coeffs[V]
-            if not complete:
-                break
-        if complete:
             coeffs[W] = evaluated[W] - total
     return coeffs
 
@@ -282,6 +300,7 @@ class DeltaBook:
         wanted = sorted((S for S in canonical if S), key=lambda s: (len(s), s))
         settings = self.settings
         solves = 0
+        cache.refresh()
         if cache.baseline() is None:
             assignment = solve_with(net, demand, settings)
             warn_if_capped(assignment.iterations, assignment.relative_gap, settings, "baseline")
@@ -358,31 +377,14 @@ def table_from_evaluated(
 ) -> DeltaTable:
     """Assemble a DeltaTable from already-known exact deltas (cache rows)."""
     ev = dict(evaluated)
-    max_order = max((len(S) for S in ev), default=0)
-    coeffs = _coefficients(ev, max_order, strict=False)
     return DeltaTable(
         baseline_vht=baseline_vht,
-        singles={W[0]: c for W, c in coeffs.items() if len(W) == 1},
-        pair_corrections={W: c for W, c in coeffs.items() if len(W) == 2},
-        higher_order={W: c for W, c in coeffs.items() if len(W) >= 3},
+        coefficients=_coefficients(ev),
         evaluated_subsets=ev,
         gaps=dict(gaps) if gaps else {},
         baseline_gap=baseline_gap,
         tap_solves=0,
     )
-
-
-def interaction_coefficients(table: DeltaTable, max_order: int) -> dict[Subset, float]:
-    """Recompute e_W from the exact deltas; missing prerequisites raise."""
-    return _coefficients(table.evaluated_subsets, max_order, strict=True)
-
-
-def _coefficient(table: DeltaTable, W: Subset) -> float:
-    if len(W) == 1:
-        return table.singles.get(W[0], 0.0)
-    if len(W) == 2:
-        return table.pair_corrections.get(W, 0.0)  # type: ignore[arg-type]
-    return table.higher_order.get(W, 0.0)
 
 
 def estimate_delta(table: DeltaTable, subset: Iterable[str], order: int) -> float:
@@ -397,7 +399,7 @@ def estimate_delta(table: DeltaTable, subset: Iterable[str], order: int) -> floa
     total = 0.0
     for size in range(1, min(order, len(S)) + 1):
         for W in combinations(S, size):
-            total += _coefficient(table, W)
+            total += table.coefficients.get(W, 0.0)
     return total
 
 
@@ -437,21 +439,17 @@ def error_report(
     """
     ref = reference if reference is not None else table
     gold = {S: d for S, d in ref.evaluated_subsets.items() if len(S) >= 3}
-    n = len(table.singles)
-    all_pairs = n * (n - 1) // 2
+    sizes = [len(W) for W in table.coefficients]
+    n = sizes.count(1)
     rows = []
     for k in orders:
         if k == 1:
             label = "individual only"
         elif k == 2:
-            label = "all pairwise" if len(table.pair_corrections) == all_pairs else "significant pairwise"
+            label = "all pairwise" if sizes.count(2) == n * (n - 1) // 2 else "significant pairwise"
         else:
             label = f"all subsets size <= {k}"
-        computations = n
-        if k >= 2:
-            computations += len(table.pair_corrections)
-        if k >= 3:
-            computations += sum(1 for W in table.higher_order if len(W) <= k)
+        computations = sum(1 for size in sizes if size <= k)
         errors = []
         negatives = 0
         for S in sorted(gold):
@@ -488,29 +486,16 @@ def format_error_report(rows: Sequence[ErrorReportRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def restricted(
-    table: DeltaTable,
-    pairs: Iterable[Iterable[str]] | None = None,
-    max_order: int | None = None,
-) -> DeltaTable:
-    """Copy of the table as a leaner estimator would see it.
+def restricted(table: DeltaTable, pairs: Iterable[Iterable[str]]) -> DeltaTable:
+    """Copy of the table as a pairwise estimator over `pairs` would see it.
 
-    `pairs` keeps only the named pair corrections (and drops all higher-order
-    terms); `max_order` truncates the coefficient hierarchy. Exact deltas are
-    retained for use as an error reference.
+    Keeps the singles and the named pairs' coefficients and drops every
+    other one.  Exact deltas are retained for use as an error reference.
     """
-    new = replace(table)
-    new.singles = dict(table.singles)
-    new.pair_corrections = dict(table.pair_corrections)
-    new.higher_order = dict(table.higher_order)
-    new.evaluated_subsets = dict(table.evaluated_subsets)
-    new.gaps = dict(table.gaps)
-    if pairs is not None:
-        keep = {tuple(sorted(p)) for p in pairs}
-        new.pair_corrections = {p: d for p, d in new.pair_corrections.items() if p in keep}
-        new.higher_order = {}
-    if max_order is not None:
-        if max_order < 2:
-            new.pair_corrections = {}
-        new.higher_order = {W: c for W, c in new.higher_order.items() if len(W) <= max_order}
-    return new
+    keep = {tuple(sorted(p)) for p in pairs}
+    return replace(
+        table,
+        coefficients={W: c for W, c in table.coefficients.items() if len(W) == 1 or W in keep},
+        evaluated_subsets=dict(table.evaluated_subsets),
+        gaps=dict(table.gaps),
+    )

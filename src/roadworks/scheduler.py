@@ -417,18 +417,14 @@ def greedy_schedule(
         subsets = [(i,) for i in alive]
         subsets += [p for p in sorted(sig_pairs) if p[0] in remaining and p[1] in remaining]
         table_t = book.deltas(current, demand_t, upgrades, subsets)
-        for i in alive:
-            period_values[(i, t)] = table_t.singles[i]
-        for p, d in table_t.pair_corrections.items():
-            period_pairs[(p, t)] = d
-        problem_t = SelectionProblem(
-            ids=tuple(i for i in upgrades.ids if i in remaining),
-            values={i: table_t.singles[i] for i in alive},
-            costs={i: upgrades.by_id[i].cost for i in alive},
-            corrections=dict(table_t.pair_corrections),
+        problem_t = SelectionProblem.from_delta_table(
+            table_t,
+            UpgradeSet(tuple(u for u in upgrades if u.id in remaining)),
             budget=horizon.budgets[t - 1],
             m=horizon.m / (1.0 + horizon.rate) ** t,
         )
+        period_values.update({(i, t): v for i, v in problem_t.values.items()})
+        period_pairs.update({(p, t): d for p, d in problem_t.corrections.items()})
         picked = optimize_subset(problem_t).chosen
         for i in picked:
             assignments[i] = t

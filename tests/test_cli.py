@@ -495,6 +495,48 @@ def test_error_report_from_cache(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _explicit_cache(data_dir, path, *subsets):
+    flags = [arg for S in subsets for arg in ("--subset", S)]
+    argv = desk_args(data_dir, "deltas", "--gap", "1e-5", "--mode", "explicit", "--cache", str(path), *flags)
+    assert main(argv) == 0
+
+
+def test_error_report_without_subsets_of_size_three_exits_2(data_dir, tmp_path, capsys):
+    cache = tmp_path / "pairs.cache"
+    _explicit_cache(data_dir, cache, "C-A1", "C-A2", "C-A1,C-A2")
+    capsys.readouterr()
+    rc = main(desk_args(data_dir, "error-report", "--gap", "1e-5", "--cache", str(cache)))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "no subset of size >= 3" in captured.err
+    assert "deltas --mode all-subsets" in captured.err and str(cache) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_pair_files_with_unknown_upgrades_exit_2_in_every_command(data_dir, tmp_path, capsys):
+    cache = tmp_path / "triple.cache"
+    triple = ("C-A1", "C-A2", "C-B1", "C-A1,C-A2", "C-A1,C-B1", "C-A2,C-B1", "C-A1,C-A2,C-B1")
+    _explicit_cache(data_dir, cache, *triple)
+    bad = tmp_path / "bad_pairs.txt"
+    bad.write_text("C-A1 C-A2\nC-A1 C-ZZ\n")
+    good = tmp_path / "pairs.txt"
+    good.write_text("C-A1 C-A2\n")
+    capsys.readouterr()
+    common = ("--gap", "1e-5", "--cache", str(cache))
+    for argv in (
+        desk_args(data_dir, "deltas", *common, "--mode", "pairs", "--pairs-file", str(bad)),
+        desk_args(data_dir, "select", *common, "--budget", "2400", "--pairs-file", str(bad)),
+        desk_args(data_dir, "error-report", *common, "--pairs-file", str(bad)),
+    ):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == "error: pair file names unknown upgrade 'C-ZZ'\n", argv[0]
+    assert main(desk_args(data_dir, "error-report", *common, "--pairs-file", str(good))) == 0
+    assert "significant pairwise" in capsys.readouterr().out
+
+
 def test_config_file_fills_unset_flags(data_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(

@@ -186,8 +186,8 @@ def test_optimizer_matches_knapsack_when_pairs_vanish():
 def test_from_delta_table(desk, desk_table):
     corridor_set = UpgradeSet(tuple(desk.upgrades.by_id[i] for i in CORRIDOR))
     p = SelectionProblem.from_delta_table(desk_table, corridor_set, budget=2400.0)
-    assert p.values == desk_table.singles
-    assert p.corrections == desk_table.pair_corrections
+    assert p.values == {W[0]: c for W, c in desk_table.coefficients.items() if len(W) == 1}
+    assert p.corrections == {W: c for W, c in desk_table.coefficients.items() if len(W) == 2}
     assert p.costs == {i: 800.0 for i in CORRIDOR}
     got = optimize_subset(p)
     want = exhaustive_best_subset(p)

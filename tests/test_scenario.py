@@ -1,6 +1,7 @@
 """Delta tables, the k-wise estimator, and the subset caches."""
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from roadworks import (
     DeltaBook,
     FileDeltaCache,
     MemoryDeltaCache,
+    PlanningHorizon,
     SolverSettings,
     canonical_subset,
     compute_deltas,
@@ -16,7 +18,7 @@ from roadworks import (
     error_report,
     estimate_delta,
     format_error_report,
-    interaction_coefficients,
+    greedy_schedule,
     network_fingerprint,
     relative_error,
     restricted,
@@ -48,7 +50,7 @@ def test_pair_corrections_match_definition(desk_table):
     ev = desk_table.evaluated_subsets
     for i, j in combinations(CORRIDOR, 2):
         want = ev[(i, j)] - ev[(i,)] - ev[(j,)]
-        assert desk_table.pair_corrections[(i, j)] == pytest.approx(want, abs=1e-9)
+        assert desk_table.coefficients[(i, j)] == pytest.approx(want, abs=1e-9)
 
 
 def test_estimator_is_exact_at_full_order(desk_table):
@@ -62,9 +64,9 @@ def test_low_orders_sum_coefficients(desk_table):
     t = desk_table
     o1 = sum(t.singles[i] for i in S)
     assert estimate_delta(t, S, 1) == pytest.approx(o1)
-    o2 = o1 + sum(t.pair_corrections[p] for p in combinations(S, 2))
+    o2 = o1 + sum(t.coefficients[p] for p in combinations(S, 2))
     assert estimate_delta(t, S, 2) == pytest.approx(o2)
-    o3 = o2 + t.higher_order[S]
+    o3 = o2 + t.coefficients[S]
     assert estimate_delta(t, S, 3) == pytest.approx(o3)
     assert estimate_delta(t, S, 99) == estimate_delta(t, S, 3)
     with pytest.raises(DataError):
@@ -87,15 +89,13 @@ def test_relative_error(desk_table):
         relative_error(desk_table, ("C-A1", "C-ZZ"), 1)
 
 
-def test_interaction_coefficients_strictness(desk_table):
-    coeffs = interaction_coefficients(desk_table, 2)
+def test_coefficients_hold_every_order(desk_table):
+    coeffs = desk_table.coefficients
+    assert set(coeffs) == set(desk_table.evaluated_subsets)
     assert coeffs[("C-A1",)] == desk_table.singles["C-A1"]
-    assert coeffs[("C-A1", "C-A2")] == desk_table.pair_corrections[("C-A1", "C-A2")]
-    incomplete = dict(desk_table.evaluated_subsets)
-    del incomplete[("C-A1",)]
-    broken = table_from_evaluated(desk_table.baseline_vht, 0.0, incomplete)
-    with pytest.raises(DataError):
-        interaction_coefficients(broken, 2)
+    assert desk_table.singles == {W[0]: c for W, c in coeffs.items() if len(W) == 1}
+    pair = ("C-A1", "C-A2")
+    assert coeffs[pair] == desk_table.evaluated_subsets[pair] - coeffs[("C-A1",)] - coeffs[("C-A2",)]
 
 
 def test_error_report_structure(desk_table):
@@ -117,22 +117,13 @@ def test_error_report_structure(desk_table):
 def test_restricted_pairs(desk_table):
     keep = [("C-A1", "C-A2"), ("C-B1", "C-B2")]
     lean = restricted(desk_table, pairs=keep)
-    assert set(lean.pair_corrections) == set(keep)
-    assert lean.higher_order == {}
+    assert {W for W in lean.coefficients if len(W) >= 2} == set(keep)
     assert lean.singles == desk_table.singles
     # exact deltas stay available as the error reference
     assert lean.evaluated_subsets == desk_table.evaluated_subsets
     rows = error_report(lean, orders=[2], reference=desk_table)
     assert rows[0].computations == 6 + 2
     assert rows[0].label == "significant pairwise"
-
-
-def test_restricted_max_order(desk_table):
-    lean = restricted(desk_table, max_order=2)
-    assert lean.pair_corrections == desk_table.pair_corrections
-    assert lean.higher_order == {}
-    full = restricted(desk_table, max_order=6)
-    assert full.higher_order == desk_table.higher_order
 
 
 def test_compute_deltas_counts_solves(desk):
@@ -256,6 +247,45 @@ def test_delta_book_keeps_one_cache_per_network_and_demand(desk, tmp_path):
     assert warm.tap_solves == 0
 
 
+def test_two_books_over_one_cache_dir_solve_each_row_once(desk, tmp_path):
+    settings = SolverSettings(target_gap=1e-6)
+    book = DeltaBook(settings, cache_dir=str(tmp_path))
+    book.deltas(desk.net, desk.demand, desk.upgrades, [(i,) for i in desk.upgrades.ids])
+    cache = book.cache(desk.net, desk.demand)
+    pairs = [("C-A1", "C-B1"), ("C-A3", "C-B3")]
+    # without growth every period's demand is the base demand, so the
+    # scheduler's own book appends both pairs to the same file
+    horizon = PlanningHorizon.with_growth((900.0, 900.0, 1700.0), 0.05, desk.demand, m=3650.0)
+    greedy_schedule(desk.net, desk.upgrades, horizon, settings, pairs=pairs, cache_dir=str(tmp_path))
+    table = book.deltas(desk.net, desk.demand, desk.upgrades, pairs)
+    assert table.tap_solves == 0
+    assert book.cache(desk.net, desk.demand) is cache
+    rows = [line.split()[0] for line in Path(cache.path).read_text().splitlines()[4:]]
+    assert len(rows) == len(set(rows))
+    assert {"C-A1,C-B1", "C-A3,C-B3"} <= set(rows)
+
+
+def test_file_cache_refresh_reads_complete_rows_of_other_writers(tmp_path):
+    path = tmp_path / "deltas.cache"
+    mine = FileDeltaCache(str(path), "aaaa", "bbbb", 1e-6)
+    other = FileDeltaCache(str(path), "aaaa", "bbbb", 1e-6)
+    other.set_baseline(5000.0, 2e-7)
+    other.put(("u1",), 12.5, 1e-7)
+    mine.put(("u2",), 3.0, 1e-7)  # after the other's rows, which stay unread
+    assert mine.baseline() is None
+    with open(path, "a") as fh:
+        fh.write("u3 7.0")  # another writer's row, still mid-write
+    mine.refresh()
+    assert mine.baseline() == (5000.0, 2e-7)
+    assert mine.rows() == {("u1",): (12.5, 1e-7), ("u2",): (3.0, 1e-7)}
+    assert path.read_text().endswith("u3 7.0")  # never truncated by a refresh
+    with open(path, "a") as fh:
+        fh.write(" 1e-07\nu4 oops 1e-07\n")
+    with pytest.raises(DataError, match="line 9: bad number"):
+        mine.refresh()
+    assert mine.get(("u3",)) == (7.0, 1e-7)
+
+
 def test_table_from_cache_reads_rows_and_names_missing_subsets():
     cache = MemoryDeltaCache()
     with pytest.raises(DataError, match="no baseline row"):
@@ -281,9 +311,7 @@ def test_table_from_evaluated_matches_compute(desk_table):
         desk_table.evaluated_subsets,
         gaps=desk_table.gaps,
     )
-    assert rebuilt.singles == desk_table.singles
-    assert rebuilt.pair_corrections == desk_table.pair_corrections
-    assert rebuilt.higher_order == desk_table.higher_order
+    assert rebuilt.coefficients == desk_table.coefficients
     assert rebuilt.tap_solves == 0
 
 
@@ -291,8 +319,7 @@ def test_table_from_evaluated_skips_unreachable_coefficients():
     # without the (b,) single, no coefficient containing b can be derived
     ev = {("a",): 10.0, ("a", "b"): 25.0}
     table = table_from_evaluated(1000.0, 0.0, ev)
-    assert table.singles == {"a": 10.0}
-    assert table.pair_corrections == {}
+    assert table.coefficients == {("a",): 10.0}
     assert table.evaluated_subsets == ev
 
 
@@ -301,8 +328,7 @@ def test_workers_do_not_change_results(desk):
     subsets = [("C-A1",), ("C-A2",), ("C-B1",), ("C-X1",), ("C-A1", "C-B1")]
     serial = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=1)
     parallel = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=4)
-    assert serial.singles == parallel.singles
-    assert serial.pair_corrections == parallel.pair_corrections
+    assert serial.coefficients == parallel.coefficients
     assert serial.evaluated_subsets == parallel.evaluated_subsets
 
 
