@@ -12,8 +12,9 @@ at persistent storage, and expect to leave it overnight.
 
 Every delta goes through one subset layer, `DeltaBook`: --cache-dir holds
 one `deltas_<network>_<demand>.cache` per network and demand, shared by every
-stage and by reruns.  The accuracy stage reports on every row of the base
-file; the stage prints its path for `roadworks deltas --mode all-subsets`.
+stage but `realized_npv` and by reruns, so a rerun solves only its exact
+checks.  The accuracy stage reports on every row of the base file; the stage
+prints its path for `roadworks deltas --mode all-subsets`.
 
 Reference values for the original datasets (for eyeballing your output):
 
@@ -66,6 +67,7 @@ from roadworks import (
     parse_network,
     parse_nodes,
     parse_upgrades,
+    period_singles,
     predict_pairs_count,
     realized_npv,
     table_from_cache,
@@ -174,12 +176,7 @@ def run(args):
     print(format_schedule_listing(sched), end="")
 
     stamp("independent (no-interaction) schedule for comparison")
-    period_values = {}
-    for t in range(1, horizon.T + 1):
-        t_table = book.deltas(net, horizon.demand_for(t), upgrades, singles)
-        for i in upgrades.ids:
-            period_values[(i, t)] = t_table.singles[i]
-    indep = independent_schedule(period_values, upgrades, horizon)
+    indep = independent_schedule(period_singles(book, net, upgrades, horizon), upgrades, horizon)
     print(format_schedule_table(upgrades, horizon, indep), end="")
     stamp(f"independent model estimate {indep.npv:,.0f} k$; realizing it exactly")
     indep_real = realized_npv(net, upgrades, horizon, indep.assignments, settings)

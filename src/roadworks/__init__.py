@@ -82,6 +82,7 @@ from .scheduler import (
     independent_schedule,
     make_schedule,
     parse_growth_rules,
+    period_singles,
     period_spend,
     present_value,
     realized_npv,

@@ -7,7 +7,8 @@ subset from cached deltas), schedule (multi-period plan), error-report
 subset layer in `scenario`: deltas fills a cache through compute_deltas,
 select and error-report read it with table_from_cache and never solve, and
 schedule keeps one cache per network and demand in --cache-dir through a
-DeltaBook.
+DeltaBook.  Solver flags go only to the commands that read them; select and
+error-report take --gap alone, as the target gap their cache was built at.
 
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 solver
 failure.  Any flag may instead be given in a JSON --config file keyed by the
@@ -68,6 +69,7 @@ from .scheduler import (
     greedy_schedule,
     independent_schedule,
     parse_growth_rules,
+    period_singles,
 )
 
 
@@ -204,9 +206,9 @@ def _pair_restriction(args, net: Network, upgrades: UpgradeSet):
     return None
 
 
-def _open_cache(args, net: Network, demand: DemandMatrix, settings: SolverSettings) -> FileDeltaCache:
+def _open_cache(args, net: Network, demand: DemandMatrix) -> FileDeltaCache:
     _require(args, "cache")
-    return FileDeltaCache.open(args.cache, net, demand, settings)
+    return FileDeltaCache.open(args.cache, net, demand, SolverSettings(target_gap=args.gap))
 
 
 def cmd_solve(args) -> int:
@@ -249,7 +251,7 @@ def cmd_deltas(args) -> int:
         if not args.subset:
             raise _UsageError("explicit mode needs at least one --subset")
         subsets = [tuple(_split_tokens(s)) for s in args.subset]
-    cache = _open_cache(args, net, demand, settings) if args.cache else None
+    cache = _open_cache(args, net, demand) if args.cache else None
     table = compute_deltas(
         net, demand, upgrades, subsets, settings, cache=cache, workers=args.workers
     )
@@ -291,8 +293,7 @@ def cmd_select(args) -> int:
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
-    settings = _settings(args)
-    cache = _open_cache(args, net, demand, settings)
+    cache = _open_cache(args, net, demand)
     restriction = _pair_restriction(args, net, upgrades)
     wanted = [(i,) for i in upgrades.ids]
     if restriction is not None:
@@ -333,14 +334,7 @@ def cmd_schedule(args) -> int:
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
     if args.independent:
         book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
-        period_values = {}
-        for t in range(1, horizon.T + 1):
-            table_t = book.deltas(
-                net, horizon.demand_for(t), upgrades, [(i,) for i in upgrades.ids]
-            )
-            for i in upgrades.ids:
-                period_values[(i, t)] = table_t.singles[i]
-        schedule = independent_schedule(period_values, upgrades, horizon)
+        schedule = independent_schedule(period_singles(book, net, upgrades, horizon), upgrades, horizon)
     else:
         pairs = _pair_restriction(args, net, upgrades) or ()
         schedule = greedy_schedule(
@@ -369,8 +363,7 @@ def cmd_error_report(args) -> int:
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
-    settings = _settings(args)
-    cache = _open_cache(args, net, demand, settings)
+    cache = _open_cache(args, net, demand)
     table = table_from_cache(cache)
     if not any(len(S) >= 3 for S in table.evaluated_subsets):
         raise DataError(
@@ -391,17 +384,18 @@ def cmd_error_report(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, nodes=True, upgrades=True) -> None:
+def _add_common(p: argparse.ArgumentParser, *solver_flags: str) -> None:
     p.add_argument("--config", help="JSON file of flag defaults")
     p.add_argument("--net", help="TNTP network file")
     p.add_argument("--trips", help="TNTP trips (demand) file")
-    if nodes:
-        p.add_argument("--nodes", help="TNTP node coordinate file")
-    if upgrades:
-        p.add_argument("--upgrades", help="candidate upgrade file")
-    p.add_argument("--gap", type=float, help="relative-gap convergence target")
-    p.add_argument("--max-iters", type=int, help="iteration cap per equilibrium solve")
-    p.add_argument("--workers", type=int, help="concurrent subset evaluations")
+    p.add_argument("--nodes", help="TNTP node coordinate file")
+    p.add_argument("--upgrades", help="candidate upgrade file")
+    if "gap" in solver_flags:
+        p.add_argument("--gap", type=float, help="relative-gap convergence target")
+    if "max-iters" in solver_flags:
+        p.add_argument("--max-iters", type=int, help="iteration cap per equilibrium solve")
+    if "workers" in solver_flags:
+        p.add_argument("--workers", type=int, help="concurrent subset evaluations")
     p.add_argument("--out", help="also write the command's output here")
 
 
@@ -417,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.required = True
 
     p = sub.add_parser("solve", help="solve one user-equilibrium assignment")
-    _add_common(p)
+    _add_common(p, "gap", "max-iters")
     p.add_argument("--apply", help="comma-separated upgrade ids to build first")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("deltas", help="evaluate upgrade subsets into a cache")
-    _add_common(p)
+    _add_common(p, "gap", "max-iters", "workers")
     p.add_argument("--cache", help="delta cache file (created if absent)")
     p.add_argument(
         "--mode", choices=["individual", "pairs", "all-subsets", "explicit"],
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict_pairs)
 
     p = sub.add_parser("select", help="pick the best subset within a budget")
-    _add_common(p)
+    _add_common(p, "gap")
     p.add_argument("--cache", help="delta cache file holding the needed subsets")
     p.add_argument("--budget", type=float, help="total budget, k$")
     p.add_argument("--m", type=float, help="dollars per unit of daily VHT per year")
@@ -450,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("schedule", help="plan upgrades across budget periods")
-    _add_common(p)
+    _add_common(p, "gap", "max-iters", "workers")
     p.add_argument("--budgets", help="per-period budgets, comma separated, k$")
     p.add_argument("--rate", type=float, help="annual interest rate, e.g. 0.04")
     p.add_argument("--m", type=float, help="dollars per unit of daily VHT per year")
@@ -461,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("error-report", help="estimator accuracy from cached deltas")
-    _add_common(p)
+    _add_common(p, "gap")
     p.add_argument("--cache", help="delta cache file with exact subset deltas")
     p.add_argument("--orders", help="estimate orders to report, e.g. 1,2,3")
     p.add_argument("--pairs-file", help="restrict the estimator to these pairs")
@@ -488,10 +482,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

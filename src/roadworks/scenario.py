@@ -163,9 +163,10 @@ class FileDeltaCache(MemoryDeltaCache):
         if header.get("target_gap") != self.target_gap:
             mismatches.append("target_gap")
         if mismatches:
+            nodes = " (node coordinates count: give the same --nodes file, or none, as at build time)"
             raise DataError(
-                f"cache {self.path} was built for a different {'/'.join(mismatches)}; "
-                "delete it or point at a fresh path"
+                f"cache {self.path} was built for a different {'/'.join(mismatches)}"
+                f"{nodes if 'network' in mismatches else ''}; delete it or point at a fresh path"
             )
         if torn:
             warnings.warn(
@@ -435,7 +436,8 @@ def error_report(
     Errors are averaged over every evaluated subset of size >= 3 in
     `reference` (default: `table` itself) whose exact delta is nonzero; the
     computations column counts the coefficient subsets an order-k estimator
-    consumes from `table`.
+    consumes from `table`.  A row's label names the largest coefficient size
+    it sums, not k.
     """
     ref = reference if reference is not None else table
     gold = {S: d for S, d in ref.evaluated_subsets.items() if len(S) >= 3}
@@ -443,12 +445,13 @@ def error_report(
     n = sizes.count(1)
     rows = []
     for k in orders:
-        if k == 1:
+        top = max((size for size in sizes if size <= k), default=1)
+        if top == 1:
             label = "individual only"
-        elif k == 2:
+        elif top == 2:
             label = "all pairwise" if sizes.count(2) == n * (n - 1) // 2 else "significant pairwise"
         else:
-            label = f"all subsets size <= {k}"
+            label = f"all subsets size <= {top}"
         computations = sum(1 for size in sizes if size <= k)
         errors = []
         negatives = 0

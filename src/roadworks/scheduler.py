@@ -16,9 +16,9 @@ that is optimal at the horizon, then re-optimize what to build period by
 period on the evolving network) and an exact solver for the linear model
 that ignores interactions.
 
-The greedy heuristic takes its deltas from one `scenario.DeltaBook`, so a
-(network, demand) pair reached twice, in one run or, with a cache directory,
-across runs, is read from its cache rather than solved again.
+Every delta, in greedy's period tables, `period_singles` and `realized_npv`,
+comes from a `scenario.DeltaBook`, so a (network, demand) pair reached twice
+in one book, or across runs with a cache directory, is read from its cache.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .equilibrium import SolverSettings, solve_with
+from .equilibrium import SolverSettings
 from .errors import DataError, ParseError
 from .network import DemandMatrix, Network, UpgradeSet, apply_upgrades
 from .portfolio import DEFAULT_M, SelectionProblem, optimize_subset
@@ -47,6 +47,7 @@ __all__ = [
     "better_assignment",
     "independent_schedule",
     "greedy_schedule",
+    "period_singles",
     "realized_npv",
     "format_schedule_table",
     "format_schedule_listing",
@@ -245,7 +246,7 @@ def schedule_npv(
     mprime = horizon.m / 1000.0
     npv = 0.0
     for t in sorted(by_period):
-        coeff = mprime / (1.0 + horizon.rate) ** t
+        coeff = present_value(mprime, t, horizon.rate)
         built = sorted(by_period[t])
         for i in built:
             if (i, t) not in period_values:
@@ -317,8 +318,7 @@ def independent_schedule(
     for i in ids:
         cost = upgrades.by_id[i].cost
         for t in range(1, T + 1):
-            coeff = mprime / (1.0 + horizon.rate) ** t
-            term[(i, t)] = coeff * period_values[(i, t)] - cost
+            term[(i, t)] = present_value(mprime, t, horizon.rate) * period_values[(i, t)] - cost
     n = len(ids)
     bound = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
@@ -394,14 +394,11 @@ def greedy_schedule(
                 raise DataError(f"interaction pair names unknown upgrade {i!r}")
     book = DeltaBook(settings, workers=workers, cache_dir=cache_dir)
     T = horizon.T
-    discount_T = (1.0 + horizon.rate) ** T
 
     # step 1: the subset to aim for by the end of the horizon
-    singles = [(i,) for i in upgrades.ids]
-    pair_subsets = [p for p in sorted(sig_pairs)]
-    table = book.deltas(net, horizon.demand_for(T), upgrades, singles + pair_subsets)
+    table = book.deltas(net, horizon.demand_for(T), upgrades, [(i,) for i in upgrades.ids] + sorted(sig_pairs))
     problem = SelectionProblem.from_delta_table(
-        table, upgrades, budget=sum(horizon.budgets), m=horizon.m / discount_T
+        table, upgrades, budget=sum(horizon.budgets), m=present_value(horizon.m, T, horizon.rate)
     )
     remaining = set(optimize_subset(problem).chosen)
 
@@ -421,7 +418,7 @@ def greedy_schedule(
             table_t,
             UpgradeSet(tuple(u for u in upgrades if u.id in remaining)),
             budget=horizon.budgets[t - 1],
-            m=horizon.m / (1.0 + horizon.rate) ** t,
+            m=present_value(horizon.m, t, horizon.rate),
         )
         period_values.update({(i, t): v for i, v in problem_t.values.items()})
         period_pairs.update({(p, t): d for p, d in problem_t.corrections.items()})
@@ -436,6 +433,18 @@ def greedy_schedule(
     return make_schedule(period_values, period_pairs, upgrades, horizon, assignments)
 
 
+def period_singles(
+    book: DeltaBook, net: Network, upgrades: UpgradeSet, horizon: PlanningHorizon
+) -> dict[tuple[str, int], float]:
+    """The independent model's v_it: each upgrade alone on the base network, period-t demand."""
+    singles = [(i,) for i in upgrades.ids]
+    values: dict[tuple[str, int], float] = {}
+    for t in range(1, horizon.T + 1):
+        table = book.deltas(net, horizon.demand_for(t), upgrades, singles)
+        values.update({(i, t): table.singles[i] for i in upgrades.ids})
+    return values
+
+
 def realized_npv(
     net: Network,
     upgrades: UpgradeSet,
@@ -448,30 +457,27 @@ def realized_npv(
     For each period the VHT drop of that period's whole batch is measured on
     the evolving network (everything built earlier included) under period-t
     demand, so all interaction effects are realized rather than estimated.
+    Each is the batch's delta in an in-memory `DeltaBook`.
     """
     report = check_schedule(upgrades, horizon, assignments)
     if not report.ok:
         raise DataError("infeasible schedule: " + "; ".join(report.violations))
-    by_period: dict[int, list[str]] = {}
-    for i, t in assignments.items():
-        by_period.setdefault(t, []).append(i)
+    book = DeltaBook(settings)
     mprime = horizon.m / 1000.0
-    built: list[str] = []
     current = net
     npv = 0.0
     for t in range(1, horizon.T + 1):
-        batch = sorted(by_period.get(t, []))
+        batch = tuple(sorted(i for i, period in assignments.items() if period == t))
         if not batch:
             continue
-        demand_t = horizon.demand_for(t)
-        before = solve_with(current, demand_t, settings).vht
-        built.extend(batch)
-        current = apply_upgrades(net, upgrades, tuple(sorted(built)))
-        after = solve_with(current, demand_t, settings).vht
-        coeff = mprime / (1.0 + horizon.rate) ** t
-        npv += coeff * (before - after)
+        table = book.deltas(current, horizon.demand_for(t), upgrades, [batch])
+        npv += present_value(mprime, t, horizon.rate) * table.evaluated_subsets[batch]
         for i in batch:
             npv -= upgrades.by_id[i].cost
+        # rebuild from the base: re-applying onto `current` would duplicate
+        # added links, and a MOD conflict between periods raises here
+        built = tuple(sorted(i for i, period in assignments.items() if period <= t))
+        current = apply_upgrades(net, upgrades, built)
     return npv
 
 

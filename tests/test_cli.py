@@ -22,8 +22,6 @@ def desk_args(data_dir, command, *extra):
     ]
     if command != "solve":
         args += ["--nodes", str(data_dir / DESK["nodes"])]
-    if command != "predict-pairs":
-        pass
     args += ["--upgrades", str(data_dir / DESK["upgrades"])]
     return args + list(extra)
 
@@ -118,6 +116,29 @@ def test_usage_errors_exit_1(data_dir, capsys):
     for flag in ("--algorithm", "--threads"):
         assert main(desk_args(data_dir, "solve", flag, "1")) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the solver flags each command lost: none of them reads or names a solve by it
+NO_SOLVER_FLAG = [
+    ("solve", "workers"),
+    ("select", "max-iters"),
+    ("select", "workers"),
+    ("error-report", "max-iters"),
+    ("error-report", "workers"),
+    ("predict-pairs", "gap"),
+    ("predict-pairs", "max-iters"),
+    ("predict-pairs", "workers"),
+]
+
+
+@pytest.mark.parametrize("command,flag", NO_SOLVER_FLAG)
+def test_solver_flags_only_on_commands_that_read_them(data_dir, tmp_path, capsys, command, flag):
+    assert main(desk_args(data_dir, command, f"--{flag}", "1")) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag.replace("-", "_"): 1}))
+    assert main(desk_args(data_dir, command, "--config", str(config))) == 1
+    assert "matches no flag" in capsys.readouterr().err
 
 
 def test_solve_converges_sioux_falls_with_defaults(data_dir, capsys):
@@ -535,6 +556,39 @@ def test_pair_files_with_unknown_upgrades_exit_2_in_every_command(data_dir, tmp_
         assert captured.err == "error: pair file names unknown upgrade 'C-ZZ'\n", argv[0]
     assert main(desk_args(data_dir, "error-report", *common, "--pairs-file", str(good))) == 0
     assert "significant pairwise" in capsys.readouterr().out
+
+
+def test_error_report_labels_rows_by_the_coefficients_they_sum(data_dir, tmp_path, capsys):
+    cache = tmp_path / "triple.cache"
+    _explicit_cache(data_dir, cache, "C-A1", "C-A2", "C-B1", "C-A1,C-A2", "C-A1,C-B1", "C-A2,C-B1",
+                    "C-A1,C-A2,C-B1")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("C-A1 C-A2\n")
+    capsys.readouterr()
+    common = ("--gap", "1e-5", "--cache", str(cache), "--orders", "1,2,3,4")
+    assert main(desk_args(data_dir, "error-report", *common, "--pairs-file", str(pairs))) == 0
+    restricted = [line[:24].strip() for line in out_lines(capsys)[2:]]
+    assert restricted == ["individual only"] + ["significant pairwise"] * 3
+    assert main(desk_args(data_dir, "error-report", *common)) == 0
+    full = [line[:24].strip() for line in out_lines(capsys)[2:]]
+    assert full == ["individual only", "all pairwise"] + ["all subsets size <= 3"] * 2
+
+
+def test_cache_refused_for_other_node_coordinates_says_why(data_dir, tmp_path, capsys):
+    cache = tmp_path / "desk.cache"
+    without_nodes = desk_args(data_dir, "deltas", "--gap", "1e-5", "--mode", "individual", "--cache", str(cache))
+    nodes = without_nodes.index("--nodes")
+    del without_nodes[nodes:nodes + 2]
+    assert main(without_nodes) == 0
+    capsys.readouterr()
+    assert main(desk_args(data_dir, "select", "--gap", "1e-5", "--cache", str(cache), "--budget", "900")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cache {cache} was built for a different network")
+    assert "node coordinates count" in err and "same --nodes file" in err
+    # another gap on the same network is refused without the hint
+    assert main(["1e-6" if arg == "1e-5" else arg for arg in without_nodes]) == 2
+    err = capsys.readouterr().err
+    assert "different target_gap" in err and "--nodes" not in err
 
 
 def test_config_file_fills_unset_flags(data_dir, tmp_path, capsys):

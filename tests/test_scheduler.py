@@ -7,6 +7,7 @@ import pytest
 
 from roadworks import (
     DataError,
+    DeltaBook,
     DemandMatrix,
     GrowthRule,
     LinkModification,
@@ -17,6 +18,7 @@ from roadworks import (
     UpgradeSet,
     better_assignment,
     check_schedule,
+    compute_deltas,
     format_schedule_listing,
     format_schedule_table,
     greedy_schedule,
@@ -24,6 +26,8 @@ from roadworks import (
     make_schedule,
     optimize_subset,
     parse_growth_rules,
+    parse_upgrades,
+    period_singles,
     period_spend,
     present_value,
     realized_npv,
@@ -241,8 +245,6 @@ def test_greedy_single_period_equals_subset_optimum(desk):
     sched = greedy_schedule(desk.net, desk.upgrades, horizon, settings)
     assert check_schedule(desk.upgrades, horizon, sched.assignments).ok
 
-    from roadworks import compute_deltas
-
     table = compute_deltas(
         desk.net,
         desk.demand,
@@ -310,8 +312,6 @@ def test_greedy_cache_dir_round_trip(desk, tmp_path):
 def test_realized_npv_one_build_matches_estimate(desk):
     settings = SolverSettings(target_gap=1e-8)
     horizon = desk_horizon(desk, [800.0])
-    from roadworks import compute_deltas
-
     table = compute_deltas(desk.net, desk.demand, desk.upgrades, [("C-A1",)], settings)
     values = {("C-A1", 1): table.singles["C-A1"]}
     estimate = schedule_npv(values, {}, desk.upgrades, horizon, {"C-A1": 1})
@@ -324,6 +324,38 @@ def test_realized_npv_rejects_infeasible(desk):
     horizon = desk_horizon(desk, [10.0])
     with pytest.raises(DataError, match="infeasible"):
         realized_npv(desk.net, desk.upgrades, horizon, {"C-A1": 1}, settings)
+
+
+def test_realized_npv_warns_when_a_solve_is_capped(desk):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1)
+    horizon = desk_horizon(desk, [800.0, 800.0])
+    with pytest.warns(RuntimeWarning) as caught:
+        realized_npv(desk.net, desk.upgrades, horizon, {"C-A1": 1, "C-B1": 2}, settings)
+    labels = [str(w.message).split(": stopped")[0] for w in caught]
+    assert labels == ["baseline", "subset {C-A1}", "baseline", "subset {C-B1}"]
+
+
+def test_realized_npv_rejects_a_mod_conflict_between_periods(desk):
+    text = (Path(__file__).parent / "data" / "desk_upgrades.upg").read_text()
+    upgrades = parse_upgrades(text.replace("MOD 3 4 CAPACITY=800", "MOD 1 3 CAPACITY=900"), network=desk.net)
+    horizon = desk_horizon(desk, [800.0, 800.0])
+    with pytest.raises(DataError, match="upgrades C-A1 and C-A2 both modify link"):
+        realized_npv(desk.net, upgrades, horizon, {"C-A1": 1, "C-A2": 2}, SolverSettings(target_gap=1e-6))
+
+
+def test_period_singles_reads_every_period_from_the_book(desk):
+    settings = SolverSettings(target_gap=1e-6)
+    horizon = desk_horizon(desk, [800.0, 800.0], growth=(GrowthRule((1,), 1.2),))
+    book = DeltaBook(settings)
+    values = period_singles(book, desk.net, desk.upgrades, horizon)
+    ids = desk.upgrades.ids
+    assert list(values) == [(i, t) for t in (1, 2) for i in ids]
+    for t in (1, 2):
+        table = compute_deltas(desk.net, horizon.demand_for(t), desk.upgrades, [(i,) for i in ids], settings)
+        assert {i: values[(i, t)] for i in ids} == table.singles
+    # a second pass reads the book's caches and solves nothing
+    again = [book.deltas(desk.net, horizon.demand_for(t), desk.upgrades, [(i,) for i in ids]) for t in (1, 2)]
+    assert [table.tap_solves for table in again] == [0, 0]
 
 
 def test_format_schedule_table(desk):

@@ -9,7 +9,6 @@ from collections import Counter
 from pathlib import Path
 
 import roadworks.scenario as scenario
-import roadworks.scheduler as scheduler
 from roadworks import PlanningHorizon, demand_fingerprint, network_fingerprint, parse_growth_rules
 from roadworks.cli import main as cli_main
 
@@ -41,32 +40,42 @@ def unstamped(out):
     return re.sub(r"^\[[0-9:]+\] ", "", out, flags=re.M)
 
 
-def record_solves(monkeypatch):
+def record_solves(monkeypatch, script):
     """Log every equilibrium solve as (layer, (network, demand, subset)).
 
-    The network is the one a subset is built on, so one key per subset-layer
-    solve means no subset was solved twice under the same conditions.
+    Every solve goes through the subset layer; the layer is "realized" for
+    those made inside the driver's `realized_npv` call, whose book lives in
+    memory, and "book" for those of the driver's file-backed books.  The
+    network is the one a subset is built on, so one key per "book" solve
+    means no subset was solved twice under the same conditions.
     """
     solves = []
     built = {}
+    layer = ["book"]
     apply_upgrades = scenario.apply_upgrades
+    solve_with = scenario.solve_with
+    realized_npv = script.realized_npv
 
     def recording_apply(net, upgrades, subset):
         modified = apply_upgrades(net, upgrades, subset)
         built[id(modified)] = (modified, network_fingerprint(net), tuple(subset))
         return modified
 
-    def recorder(layer, solve_with):
-        def recording_solve(net, demand, settings):
-            _, base, subset = built.get(id(net), (net, network_fingerprint(net), ()))
-            solves.append((layer, (base, demand_fingerprint(demand), subset)))
-            return solve_with(net, demand, settings)
+    def recording_solve(net, demand, settings):
+        _, base, subset = built.get(id(net), (net, network_fingerprint(net), ()))
+        solves.append((layer[-1], (base, demand_fingerprint(demand), subset)))
+        return solve_with(net, demand, settings)
 
-        return recording_solve
+    def recording_realized(*args):
+        layer.append("realized")
+        try:
+            return realized_npv(*args)
+        finally:
+            layer.pop()
 
     monkeypatch.setattr(scenario, "apply_upgrades", recording_apply)
-    monkeypatch.setattr(scenario, "solve_with", recorder("scenario", scenario.solve_with))
-    monkeypatch.setattr(scheduler, "solve_with", recorder("scheduler", scheduler.solve_with))
+    monkeypatch.setattr(scenario, "solve_with", recording_solve)
+    monkeypatch.setattr(script, "realized_npv", recording_realized)
     return solves
 
 
@@ -76,7 +85,7 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
     growth = tmp_path / "growth.rules"
     growth.write_text("SCALE 1-3 1.1\n")
     argv = driver_args(data_dir, cache_dir, "--budgets", "900,900,1700", "--growth-file", str(growth))
-    solves = record_solves(monkeypatch)
+    solves = record_solves(monkeypatch, script)
     assert script.main(argv) == 0
     captured = capsys.readouterr()
     assert "warning" not in captured.err
@@ -85,11 +94,12 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
                   "at-horizon NPV"):
         assert stage in out
 
-    # cold: 50 distinct subset-layer solves, each once, and 6 in realized_npv
-    subset_layer = Counter(key for layer, key in solves if layer == "scenario")
-    assert max(subset_layer.values()) == 1
+    # cold: 50 distinct solves in the file-backed books, each once, and 6 in
+    # realized_npv
+    file_backed = Counter(key for layer, key in solves if layer == "book")
+    assert max(file_backed.values()) == 1
     assert len(solves) <= 56
-    assert [layer for layer, _ in solves].count("scheduler") == 6
+    assert [layer for layer, _ in solves].count("realized") == 6
 
     # one fingerprint-named file per (network, demand), the base demand of
     # every period among them
@@ -107,7 +117,7 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
     solves.clear()
     assert script.main(argv) == 0
     assert unstamped(capsys.readouterr().out) == unstamped(out)
-    assert [layer for layer, _ in solves] == ["scheduler"] * 6
+    assert [layer for layer, _ in solves] == ["realized"] * 6
     assert {p.name: p.read_text() for p in cache_dir.iterdir()} == snapshot
 
 
@@ -123,7 +133,7 @@ def test_fullscale_accuracy_stage_reads_every_cached_row(data_dir, tmp_path, cap
         "--trips", str(data_dir / "desk_trips.tntp"),
         "--nodes", str(data_dir / "desk_nodes.tntp"),
         "--upgrades", str(data_dir / "desk_upgrades.upg"),
-        "--gap", "1e-8", "--max-iters", "1000", "--cache", path,
+        "--gap", "1e-8", "--cache", path,
     ]
     assert cli_main(["deltas", *desk_flags, "--mode", "all-subsets", "--max-size", "3"]) == 0
     capsys.readouterr()
