@@ -166,9 +166,9 @@ def _settings(args) -> SolverSettings:
     return SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
 
-def _split_tokens(text: str) -> list[str | int]:
-    # bare integers are 1-based positions in the upgrade file, anything else an id
-    return [int(tok) if tok.isdigit() else tok for tok in text.split(",") if tok]
+def _split_tokens(text: str, upgrades: UpgradeSet) -> list[str | int]:
+    # a token naming an upgrade is that id; other bare integers are 1-based positions in the file
+    return [int(tok) if tok.isdigit() and tok not in upgrades.by_id else tok for tok in text.split(",") if tok]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,12 +190,7 @@ def _read_pairs(path: str, upgrades: UpgradeSet) -> set[tuple[str, str]]:
 
 def _pair_restriction(args, net: Network, upgrades: UpgradeSet):
     """Resolve the pair-screening flags to a set of id pairs, or None."""
-    modes = [
-        args.pairs_file is not None,
-        args.pairs_threshold is not None,
-        args.pairs_count is not None,
-    ]
-    if sum(modes) > 1:
+    if sum(x is not None for x in (args.pairs_file, args.pairs_threshold, args.pairs_count)) > 1:
         raise _UsageError("give at most one of --pairs-file, --pairs-threshold, --pairs-count")
     if args.pairs_file is not None:
         return _read_pairs(args.pairs_file, upgrades)
@@ -217,7 +212,7 @@ def cmd_solve(args) -> int:
     demand = parse_demand(_read(args.trips))
     if args.apply:
         upgrades = _load_upgrades(args, net)
-        net = apply_upgrades(net, upgrades, _split_tokens(args.apply))
+        net = apply_upgrades(net, upgrades, _split_tokens(args.apply, upgrades))
     settings = _settings(args)
     assignment = solve_with(net, demand, settings)
     if args.out:
@@ -250,7 +245,7 @@ def cmd_deltas(args) -> int:
     else:  # explicit
         if not args.subset:
             raise _UsageError("explicit mode needs at least one --subset")
-        subsets = [tuple(_split_tokens(s)) for s in args.subset]
+        subsets = [tuple(_split_tokens(s, upgrades)) for s in args.subset]
     cache = _open_cache(args, net, demand) if args.cache else None
     table = compute_deltas(
         net, demand, upgrades, subsets, settings, cache=cache, workers=args.workers
@@ -267,12 +262,7 @@ def cmd_predict_pairs(args) -> int:
     _require(args, "net", "nodes", "upgrades")
     net = _load_network(args)
     upgrades = _load_upgrades(args, net)
-    modes = [
-        args.pairs_threshold is not None,
-        args.pairs_count is not None,
-        args.kmeans_k is not None,
-    ]
-    if sum(modes) != 1:
+    if sum(x is not None for x in (args.pairs_threshold, args.pairs_count, args.kmeans_k)) != 1:
         raise _UsageError("give exactly one of --pairs-threshold, --pairs-count, --kmeans-k")
     distances = pairwise_distances(net, upgrades)
     if args.pairs_threshold is not None:
@@ -399,8 +389,9 @@ def _add_common(p: argparse.ArgumentParser, *solver_flags: str) -> None:
     p.add_argument("--out", help="also write the command's output here")
 
 
-def _add_pair_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pairs-file", help="explicit significant-pair list")
+def _add_pair_flags(p: argparse.ArgumentParser, file: bool = True) -> None:
+    if file:
+        p.add_argument("--pairs-file", help="explicit significant-pair list")
     p.add_argument("--pairs-threshold", type=float, help="flag pairs closer than this")
     p.add_argument("--pairs-count", type=int, help="flag the closest N pairs")
 
@@ -429,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict-pairs", help="screen for interacting upgrade pairs")
     _add_common(p)
-    _add_pair_flags(p)
+    _add_pair_flags(p, file=False)
     p.add_argument("--kmeans-k", type=int, help="cluster count for k-means screening")
     p.add_argument("--kmeans-restarts", type=int, help="k-means restarts")
     p.add_argument("--seed", type=int, help="seed for k-means")

@@ -8,21 +8,21 @@ dollars per year,
 where v_i is the single-upgrade drop in daily vehicle-hours, d_ij the
 pairwise interaction correction, c_i the construction cost in k$, and
 m' = m / 1000 converts one unit of daily VHT into k$ per year.  The budget
-constrains sum of c_i.  An exact branch-and-bound search maximizes obj.
+constrains sum of c_i.
 
-Float discipline: every objective that is compared (solver incumbents, test
-oracles, re-validation before output) is produced by the one canonical
-evaluator here, summing item terms in id order and pair terms in sorted-key
-order, so equal selections yield bit-identical floats and ties break
-deterministically: higher objective, then fewer upgrades, then
-lexicographically smallest id tuple.
+One exact branch and bound, `_best_assignment`, maximizes obj as one budget
+bin and `scheduler.independent_schedule`'s NPV as one bin per period.  It
+compares only canonical scores (`evaluate_selection` sums item terms in id
+order and pair terms in sorted-key order, so equal choices give bit-identical
+floats) under one tie-break, `better_assignment`: higher objective, then
+fewer upgrades, then lexicographically smallest (id, bin) items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError, ParseError
 from .network import UpgradeSet
@@ -32,6 +32,7 @@ __all__ = [
     "SelectionProblem",
     "Selection",
     "evaluate_selection",
+    "better_assignment",
     "better_selection",
     "optimize_subset",
     "format_problem",
@@ -149,75 +150,107 @@ def evaluate_selection(problem: SelectionProblem, ids: Iterable[str]) -> Selecti
     return Selection(chosen, obj, spend, delta)
 
 
+def better_assignment(
+    npv_a: float, assign_a: Mapping[str, int], npv_b: float, assign_b: Mapping[str, int]
+) -> bool:
+    """True when a beats b: NPV (or objective), then fewer builds, then lex (id, period)s."""
+    if npv_a != npv_b:
+        return npv_a > npv_b
+    if len(assign_a) != len(assign_b):
+        return len(assign_a) < len(assign_b)
+    return sorted(assign_a.items()) < sorted(assign_b.items())
+
+
 def better_selection(a: Selection, b: Selection) -> bool:
     """True when a beats b: objective, then fewer upgrades, then lex ids."""
-    if a.objective != b.objective:
-        return a.objective > b.objective
-    if len(a.chosen) != len(b.chosen):
-        return len(a.chosen) < len(b.chosen)
-    return a.chosen < b.chosen
+    return better_assignment(a.objective, dict.fromkeys(a.chosen, 1), b.objective, dict.fromkeys(b.chosen, 1))
 
 
-def optimize_subset(problem: SelectionProblem) -> Selection:
-    """Exact maximizer of the selection objective within the budget.
+def _best_assignment(
+    costs: Mapping[str, float],
+    terms: Mapping[str, Sequence[float]],
+    pair_terms: Mapping[tuple[str, str], float],
+    budgets: Sequence[float],
+    leaf: Callable[[dict[str, int]], tuple[float, bool, object]],
+) -> tuple[dict[str, int], object]:
+    """Exact best assignment of each id of `terms` to one bin t in 1..T, or none.
 
-    Branch and bound over items in (cost, id) order.  The suffix bound adds
-    every still-available positive item term and positive pair term (a pair
-    counts at the later of its endpoints), so it never undercounts any
-    completion.  Pruning keeps an epsilon of slack for float-order noise;
-    every surviving leaf is re-scored by the canonical evaluator, and the
-    incumbent is replaced only under the deterministic tie-break, so the
-    result matches exhaustive enumeration exactly, ties included.
+    Id i in bin t earns terms[i][t-1], a pair its term when both share a bin,
+    and bin t holds at most budgets[t-1] of cost.  Ids go in (cost, id) order,
+    bins before none; the suffix bound adds each id's best positive term and
+    each positive pair term at the pair's later id.  Pruning and budgets keep
+    a float slack, each surviving leaf is re-scored by the caller's canonical
+    `leaf(assign) -> (score, fits, result)`, and the incumbent (first the
+    empty assignment) changes only under `better_assignment`, so the result
+    matches exhaustive enumeration, ties included.  Returns the best
+    assignment and its leaf's result.
     """
-    order = sorted(problem.ids, key=lambda i: (problem.costs[i], i))
+    order = sorted(terms, key=lambda i: (costs[i], i))
     n = len(order)
     pos = {i: p for p, i in enumerate(order)}
-    mprime = problem.m / 1000.0
-    item_term = [mprime * problem.values[i] - problem.costs[i] for i in order]
-    cost = [problem.costs[i] for i in order]
+    cost = [costs[i] for i in order]
+    options = [list(enumerate(terms[i], 1)) for i in order]
     pairs_at: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (a, b), d in problem.corrections.items():
+    for (a, b), term in pair_terms.items():
         pa, pb = pos[a], pos[b]
-        pairs_at[max(pa, pb)].append((min(pa, pb), mprime * d))
+        pairs_at[max(pa, pb)].append((min(pa, pb), term))
     bound = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        acc = bound[j + 1]
-        if item_term[j] > 0:
-            acc += item_term[j]
+        acc = bound[j + 1] + max(0.0, *terms[order[j]])
         for _, term in pairs_at[j]:
             if term > 0:
                 acc += term
         bound[j] = acc
 
-    best = evaluate_selection(problem, ())
-    budget_slack = 1e-9 * (1.0 + problem.budget)
-    in_set = bytearray(n)
-    stack: list[int] = []
+    cap = [0.0] + [b + 1e-9 * (1.0 + b) for b in budgets]
+    spend = [0.0] * len(cap)
+    bin_of = [0] * n
+    best_assign: dict[str, int] = {}
+    best_score, _, best = leaf(best_assign)
+    floor = best_score - 1e-9 * (1.0 + abs(best_score))
 
-    def dfs(j: int, cur: float, spend: float) -> None:
-        nonlocal best
-        slack = 1e-9 * (1.0 + abs(best.objective))
-        if cur + bound[j] < best.objective - slack:
+    def dfs(j: int, cur: float) -> None:
+        nonlocal best_score, best_assign, best, floor
+        if cur + bound[j] < floor:
             return
         if j == n:
-            cand = evaluate_selection(problem, (order[p] for p in stack))
-            if cand.spend <= problem.budget and better_selection(cand, best):
-                best = cand
+            assign = {order[p]: t for p, t in enumerate(bin_of) if t}
+            score, fits, result = leaf(assign)
+            if fits and better_assignment(score, assign, best_score, best_assign):
+                best_score, best_assign, best = score, assign, result
+                floor = score - 1e-9 * (1.0 + abs(score))
             return
-        if spend + cost[j] <= problem.budget + budget_slack:
-            extra = item_term[j]
-            for other, term in pairs_at[j]:
-                if in_set[other]:
-                    extra += term
-            in_set[j] = 1
-            stack.append(j)
-            dfs(j + 1, cur + extra, spend + cost[j])
-            stack.pop()
-            in_set[j] = 0
-        dfs(j + 1, cur, spend)
+        c = cost[j]
+        for t, extra in options[j]:
+            held = spend[t]
+            if held + c <= cap[t]:
+                for other, term in pairs_at[j]:
+                    if bin_of[other] == t:
+                        extra += term
+                bin_of[j] = t
+                spend[t] = held + c
+                dfs(j + 1, cur + extra)
+                spend[t] = held
+                bin_of[j] = 0
+        dfs(j + 1, cur)
 
-    dfs(0, 0.0, 0.0)
-    return best
+    dfs(0, 0.0)
+    del dfs  # dfs refers to itself; breaking the cycle frees the search state now, not at a GC pass
+    return best_assign, best
+
+
+def optimize_subset(problem: SelectionProblem) -> Selection:
+    """Exact maximizer of the selection objective within the budget: one bin
+    of `_best_assignment`, item terms m' v - c, pair terms m' d."""
+    mprime = problem.m / 1000.0
+
+    def leaf(assign: dict[str, int]) -> tuple[float, bool, Selection]:
+        sel = evaluate_selection(problem, assign)
+        return sel.objective, sel.spend <= problem.budget, sel
+
+    terms = {i: (mprime * problem.values[i] - problem.costs[i],) for i in problem.ids}
+    pair_terms = {pair: mprime * d for pair, d in problem.corrections.items()}
+    return _best_assignment(problem.costs, terms, pair_terms, (problem.budget,), leaf)[1]
 
 
 def format_problem(problem: SelectionProblem) -> str:

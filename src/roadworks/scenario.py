@@ -27,6 +27,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .equilibrium import SolverSettings, solve_with
@@ -437,7 +438,8 @@ def error_report(
     `reference` (default: `table` itself) whose exact delta is nonzero; the
     computations column counts the coefficient subsets an order-k estimator
     consumes from `table`.  A row's label names the largest coefficient size
-    it sums, not k.
+    it sums, not k, and says "all" only when every subset of each size from 2
+    up to it has a coefficient.
     """
     ref = reference if reference is not None else table
     gold = {S: d for S, d in ref.evaluated_subsets.items() if len(S) >= 3}
@@ -446,12 +448,13 @@ def error_report(
     rows = []
     for k in orders:
         top = max((size for size in sizes if size <= k), default=1)
+        full = all(sizes.count(size) == comb(n, size) for size in range(2, top + 1))
         if top == 1:
             label = "individual only"
         elif top == 2:
-            label = "all pairwise" if sizes.count(2) == n * (n - 1) // 2 else "significant pairwise"
+            label = "all pairwise" if full else "significant pairwise"
         else:
-            label = f"all subsets size <= {top}"
+            label = f"{'all' if full else 'some'} subsets size <= {top}"
         computations = sum(1 for size in sizes if size <= k)
         errors = []
         negatives = 0

@@ -14,7 +14,8 @@ Exact optimization would need a factorial number of equilibrium solves, so
 two tractable strategies are provided: a greedy heuristic (pick the subset
 that is optimal at the horizon, then re-optimize what to build period by
 period on the evolving network) and an exact solver for the linear model
-that ignores interactions.
+that ignores interactions.  Both run `portfolio`'s one branch and bound and
+tie-break: greedy through `optimize_subset`, the linear model with T bins.
 
 Every delta, in greedy's period tables, `period_singles` and `realized_npv`,
 comes from a `scenario.DeltaBook`, so a (network, demand) pair reached twice
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .equilibrium import SolverSettings
 from .errors import DataError, ParseError
 from .network import DemandMatrix, Network, UpgradeSet, apply_upgrades
-from .portfolio import DEFAULT_M, SelectionProblem, optimize_subset
+from .portfolio import DEFAULT_M, SelectionProblem, _best_assignment, better_assignment, optimize_subset
 from .scenario import DeltaBook
 
 __all__ = [
@@ -274,94 +276,36 @@ def make_schedule(
     )
 
 
-def better_assignment(
-    npv_a: float,
-    assign_a: Mapping[str, int],
-    npv_b: float,
-    assign_b: Mapping[str, int],
-) -> bool:
-    """True when a beats b: NPV, then fewer builds, then lex (id, period)s."""
-    if npv_a != npv_b:
-        return npv_a > npv_b
-    if len(assign_a) != len(assign_b):
-        return len(assign_a) < len(assign_b)
-    return sorted(assign_a.items()) < sorted(assign_b.items())
-
-
 def independent_schedule(
     period_values: PeriodValues,
     upgrades: UpgradeSet,
     horizon: PlanningHorizon,
 ) -> Schedule:
-    """Exact optimum of the no-interaction (linear) schedule model.
-
-    Branch and bound over upgrades in id order; each takes a period in 1..T
-    or stays unbuilt.  The bound sums each remaining upgrade's best positive
-    term over periods, ignoring budgets, so it never undercounts.  Candidate
-    leaves are re-scored by schedule_npv and compared under the same
-    tie-break as the portfolio solver, so the result matches exhaustive
-    enumeration exactly.
+    """Exact optimum of the no-interaction (linear) schedule model: T bins of
+    `portfolio._best_assignment`, where upgrade i in period t earns
+    m' v_it / (1+r)^t - c_i; leaves are scored by `schedule_npv` and must
+    keep the canonical `period_spend` within every budget.
     """
-    ids = sorted(upgrades.ids)
     T = horizon.T
-    missing = [
-        (i, t) for i in ids for t in range(1, T + 1) if (i, t) not in period_values
-    ]
+    missing = [(i, t) for i in sorted(upgrades.ids) for t in range(1, T + 1) if (i, t) not in period_values]
     if missing:
         i, t = missing[0]
-        raise DataError(
-            f"independent model needs v_it for every upgrade and period; "
-            f"missing ({i}, {t}) and {len(missing) - 1} more"
-        )
+        raise DataError(f"independent model needs v_it for every upgrade and period; "
+                        f"missing ({i}, {t}) and {len(missing) - 1} more")
     mprime = horizon.m / 1000.0
-    term: dict[tuple[str, int], float] = {}
-    for i in ids:
-        cost = upgrades.by_id[i].cost
-        for t in range(1, T + 1):
-            term[(i, t)] = present_value(mprime, t, horizon.rate) * period_values[(i, t)] - cost
-    n = len(ids)
-    bound = [0.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        best_term = max(term[(ids[j], t)] for t in range(1, T + 1)) if T else 0.0
-        bound[j] = bound[j + 1] + max(0.0, best_term)
+    coeff = [present_value(mprime, t, horizon.rate) for t in range(1, T + 1)]
+    costs = {u.id: u.cost for u in upgrades}
+    terms = {i: [k * period_values[(i, t)] - c for t, k in enumerate(coeff, 1)] for i, c in costs.items()}
 
-    best_assign: dict[str, int] = {}
-    best_npv = schedule_npv(period_values, {}, upgrades, horizon, best_assign)
-    budget_slack = [1e-9 * (1.0 + b) for b in horizon.budgets]
-    chosen: dict[str, int] = {}
-    spend = [0.0] * T
+    def leaf(assign: dict[str, int]) -> tuple[float, bool, tuple | None]:
+        spend = period_spend(upgrades, horizon, assign)
+        if not all(map(le, spend, horizon.budgets)):
+            return 0.0, False, None
+        npv = schedule_npv(period_values, {}, upgrades, horizon, assign)
+        return npv, True, (spend, npv)
 
-    def consider() -> None:
-        nonlocal best_assign, best_npv
-        canon = period_spend(upgrades, horizon, chosen)
-        for t in range(T):
-            if canon[t] > horizon.budgets[t]:
-                return
-        npv = schedule_npv(period_values, {}, upgrades, horizon, chosen)
-        if better_assignment(npv, chosen, best_npv, best_assign):
-            best_npv = npv
-            best_assign = dict(chosen)
-
-    def dfs(j: int, cur: float) -> None:
-        slack = 1e-9 * (1.0 + abs(best_npv))
-        if cur + bound[j] < best_npv - slack:
-            return
-        if j == n:
-            consider()
-            return
-        i = ids[j]
-        cost = upgrades.by_id[i].cost
-        for t in range(1, T + 1):
-            if spend[t - 1] + cost <= horizon.budgets[t - 1] + budget_slack[t - 1]:
-                chosen[i] = t
-                spend[t - 1] += cost
-                dfs(j + 1, cur + term[(i, t)])
-                spend[t - 1] -= cost
-                del chosen[i]
-        dfs(j + 1, cur)
-
-    dfs(0, 0.0)
-    return make_schedule(period_values, {}, upgrades, horizon, best_assign)
+    assign, (spend, npv) = _best_assignment(costs, terms, {}, horizon.budgets, leaf)
+    return Schedule(dict(sorted(assign.items())), spend, npv)
 
 
 def greedy_schedule(

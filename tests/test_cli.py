@@ -68,6 +68,32 @@ def test_solve_apply_accepts_indices(data_dir, capsys):
     assert by_id == by_index
 
 
+def test_numeric_upgrade_ids_are_ids_not_positions(data_dir, tmp_path, capsys):
+    # projects named 2 then 1: the token 2 names project 2, not the second project
+    projects = (
+        "PROJECT {} 800 capacity-upgrade\n  MOD 1 3 CAPACITY=800\n"
+        "PROJECT {} 1500 new-road\n  ADD 3 5 600 2 2 0.15 4\n  ADD 5 3 600 2 2 0.15 4\n"
+        "PROJECT {} 800 capacity-upgrade\n  MOD 5 6 CAPACITY=800\n"
+    )
+    numbered, lettered = tmp_path / "numbered.upg", tmp_path / "lettered.upg"
+    numbered.write_text(projects.format("2", "1", "C"))
+    lettered.write_text(projects.format("A", "X", "C"))
+
+    def run(command, upgrades, *extra):
+        argv = desk_args(data_dir, command, "--gap", "1e-7", *extra)
+        argv[argv.index("--upgrades") + 1] = str(upgrades)
+        assert main(argv) == 0
+        return out_lines(capsys)
+
+    explicit = ("--mode", "explicit", "--subset")
+    by_number = run("deltas", numbered, *explicit, "2")[1].split()
+    by_letter = run("deltas", lettered, *explicit, "A")[1].split()
+    assert by_number[0] == "2" and by_number[1:] == by_letter[1:]
+    assert run("solve", numbered, "--apply", "2") == run("solve", lettered, "--apply", "A")
+    # a bare integer that names no upgrade is still a 1-based position
+    assert run("solve", numbered, "--apply", "3") == run("solve", lettered, "--apply", "C")
+
+
 def test_missing_file_names_path(data_dir, capsys):
     rc = main(
         [
@@ -279,6 +305,17 @@ def test_predict_pairs_needs_exactly_one_mode(data_dir, capsys):
     )
     assert main(both) == 1
     capsys.readouterr()
+
+
+def test_predict_pairs_takes_no_pairs_file(data_dir, tmp_path, capsys):
+    # predict-pairs screens pairs; a pair file is read only by the commands that use one
+    screen = ("--pairs-threshold", "10.5")
+    assert main(desk_args(data_dir, "predict-pairs", *screen, "--pairs-file", "/nonexistent/pairs.txt")) == 1
+    assert "unrecognized arguments: --pairs-file" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pairs_file": "/nonexistent/pairs.txt"}))
+    assert main(desk_args(data_dir, "predict-pairs", *screen, "--config", str(config))) == 1
+    assert "matches no flag" in capsys.readouterr().err
 
 
 def test_predict_pairs_kmeans(data_dir, capsys):
@@ -572,6 +609,17 @@ def test_error_report_labels_rows_by_the_coefficients_they_sum(data_dir, tmp_pat
     assert main(desk_args(data_dir, "error-report", *common)) == 0
     full = [line[:24].strip() for line in out_lines(capsys)[2:]]
     assert full == ["individual only", "all pairwise"] + ["all subsets size <= 3"] * 2
+
+
+def test_error_report_says_some_when_subsets_of_a_size_are_missing(data_dir, tmp_path, capsys):
+    # the 8 singles, the pairs and the one triple of C-A1, C-A2, C-B1: 1 of the 56 triples
+    cache = tmp_path / "sparse.cache"
+    singles = ["C-A1", "C-A2", "C-A3", "C-B1", "C-B2", "C-B3", "C-X1", "C-X2"]
+    _explicit_cache(data_dir, cache, *singles, "C-A1,C-A2", "C-A1,C-B1", "C-A2,C-B1", "C-A1,C-A2,C-B1")
+    capsys.readouterr()
+    assert main(desk_args(data_dir, "error-report", "--gap", "1e-5", "--cache", str(cache), "--orders", "1,2,3")) == 0
+    rows = [(line[:24].strip(), int(line[24:37])) for line in out_lines(capsys)[2:]]
+    assert rows == [("individual only", 8), ("significant pairwise", 11), ("some subsets size <= 3", 12)]
 
 
 def test_cache_refused_for_other_node_coordinates_says_why(data_dir, tmp_path, capsys):

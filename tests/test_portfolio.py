@@ -1,6 +1,7 @@
 """Budgeted selection: canonical objective, tie-breaks, exact optimizer."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -151,15 +152,34 @@ def test_negative_item_needs_synergy():
     assert optimize_subset(solo).chosen == ()
 
 
+def tied_problem(rng):
+    """Integer values and pair terms at m' = 1 over two cost levels: many equal optima."""
+    n = rng.randint(2, 8)
+    ids = tuple(rng.sample([f"t{i}" for i in range(n)], n))  # not in id order
+    pairs = [(a, b) for a in ids for b in ids if a < b and rng.random() < 0.3]
+    return SelectionProblem(
+        ids=ids,
+        values={i: float(rng.choice([10, 25, 25, 40])) for i in ids},
+        costs={i: float(rng.choice([10, 20])) for i in ids},
+        corrections={pair: float(rng.choice([-15, 0, 5])) for pair in pairs},
+        budget=float(rng.choice([0, 10, 20, 30, 40, 60])),
+        m=1000.0,
+    )
+
+
 def test_optimizer_matches_exhaustive_search():
     rng = random.Random(1618)
-    for _ in range(60):
-        p = random_problem(rng)
+    problems = [random_problem(rng) for _ in range(60)] + [tied_problem(rng) for _ in range(60)]
+    tied = 0
+    for p in problems:
         got = optimize_subset(p)
         want = exhaustive_best_subset(p)
         assert got.chosen == want.chosen
         assert got.objective == want.objective
         assert got.spend <= p.budget
+        every = [evaluate_selection(p, S) for r in range(len(p.ids) + 1) for S in combinations(p.ids, r)]
+        tied += sum(s.objective == want.objective and s.spend <= p.budget for s in every) > 1
+    assert tied >= 10  # the tie-break decides many of these
 
 
 def test_optimizer_matches_knapsack_when_pairs_vanish():

@@ -1,6 +1,7 @@
 """Multi-period scheduling: NPV arithmetic, exact and heuristic solvers."""
 
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -207,15 +208,37 @@ def random_linear_instance(rng):
     return values, ups, horizon
 
 
+def tied_linear_instance(rng):
+    """Equal costs, integer values, rate 0 and m' = 1: many equal optima."""
+    n, T = rng.randint(2, 6), rng.randint(1, 3)
+    while (T + 1) ** n > 3000:
+        n -= 1
+    ids = rng.sample([f"q{i}" for i in range(n)], n)  # not in id order
+    ups = UpgradeSet(tuple(dummy_upgrade(i, 10) for i in ids))
+    horizon = paper_horizon([float(rng.choice([0, 10, 20, 30])) for _ in range(T)])
+    values = {(i, t): float(rng.choice([5, 10, 20, 20])) for i in ids for t in range(1, T + 1)}
+    return values, ups, horizon
+
+
 def test_independent_matches_exhaustive():
     rng = random.Random(88)
-    for _ in range(30):
-        values, ups, horizon = random_linear_instance(rng)
+    instances = [random_linear_instance(rng) for _ in range(30)] + [tied_linear_instance(rng) for _ in range(40)]
+    tied = 0
+    for values, ups, horizon in instances:
         got = independent_schedule(values, ups, horizon)
         want_npv, want_assign = exhaustive_best_schedule(values, {}, ups, horizon)
         assert got.npv == want_npv
         assert got.assignments == want_assign
+        assert list(got.assignments) == sorted(got.assignments)
         assert check_schedule(ups, horizon, got.assignments).ok
+        ids = sorted(ups.ids)
+        optima = 0
+        for choice in product(range(horizon.T + 1), repeat=len(ids)):
+            assign = {i: t for i, t in zip(ids, choice) if t}
+            if check_schedule(ups, horizon, assign).ok:
+                optima += schedule_npv(values, {}, ups, horizon, assign) == want_npv
+        tied += optima > 1
+    assert tied >= 10  # the tie-break decides many of these
 
 
 def test_independent_requires_complete_values():
