@@ -41,7 +41,7 @@ Example:
 import argparse
 import sys
 import time
-from dataclasses import replace
+import warnings
 from pathlib import Path
 
 from roadworks import (
@@ -102,7 +102,9 @@ def main(argv=None):
     )
     args = ap.parse_args(argv)
     try:
-        return run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return run(args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -117,7 +119,7 @@ def run(args):
     stamp(f"parsing {args.net}")
     net = parse_network(Path(args.net).read_text())
     if args.nodes:
-        net = replace(net, coordinates=parse_nodes(Path(args.nodes).read_text()))
+        net = net.with_coordinates(parse_nodes(Path(args.nodes).read_text()))
     demand = parse_demand(Path(args.trips).read_text())
     upgrades = parse_upgrades(Path(args.projects).read_text(), network=net)
     stamp(

@@ -12,12 +12,17 @@ error-report take --gap alone, as the target gap their cache was built at.
 
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 solver
 failure.  Any flag may instead be given in a JSON --config file keyed by the
-flag name with dashes as underscores; explicit flags win.
+flag name with dashes as underscores.  Its values are read as flag tokens put
+before the explicit ones, so explicit flags win: a string or number is the
+flag's value text, true turns a switch on, false and null are dropped, and a
+list is one --subset per element (dropped when --subset is given) or, for any
+other flag, its elements joined with commas.  Other values are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -83,65 +88,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_DEFAULTS = {
-    "gap": 1e-4,
-    "max_iters": 1000,
-    "workers": 1,
-    "m": 3650.0,
-    "rate": 0.0,
-    "seed": 0,
-    "kmeans_restarts": 10,
-    "mode": "individual",
-    "orders": "1,2,3",
-}
-
-_COERCE = {
-    "gap": float,
-    "m": float,
-    "rate": float,
-    "budget": float,
-    "pairs_threshold": float,
-    "max_iters": int,
-    "workers": int,
-    "seed": int,
-    "pairs_count": int,
-    "kmeans_k": int,
-    "kmeans_restarts": int,
-    "max_size": int,
-}
-
-
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config, then apply hard defaults."""
-    if getattr(args, "config", None):
-        try:
-            data = json.loads(_read(args.config))
-        except ValueError as exc:
-            raise _UsageError(f"config {args.config}: {exc}")
-        if not isinstance(data, dict):
-            raise _UsageError(f"config {args.config}: expected a JSON object")
-        for raw_key, value in data.items():
-            key = raw_key.replace("-", "_")
-            if not hasattr(args, key):
-                raise _UsageError(f"config key {raw_key!r} matches no flag of this command")
-            current = getattr(args, key)
-            if current is None or current is False or current == []:
-                setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    for key, conv in _COERCE.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            try:
-                setattr(args, key, conv(value))
-            except (TypeError, ValueError):
-                raise _UsageError(f"--{key.replace('_', '-')}: bad value {value!r}")
+def _config_tokens(args: argparse.Namespace, flags: Sequence[str]) -> list[str]:
+    """The --config file as flag tokens of this command, to go before the explicit ones."""
+    try:
+        data = json.loads(_read(args.config))
+    except ValueError as exc:
+        raise _UsageError(f"config {args.config}: {exc}")
+    if not isinstance(data, dict):
+        raise _UsageError(f"config {args.config}: expected a JSON object")
+    tokens = []
+    for key, value in data.items():
+        flag = key.replace("_", "-")
+        if flag not in flags:
+            raise _UsageError(f"config key {key!r} matches no flag of this command")
+        action = _FLAGS[flag].get("action")
+        if value is None or value is False or (action == "append" and args.subset is not None):
+            continue
+        if action == "store_true":
+            if value is not True:
+                raise _UsageError(f"config key {key!r}: a switch takes true or false, not {value!r}")
+            tokens.append(f"--{flag}")
+            continue
+        values = value if isinstance(value, list) else [value]
+        if any(type(v) not in (str, int, float) for v in values):
+            raise _UsageError(f"config key {key!r}: bad value {value!r}")
+        texts = [str(v) for v in values]
+        tokens += [f"--{flag}={text}" for text in (texts if action == "append" else [",".join(texts)])]
+    return tokens
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -207,7 +185,6 @@ def _open_cache(args, net: Network, demand: DemandMatrix) -> FileDeltaCache:
 
 
 def cmd_solve(args) -> int:
-    _require(args, "net", "trips")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     if args.apply:
@@ -225,7 +202,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_deltas(args) -> int:
-    _require(args, "net", "trips", "upgrades")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
@@ -259,7 +235,6 @@ def cmd_deltas(args) -> int:
 
 
 def cmd_predict_pairs(args) -> int:
-    _require(args, "net", "nodes", "upgrades")
     net = _load_network(args)
     upgrades = _load_upgrades(args, net)
     if sum(x is not None for x in (args.pairs_threshold, args.pairs_count, args.kmeans_k)) != 1:
@@ -279,7 +254,6 @@ def cmd_predict_pairs(args) -> int:
 
 
 def cmd_select(args) -> int:
-    _require(args, "net", "trips", "upgrades", "budget")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
@@ -302,19 +276,14 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _parse_budgets(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        parts = list(raw)
-    else:
-        parts = [p for p in str(raw).split(",") if p]
+def _parse_budgets(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise _UsageError(f"--budgets: bad value {raw!r}")
+        return tuple(float(p) for p in text.split(",") if p)
+    except ValueError:
+        raise _UsageError(f"--budgets: bad value {text!r}")
 
 
 def cmd_schedule(args) -> int:
-    _require(args, "net", "trips", "upgrades", "budgets")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
@@ -349,7 +318,6 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_error_report(args) -> int:
-    _require(args, "net", "trips", "upgrades")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
@@ -364,7 +332,7 @@ def cmd_error_report(args) -> int:
     if args.pairs_file is not None:
         used = restricted(table, pairs=_read_pairs(args.pairs_file, upgrades))
     try:
-        orders = [int(p) for p in str(args.orders).split(",") if p]
+        orders = [int(p) for p in args.orders.split(",") if p]
     except ValueError:
         raise _UsageError(f"--orders: bad value {args.orders!r}")
     if not orders or any(k < 1 for k in orders):
@@ -374,84 +342,67 @@ def cmd_error_report(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *solver_flags: str) -> None:
-    p.add_argument("--config", help="JSON file of flag defaults")
-    p.add_argument("--net", help="TNTP network file")
-    p.add_argument("--trips", help="TNTP trips (demand) file")
-    p.add_argument("--nodes", help="TNTP node coordinate file")
-    p.add_argument("--upgrades", help="candidate upgrade file")
-    if "gap" in solver_flags:
-        p.add_argument("--gap", type=float, help="relative-gap convergence target")
-    if "max-iters" in solver_flags:
-        p.add_argument("--max-iters", type=int, help="iteration cap per equilibrium solve")
-    if "workers" in solver_flags:
-        p.add_argument("--workers", type=int, help="concurrent subset evaluations")
-    p.add_argument("--out", help="also write the command's output here")
+# Every flag once, as its argparse keywords; a command lists the flags it takes.
+_FLAGS = {
+    "config": dict(help="JSON file of flag defaults"),
+    "net": dict(help="TNTP network file"),
+    "trips": dict(help="TNTP trips (demand) file"),
+    "nodes": dict(help="TNTP node coordinate file"),
+    "upgrades": dict(help="candidate upgrade file"),
+    "out": dict(help="also write the command's output here"),
+    "gap": dict(type=float, default=1e-4, help="relative-gap convergence target"),
+    "max-iters": dict(type=int, default=1000, help="iteration cap per equilibrium solve"),
+    "workers": dict(type=int, default=1, help="concurrent subset evaluations"),
+    "apply": dict(help="comma-separated upgrade ids to build first"),
+    "cache": dict(help="delta cache file (deltas creates it if absent)"),
+    "mode": dict(choices=["individual", "pairs", "all-subsets", "explicit"], default="individual",
+                 help="which subsets to evaluate"),
+    "subset": dict(action="append", help="explicit subset (repeatable)"),
+    "max-size": dict(type=int, help="largest subset size for all-subsets"),
+    "pairs-file": dict(help="explicit significant-pair list"),
+    "pairs-threshold": dict(type=float, help="flag pairs closer than this"),
+    "pairs-count": dict(type=int, help="flag the closest N pairs"),
+    "kmeans-k": dict(type=int, help="cluster count for k-means screening"),
+    "kmeans-restarts": dict(type=int, default=10, help="k-means restarts"),
+    "seed": dict(type=int, default=0, help="seed for k-means"),
+    "budget": dict(type=float, help="total budget, k$"),
+    "budgets": dict(help="per-period budgets, comma separated, k$"),
+    "rate": dict(type=float, default=0.0, help="annual interest rate, e.g. 0.04"),
+    "m": dict(type=float, default=3650.0, help="dollars per unit of daily VHT per year"),
+    "growth-file": dict(help="SCALE rules for per-period demand growth"),
+    "independent": dict(action="store_true", help="exact no-interaction model"),
+    "cache-dir": dict(help="directory of delta caches, one per network and demand"),
+    "orders": dict(default="1,2,3", help="estimate orders to report, e.g. 1,2,3"),
+}
+
+_INPUTS = "config net trips nodes upgrades out"
+_PAIRS = "pairs-file pairs-threshold pairs-count"
+# name: (help, function, the flags it requires, the flags it takes beyond _INPUTS)
+_COMMANDS = {
+    "solve": ("solve one user-equilibrium assignment", cmd_solve, "net trips", "gap max-iters apply"),
+    "deltas": ("evaluate upgrade subsets into a cache", cmd_deltas, "net trips upgrades",
+               f"gap max-iters workers cache mode subset max-size {_PAIRS}"),
+    "predict-pairs": ("screen for interacting upgrade pairs", cmd_predict_pairs, "net nodes upgrades",
+                      "pairs-threshold pairs-count kmeans-k kmeans-restarts seed"),
+    "select": ("pick the best subset within a budget", cmd_select, "net trips upgrades budget",
+               f"gap cache budget m {_PAIRS}"),
+    "schedule": ("plan upgrades across budget periods", cmd_schedule, "net trips upgrades budgets",
+                 f"gap max-iters workers budgets rate m growth-file independent cache-dir {_PAIRS}"),
+    "error-report": ("estimator accuracy from cached deltas", cmd_error_report, "net trips upgrades",
+                     "gap cache orders pairs-file"),
+}
 
 
-def _add_pair_flags(p: argparse.ArgumentParser, file: bool = True) -> None:
-    if file:
-        p.add_argument("--pairs-file", help="explicit significant-pair list")
-    p.add_argument("--pairs-threshold", type=float, help="flag pairs closer than this")
-    p.add_argument("--pairs-count", type=int, help="flag the closest N pairs")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The roadworks parser, built once per process and shared: never modify it."""
     parser = _Parser(prog="roadworks", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    p = sub.add_parser("solve", help="solve one user-equilibrium assignment")
-    _add_common(p, "gap", "max-iters")
-    p.add_argument("--apply", help="comma-separated upgrade ids to build first")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("deltas", help="evaluate upgrade subsets into a cache")
-    _add_common(p, "gap", "max-iters", "workers")
-    p.add_argument("--cache", help="delta cache file (created if absent)")
-    p.add_argument(
-        "--mode", choices=["individual", "pairs", "all-subsets", "explicit"],
-        help="which subsets to evaluate",
-    )
-    p.add_argument("--subset", action="append", help="explicit subset (repeatable)")
-    p.add_argument("--max-size", type=int, help="largest subset size for all-subsets")
-    _add_pair_flags(p)
-    p.set_defaults(func=cmd_deltas)
-
-    p = sub.add_parser("predict-pairs", help="screen for interacting upgrade pairs")
-    _add_common(p)
-    _add_pair_flags(p, file=False)
-    p.add_argument("--kmeans-k", type=int, help="cluster count for k-means screening")
-    p.add_argument("--kmeans-restarts", type=int, help="k-means restarts")
-    p.add_argument("--seed", type=int, help="seed for k-means")
-    p.set_defaults(func=cmd_predict_pairs)
-
-    p = sub.add_parser("select", help="pick the best subset within a budget")
-    _add_common(p, "gap")
-    p.add_argument("--cache", help="delta cache file holding the needed subsets")
-    p.add_argument("--budget", type=float, help="total budget, k$")
-    p.add_argument("--m", type=float, help="dollars per unit of daily VHT per year")
-    _add_pair_flags(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("schedule", help="plan upgrades across budget periods")
-    _add_common(p, "gap", "max-iters", "workers")
-    p.add_argument("--budgets", help="per-period budgets, comma separated, k$")
-    p.add_argument("--rate", type=float, help="annual interest rate, e.g. 0.04")
-    p.add_argument("--m", type=float, help="dollars per unit of daily VHT per year")
-    p.add_argument("--growth-file", help="SCALE rules for per-period demand growth")
-    p.add_argument("--independent", action="store_true", help="exact no-interaction model")
-    p.add_argument("--cache-dir", help="directory of delta caches, one per network and demand")
-    _add_pair_flags(p)
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("error-report", help="estimator accuracy from cached deltas")
-    _add_common(p, "gap")
-    p.add_argument("--cache", help="delta cache file with exact subset deltas")
-    p.add_argument("--orders", help="estimate orders to report, e.g. 1,2,3")
-    p.add_argument("--pairs-file", help="restrict the estimator to these pairs")
-    p.set_defaults(func=cmd_error_report)
-
+    for name, (text, _, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in f"{_INPUTS} {flags}".split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -460,13 +411,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             args = parser.parse_args(argv)
-            _merge_config(args)
-            return args.func(args)
+            _, func, required, flags = _COMMANDS[args.command]
+            if args.config:
+                tokens = _config_tokens(args, f"{_INPUTS} {flags}".split())
+                args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            _require(args, *required.split())
+            return func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

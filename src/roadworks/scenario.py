@@ -273,6 +273,8 @@ class DeltaBook:
     """
 
     def __init__(self, settings: SolverSettings, workers: int = 1, cache_dir: str | None = None):
+        if workers < 1:
+            raise DataError("workers must be at least 1")
         self.settings = settings
         self.workers = workers
         self.cache_dir = cache_dir

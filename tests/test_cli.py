@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from roadworks.cli import main
+from roadworks.cli import build_parser, main
 
 DESK = {
     "net": "desk_net.tntp",
@@ -669,3 +669,90 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path, capsys):
     config.write_text("{not json")
     assert main(["solve", "--config", str(config)]) == 1
     capsys.readouterr()
+
+
+
+def write_config(tmp_path, data, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def body_subsets(capsys):
+    return [line.split()[0] for line in out_lines(capsys)[1:-1]]
+
+
+# each was taken at face value: "false" ran the independent model, true became
+# a target gap of 1.0 and 2.7 a cap of 2 iterations
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("schedule", "independent", "false"),
+        ("schedule", "independent", 1),
+        ("solve", "gap", True),
+        ("solve", "max_iters", 2.7),
+        ("deltas", "subset", [["C-A1", "C-B1"]]),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_1(data_dir, tmp_path, capsys, command, key, value):
+    extra = ["--budgets", "900,1700"] if command == "schedule" else []
+    assert main(desk_args(data_dir, command, *extra, "--config", write_config(tmp_path, {key: value}))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert key.replace("_", "-") in captured.err.replace("_", "-")
+
+
+def test_config_subset_string_is_one_subset(data_dir, tmp_path, capsys):
+    config = write_config(tmp_path, {"mode": "explicit", "subset": "C-A1,C-B1"})
+    assert main(desk_args(data_dir, "deltas", "--config", config)) == 0
+    assert body_subsets(capsys) == ["C-A1,C-B1"]
+
+
+def test_explicit_subset_replaces_the_config_list(data_dir, tmp_path, capsys):
+    # one subset per element; a number is a 1-based position, as on the command line
+    config = write_config(tmp_path, {"mode": "explicit", "subset": ["C-A1,C-B1", 2]})
+    assert main(desk_args(data_dir, "deltas", "--config", config)) == 0
+    assert body_subsets(capsys) == ["C-A2", "C-A1,C-B1"]
+    assert main(desk_args(data_dir, "deltas", "--config", config, "--subset", "C-B2")) == 0
+    assert body_subsets(capsys) == ["C-B2"]
+
+
+def test_config_lists_match_the_comma_form(data_dir, tmp_path, capsys):
+    outputs = []
+    for budgets in ("900,900,1700", [900, 900, 1700]):
+        config = write_config(tmp_path, {"budgets": budgets, "rate": 0.05, "pairs_threshold": 10.5})
+        assert main(desk_args(data_dir, "schedule", "--gap", "1e-6", "--config", config)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+    cache = tmp_path / "triple.cache"
+    _explicit_cache(data_dir, cache, "C-A1", "C-A2", "C-B1", "C-A1,C-A2", "C-A1,C-A2,C-B1")
+    capsys.readouterr()
+    outputs = []
+    for orders in ("1,2,3", [1, 2, 3]):
+        config = write_config(tmp_path, {"orders": orders})
+        assert main(desk_args(data_dir, "error-report", "--gap", "1e-5", "--cache", str(cache), "--config", config)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_config_files_do_not_leak_between_calls(data_dir, tmp_path, capsys):
+    # the parser is built once per process and shared by every call
+    assert build_parser() is build_parser()
+
+    def solve(*extra):
+        assert main(desk_args(data_dir, "solve", *extra)) == 0
+        return capsys.readouterr()
+
+    plain = solve()
+    built = write_config(tmp_path, {"apply": "C-A1"}, "built.json")
+    capped = write_config(tmp_path, {"max_iters": 1}, "capped.json")
+    assert solve("--config", built) == solve("--apply", "C-A1") != plain
+    assert solve("--config", capped) == solve("--max-iters", "1") != plain
+    assert solve() == plain
+
+
+def test_worker_count_below_one_exits_2(data_dir, capsys):
+    assert main(desk_args(data_dir, "deltas", "--workers", "-3")) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"

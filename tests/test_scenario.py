@@ -247,6 +247,12 @@ def test_delta_book_keeps_one_cache_per_network_and_demand(desk, tmp_path):
     assert warm.tap_solves == 0
 
 
+def test_delta_book_rejects_a_worker_count_below_one():
+    for workers in (0, -3):
+        with pytest.raises(DataError, match="workers must be at least 1"):
+            DeltaBook(SolverSettings(), workers=workers)
+
+
 def test_two_books_over_one_cache_dir_solve_each_row_once(desk, tmp_path):
     settings = SolverSettings(target_gap=1e-6)
     book = DeltaBook(settings, cache_dir=str(tmp_path))

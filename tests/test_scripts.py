@@ -36,6 +36,13 @@ def driver_args(data_dir, cache_dir, *extra, gap="1e-8"):
     ]
 
 
+def run_script(argv):
+    """The driver in a process of its own, so its warnings reach stderr as a user sees them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPT), *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 def unstamped(out):
     return re.sub(r"^\[[0-9:]+\] ", "", out, flags=re.M)
 
@@ -151,13 +158,23 @@ def test_fullscale_driver_rejects_a_cache_for_another_gap(data_dir, tmp_path, ca
     cache_dir = tmp_path / "cache"
     assert load_script().main(driver_args(data_dir, cache_dir, "--skip-schedule")) == 0
     capsys.readouterr()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    rerun = subprocess.run(
-        [sys.executable, str(SCRIPT), *driver_args(data_dir, cache_dir, "--skip-schedule", gap="1e-6")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    rerun = run_script(driver_args(data_dir, cache_dir, "--skip-schedule", gap="1e-6"))
     assert rerun.returncode == 2
     assert "Traceback" not in rerun.stderr
     assert rerun.stderr.startswith(f"error: cache {cache_dir}")
     assert "different target_gap" in rerun.stderr
+
+
+def test_fullscale_driver_prints_warnings_as_the_cli_does(data_dir, tmp_path):
+    run = run_script(driver_args(data_dir, tmp_path / "cache", "--skip-schedule", "--max-iters", "1"))
+    assert run.returncode == 0
+    lines = run.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert "stopped after 1 iterations" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
+def test_fullscale_driver_rejects_a_worker_count_below_one(data_dir, tmp_path, capsys):
+    argv = driver_args(data_dir, tmp_path / "cache", "--skip-schedule", "--workers", "0")
+    assert load_script().main(argv) == 2
+    assert capsys.readouterr().err == "error: workers must be at least 1\n"
