@@ -43,7 +43,6 @@ from .scenario import (
     error_report,
     estimate_delta,
     format_error_report,
-    relative_error,
     restricted,
     table_from_cache,
     table_from_evaluated,

@@ -5,10 +5,11 @@ cache), predict-pairs (geometric interaction screening), select (budgeted
 subset from cached deltas), schedule (multi-period plan), error-report
 (estimator accuracy against cached exact deltas).  All of them reach the
 subset layer in `scenario`: deltas fills a cache through compute_deltas,
-select and error-report read it with table_from_cache and never solve, and
-schedule keeps one cache per network and demand in --cache-dir through a
-DeltaBook.  Solver flags go only to the commands that read them; select and
-error-report take --gap alone, as the target gap their cache was built at.
+select and error-report read an existing one with table_from_cache and never
+solve or create one, and schedule keeps one cache per network and demand in
+--cache-dir through a DeltaBook.  Solver flags go only to the commands that
+read them; select and error-report take --gap alone, as the target gap their
+cache was built at.
 
 Exit codes: 0 success, 1 usage error, 2 data or input error, 3 solver
 failure.  Any flag may instead be given in a JSON --config file keyed by the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from itertools import combinations
@@ -59,6 +61,7 @@ from .portfolio import (
 from .scenario import (
     DeltaBook,
     FileDeltaCache,
+    canonical_subset,
     compute_deltas,
     error_report,
     format_error_report,
@@ -179,9 +182,13 @@ def _pair_restriction(args, net: Network, upgrades: UpgradeSet):
     return None
 
 
-def _open_cache(args, net: Network, demand: DemandMatrix) -> FileDeltaCache:
+def _open_cache(args, net: Network, demand: DemandMatrix, create: bool = False) -> FileDeltaCache:
+    """The --cache file; only deltas may create it, the readers open it or fail."""
     _require(args, "cache")
-    return FileDeltaCache.open(args.cache, net, demand, SolverSettings(target_gap=args.gap))
+    settings = SolverSettings(target_gap=args.gap)
+    if not create and not os.path.exists(args.cache):
+        raise DataError(f"cache {args.cache} does not exist; run the deltas command to build it")
+    return FileDeltaCache.open(args.cache, net, demand, settings)
 
 
 def cmd_solve(args) -> int:
@@ -221,8 +228,10 @@ def cmd_deltas(args) -> int:
     else:  # explicit
         if not args.subset:
             raise _UsageError("explicit mode needs at least one --subset")
-        subsets = [tuple(_split_tokens(s, upgrades)) for s in args.subset]
-    cache = _open_cache(args, net, demand) if args.cache else None
+        subsets = [canonical_subset(upgrades, _split_tokens(s, upgrades)) for s in args.subset]
+    if args.workers < 1:
+        raise DataError("workers must be at least 1")
+    cache = _open_cache(args, net, demand, create=True) if args.cache else None
     table = compute_deltas(
         net, demand, upgrades, subsets, settings, cache=cache, workers=args.workers
     )

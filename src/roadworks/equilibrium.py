@@ -1,4 +1,4 @@
-"""User-equilibrium traffic assignment by conjugate Frank-Wolfe.
+"""User-equilibrium traffic assignment by bi-conjugate Frank-Wolfe.
 
 Latencies follow the BPR form ``l(f) = t (1 + alpha (f/Q)^beta)`` and the
 objective is the Beckmann sum of link latency integrals, for which the BPR
@@ -8,18 +8,29 @@ under current latencies and measures the relative gap
 
     gap = (f . l(f) - y . l(f)) / (f . l(f)).
 
-The step then runs from ``x`` towards the conjugate point
-``s = a s_prev + (1 - a) y`` of Mitradjieva & Lindberg (2013, "The stiff is
+The step then runs from ``x`` towards the bi-conjugate point
+``s = b0 y + b1 s1 + b2 s2`` of Mitradjieva & Lindberg (2013, "The stiff is
 moving - conjugate direction Frank-Wolfe methods with applications to traffic
-assignment"), whose weight makes the new direction conjugate to the previous
-one under the diagonal Hessian ``H = diag(l'(x))`` of separable BPR:
+assignment"), where ``s1`` and ``s2`` are the last two such points.  Its
+weights make the new direction conjugate to the last two directions under the
+diagonal Hessian ``H = diag(l'(x))`` of separable BPR.  With ``dfw = y - x``,
+``db = s1 - x``, ``dbb = tau s1 - x + (1 - tau) s2`` and ``tau`` the last
+step length:
 
-    a = (s_prev - x)' H (y - x) / (s_prev - x)' H (y - s_prev).
+    a  = db' H dfw / db' H (y - s1)                  (conjugate weight)
+    mu = max(0, -dbb' H dfw / dbb' H (s2 - s1))
+    nu = a / (1 - a) + mu tau / (1 - tau)
+    b0 = 1 / (1 + mu + nu),  b1 = nu b0,  b2 = mu b0.
 
-The first iteration, and any iteration with a zero denominator, takes
-``a = 0``: a plain Frank-Wolfe step.  ``a`` is clamped to ``[0, 1 - delta]``
-with ``delta = 0.05``; without that margin the conjugate point can stall on small networks
-at tight gaps, because a step of zero leaves ``x`` and ``s`` where they were.
+For an unclamped ``a``, ``a / (1 - a)`` is the paper's ``-db' H dfw / db' H
+db``; taking it from ``a`` makes ``mu = 0`` give exactly the conjugate point
+``a s1 + (1 - a) y``.  That is the fallback on the second iteration, when
+``tau`` is not in (0, 1), and when the denominator of ``mu`` is zero.  The
+first iteration, and a zero denominator of ``a``, take ``a = 0``: a plain
+Frank-Wolfe step.  ``a`` is clamped to ``[0, 1 - delta]``, and ``mu`` and
+``nu`` are scaled down so that ``b0 >= delta``, with ``delta = 0.05``; without
+that margin the point can stall on small networks at tight gaps, because a
+step of zero leaves ``x`` and ``s`` where they were.
 The step length is exact: a safeguarded Newton iteration on the derivative
 ``g'(lam) = d . l(x + lam d)`` with ``g''(lam) = sum d^2 l'(x + lam d)``,
 falling back to bisection whenever Newton leaves the bracket.  Each step is
@@ -79,8 +90,8 @@ _ARRAY_TREES_MIN_WORK = 16384
 # cheapest call (about 1 us against 3-4 us for einsum).
 _BLAS_FREE_MIN_LINKS = 8192
 
-# Margin that keeps the conjugate weight below 1, so the AON point always
-# enters the conjugate point with weight at least _CONJUGATE_MARGIN.
+# Margin that keeps the AON point in the bi-conjugate point with weight at
+# least _CONJUGATE_MARGIN.
 _CONJUGATE_MARGIN = 0.05
 
 # Line-search tolerance on the step length, and a bound on its Newton and
@@ -101,7 +112,7 @@ class Assignment:
     beckmann: float
     beckmann_history: list[float] = field(default_factory=list)
     gap_history: list[float] = field(default_factory=list)
-    # step lengths taken along the conjugate directions, one per iteration
+    # step lengths taken along the bi-conjugate directions, one per iteration
     # that moved on (all but the last)
     step_sizes: list[float] = field(default_factory=list)
 
@@ -112,6 +123,16 @@ class SolverSettings:
 
     target_gap: float = 1e-6
     max_iters: int = 10_000
+
+    def __post_init__(self):
+        _check_settings(self.target_gap, self.max_iters)
+
+
+def _check_settings(target_gap: float, max_iters: int) -> None:
+    if not target_gap > 0:
+        raise DataError("target_gap must be positive")
+    if max_iters < 1:
+        raise DataError("max_iters must be at least 1")
 
 
 def bpr_latency(link: Link, flow: float) -> float:
@@ -291,19 +312,47 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
     return 0.5 * (lo + hi)
 
 
-def _conjugate_point(
-    arrays: _LinkArrays, flows: np.ndarray, aon_flows: np.ndarray, previous: np.ndarray | None
-) -> np.ndarray:
-    """The conjugate point s = a s_prev + (1 - a) y, with a in [0, 1 - margin]."""
-    if previous is None:
-        return aon_flows
+def _direction_weights(
+    arrays: _LinkArrays,
+    flows: np.ndarray,
+    aon_flows: np.ndarray,
+    points: tuple[np.ndarray, ...],
+    tau: float,
+) -> tuple[float, float, float]:
+    """Weights (b0, b1, b2) of the bi-conjugate point b0 y + b1 s1 + b2 s2.
+
+    `points` holds the last two points s1, s2 (fewer in the first two
+    iterations) and `tau` is the step length taken towards s1.  The weights
+    are non-negative, sum to 1, and b0 is at least _CONJUGATE_MARGIN.
+    """
+    if not points:
+        return 1.0, 0.0, 0.0
     slope = arrays.slopes(flows)
-    hp = slope * (previous - flows)
-    den = float(arrays.dot(hp, aon_flows - previous))
-    if den == 0.0:
-        return aon_flows
-    a = min(max(float(arrays.dot(hp, aon_flows - flows)) / den, 0.0), 1.0 - _CONJUGATE_MARGIN)
-    return a * previous + (1.0 - a) * aon_flows
+    s1 = points[0]
+    dfw = aon_flows - flows
+    hdb = slope * (s1 - flows)
+    den = float(arrays.dot(hdb, aon_flows - s1))
+    a = 0.0 if den == 0.0 else float(arrays.dot(hdb, dfw)) / den
+    a = min(max(a, 0.0), 1.0 - _CONJUGATE_MARGIN)
+    mu = 0.0
+    if len(points) == 2 and 0.0 < tau < 1.0:
+        # built in place: fewer link-length temporaries, which otherwise
+        # fragment the heap and raise the peak resident set on large grids
+        hdbb = tau * s1
+        hdbb -= flows
+        hdbb += (1.0 - tau) * points[1]
+        hdbb *= slope
+        den = float(arrays.dot(hdbb, points[1] - s1))
+        if den != 0.0:
+            mu = max(-float(arrays.dot(hdbb, dfw)) / den, 0.0)
+    if mu == 0.0:
+        return 1.0 - a, a, 0.0
+    nu = a / (1.0 - a) + mu * tau / (1.0 - tau)
+    cap = (1.0 - _CONJUGATE_MARGIN) / _CONJUGATE_MARGIN  # mu + nu at which b0 = margin
+    if mu + nu > cap:
+        mu, nu = mu * cap / (mu + nu), nu * cap / (mu + nu)
+    b0 = 1.0 / (1.0 + mu + nu)
+    return b0, nu * b0, mu * b0
 
 
 def solve_ue(
@@ -318,10 +367,7 @@ def solve_ue(
     direction computations have been spent; the reported gap always describes
     the returned flows.
     """
-    if target_gap <= 0:
-        raise DataError("target_gap must be positive")
-    if max_iters < 1:
-        raise DataError("max_iters must be at least 1")
+    _check_settings(target_gap, max_iters)
     _check_demand(net, demand)
 
     arrays = _LinkArrays(net)
@@ -344,7 +390,8 @@ def solve_ue(
     beck_hist: list[float] = []
     gap_hist: list[float] = []
     steps: list[float] = []
-    conjugate = None
+    points: tuple[np.ndarray, ...] = ()
+    lam = 0.0
     for iteration in range(1, max_iters + 1):
         lat = arrays.latencies(flows)
         if not np.all(np.isfinite(lat)):
@@ -367,8 +414,12 @@ def solve_ue(
                 gap_history=gap_hist,
                 step_sizes=steps,
             )
-        conjugate = _conjugate_point(arrays, flows, aon_flows, conjugate)
-        direction = conjugate - flows
+        weights = _direction_weights(arrays, flows, aon_flows, points, lam)
+        point = weights[0] * aon_flows
+        for w, s in zip(weights[1:], points):
+            point += w * s
+        points = (point,) + points[:1]
+        direction = point - flows
         lam = _line_search(arrays, flows, direction)
         steps.append(lam)
         flows = flows + lam * direction

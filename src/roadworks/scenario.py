@@ -51,7 +51,6 @@ __all__ = [
     "table_from_evaluated",
     "warn_if_capped",
     "estimate_delta",
-    "relative_error",
     "error_report",
     "ErrorReportRow",
     "format_error_report",
@@ -405,17 +404,6 @@ def estimate_delta(table: DeltaTable, subset: Iterable[str], order: int) -> floa
         for W in combinations(S, size):
             total += table.coefficients.get(W, 0.0)
     return total
-
-
-def relative_error(table: DeltaTable, subset: Iterable[str], order: int) -> float:
-    """|estimate - exact| / |exact| for one subset at one estimate order."""
-    S = tuple(sorted(subset))
-    exact = table.evaluated_subsets.get(S)
-    if exact is None:
-        raise DataError(f"subset {{{','.join(S)}}} has no exact delta in the table")
-    if exact == 0.0:
-        raise DataError(f"subset {{{','.join(S)}}} has zero exact delta; relative error undefined")
-    return abs(estimate_delta(table, S, order) - exact) / abs(exact)
 
 
 @dataclass(frozen=True)

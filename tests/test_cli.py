@@ -756,3 +756,34 @@ def test_config_files_do_not_leak_between_calls(data_dir, tmp_path, capsys):
 def test_worker_count_below_one_exits_2(data_dir, capsys):
     assert main(desk_args(data_dir, "deltas", "--workers", "-3")) == 2
     assert capsys.readouterr().err == "error: workers must be at least 1\n"
+
+
+# rejected and read-only calls: each exits 2 before it creates a cache file
+NO_CACHE_LEFT = {
+    "deltas-workers-0": ("deltas", "--cache", "{tmp}/w.cache", "--workers", "0"),
+    "deltas-max-iters-0": ("deltas", "--cache", "{tmp}/w.cache", "--max-iters", "0"),
+    "deltas-gap-0": ("deltas", "--cache", "{tmp}/w.cache", "--gap", "0"),
+    "deltas-unknown-subset": ("deltas", "--mode", "explicit", "--subset", "C-ZZ", "--cache", "{tmp}/w.cache"),
+    "schedule-max-iters-0": ("schedule", "--budgets", "900", "--cache-dir", "{tmp}/d", "--max-iters", "0"),
+    "select-missing-cache": ("select", "--budget", "900", "--cache", "{tmp}/missing.cache"),
+    "error-report-missing-cache": ("error-report", "--cache", "{tmp}/missing.cache"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_CACHE_LEFT))
+def test_rejected_calls_leave_no_cache_file(data_dir, tmp_path, capsys, case):
+    command, *flags = NO_CACHE_LEFT[case]
+    assert main(desk_args(data_dir, command, *(f.format(tmp=tmp_path) for f in flags))) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_cache_points_at_deltas(data_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.cache"
+    assert main(desk_args(data_dir, "select", "--budget", "900", "--cache", str(missing))) == 2
+    assert capsys.readouterr().err == (
+        f"error: cache {missing} does not exist; run the deltas command to build it\n"
+    )
+    # the refused file was never created, so deltas at another gap may build it
+    assert main(desk_args(data_dir, "deltas", "--gap", "1e-5", "--cache", str(missing))) == 0
+    capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Conjugate Frank-Wolfe equilibrium solver against closed-form and bisection oracles."""
+"""Bi-conjugate Frank-Wolfe equilibrium solver against closed-form and bisection oracles."""
 
 import io
 import math
@@ -121,14 +121,14 @@ def test_random_two_link_instances_match_oracle():
 
 def test_sublinear_power_with_idle_links(sioux):
     # With beta < 1 the latency slope is infinite at zero flow.  An idle link
-    # keeps such a slope in every iteration; the conjugate weight and the
+    # keeps such a slope in every iteration; the direction weights and the
     # Newton step must read it as 0, not let it turn the flows into NaN.
     links = tuple(replace(link, beta=0.5) for link in sioux.net.links)
     idle = Link(1, 2, 1000.0, 1e9, 0.15, 0.5)
     net = replace(sioux.net, links=links + (idle,))
     a = solve_ue(net, sioux.demand, target_gap=1e-6, max_iters=2000)
     assert a.relative_gap <= 1e-6
-    assert a.iterations > 2  # the conjugate weight was used
+    assert a.iterations > 3  # the bi-conjugate weights were used
     assert a.flows[-1] == 0.0
     assert independent_gap(net, sioux.demand, a.flows) <= 2e-6
 
@@ -154,6 +154,68 @@ def test_sioux_falls_converges_in_few_iterations(sioux):
     for before, after in zip(hist, hist[1:]):
         assert after <= before + 1e-12 * abs(before)
     assert all(0.0 <= lam <= 1.0 for lam in a.step_sizes)
+
+
+def test_sioux_falls_reaches_1e5_within_800_iterations(sioux):
+    # conjugate Frank-Wolfe needs 1,870 iterations for this gap
+    a = solve_ue(sioux.net, sioux.demand, target_gap=1e-5, max_iters=800)
+    assert a.relative_gap <= 1e-5
+    hist = a.beckmann_history
+    for before, after in zip(hist, hist[1:]):
+        assert after <= before + 1e-12 * abs(before)
+    assert all(0.0 <= lam <= 1.0 for lam in a.step_sizes)
+
+
+def _conjugate_weight(arrays, x, y, s1):
+    """The conjugate Frank-Wolfe weight of s1 in a s1 + (1 - a) y, clamped."""
+    hdb = arrays.slopes(x) * (s1 - x)
+    den = float(np.dot(hdb, y - s1))
+    a = 0.0 if den == 0.0 else float(np.dot(hdb, y - x)) / den
+    return min(max(a, 0.0), 1.0 - equilibrium._CONJUGATE_MARGIN)
+
+
+def test_direction_weights(sioux):
+    arrays = equilibrium._LinkArrays(sioux.net)
+    weights = equilibrium._direction_weights
+    margin = equilibrium._CONJUGATE_MARGIN
+    rng = np.random.default_rng(2013)
+    m = len(sioux.net.links)
+    seen = {"conjugate": 0, "bi-conjugate": 0, "capped": 0}
+    for draw in range(400):
+        x = rng.uniform(100.0, 20000.0, m)
+        h = arrays.slopes(x)
+        tau = rng.uniform(0.0, 1.0)
+        structured = draw % 2 == 1
+        if structured:  # the last two directions conjugate, as the solver leaves them
+            dfw, db, dbb = rng.normal(0.0, 2000.0, (3, m))
+            dbb -= np.dot(h * db, dbb) / np.dot(h * db, db) * db
+            y, s1 = x + dfw, x + db
+            s2 = (dbb + x - tau * s1) / (1.0 - tau)
+        else:
+            y, s1, s2 = rng.uniform(0.0, 20000.0, (3, m))
+        b0, b1, b2 = weights(arrays, x, y, (s1, s2), tau)
+        assert min(b0, b1, b2) >= 0.0
+        assert b0 >= margin * (1.0 - 1e-12)
+        assert b0 + b1 + b2 == pytest.approx(1.0, abs=1e-12)
+        a = _conjugate_weight(arrays, x, y, s1)
+        conjugate = (1.0 - a, a, 0.0)
+        for fallback in (weights(arrays, x, y, (s1,), tau),
+                         weights(arrays, x, y, (s1, s2), 0.0),
+                         weights(arrays, x, y, (s1, s2), 1.0)):
+            assert fallback == conjugate
+        if b2 == 0.0:  # mu = 0
+            assert (b0, b1, b2) == conjugate
+            seen["conjugate"] += 1
+        elif b0 <= margin * (1.0 + 1e-12):
+            seen["capped"] += 1
+        elif structured and 0.0 < a < 1.0 - margin:
+            d = b0 * dfw + b1 * db + b2 * (s2 - x)
+            for prev in (db, dbb):
+                cosine = np.dot(h * d, prev) / math.sqrt(np.dot(h * d, d) * np.dot(h * prev, prev))
+                assert abs(cosine) < 1e-9
+            seen["bi-conjugate"] += 1
+    assert min(seen.values()) > 0, seen
+    assert weights(arrays, x, y, (), tau) == (1.0, 0.0, 0.0)
 
 
 def test_gap_verified_independently(desk):
@@ -308,7 +370,8 @@ def test_flow_file_format(desk, tmp_path):
 def test_settings_validation():
     net = two_link_net()
     demand = two_link_demand(100.0)
-    with pytest.raises(DataError):
-        solve_ue(net, demand, target_gap=0.0)
-    with pytest.raises(DataError):
-        solve_ue(net, demand, target_gap=1e-4, max_iters=0)
+    for gap, cap in ((0.0, 10), (-1e-4, 10), (math.nan, 10), (1e-4, 0)):
+        with pytest.raises(DataError):
+            solve_ue(net, demand, target_gap=gap, max_iters=cap)
+        with pytest.raises(DataError):
+            SolverSettings(target_gap=gap, max_iters=cap)

@@ -20,7 +20,6 @@ from roadworks import (
     format_error_report,
     greedy_schedule,
     network_fingerprint,
-    relative_error,
     restricted,
     solve_ue,
     table_from_cache,
@@ -77,16 +76,6 @@ def test_estimates_ignore_unknown_coefficients(desk_table):
     # estimating over an id with no stored coefficient adds nothing
     S = ("C-A1", "C-ZZ")
     assert estimate_delta(desk_table, S, 2) == desk_table.singles["C-A1"]
-
-
-def test_relative_error(desk_table):
-    S = ("C-A1", "C-A2", "C-A3")
-    exact = desk_table.evaluated_subsets[S]
-    est = estimate_delta(desk_table, S, 1)
-    assert relative_error(desk_table, S, 1) == pytest.approx(abs(est - exact) / abs(exact))
-    assert relative_error(desk_table, S, 3) <= 1e-12
-    with pytest.raises(DataError):
-        relative_error(desk_table, ("C-A1", "C-ZZ"), 1)
 
 
 def test_coefficients_hold_every_order(desk_table):
