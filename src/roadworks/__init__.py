@@ -63,10 +63,8 @@ from .portfolio import (
     SelectionProblem,
     better_selection,
     evaluate_selection,
-    format_problem,
     format_selection,
     optimize_subset,
-    parse_problem,
 )
 from .scheduler import (
     FeasibilityReport,

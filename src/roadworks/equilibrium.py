@@ -40,7 +40,10 @@ Determinism contract: a solve runs on one thread, and the same inputs give
 bit-identical flows.  Origins are loaded in chunks of _CHUNK in a fixed
 order and the chunk flows are summed in that order.  A chunk's trees come
 from Bellman-Ford in one of two forms, the per-origin kernel or, on large
-inputs, the array path, and both build the same trees.  Inner products of
+inputs, the array path, and both build the same trees.  Each form has its
+loader, a Python walk or numpy passes, and both add each link's loads in the
+same order, pair by pair and each pair from its destination up, so the flows
+do not depend on which tree path ran.  Inner products of
 link vectors never call BLAS from _BLAS_FREE_MIN_LINKS links on, where
 OpenBLAS would split them over threads, so flows do not depend on the BLAS
 thread count.
@@ -78,10 +81,12 @@ __all__ = [
 _CHUNK = 16
 
 # Origins times links from which a chunk's trees come from the array path
-# (_trees_for_origins, all origins of the chunk at once) instead of one
-# per-origin kernel call each.  Measured on square grids from 16 to 16k links,
-# the two break even at 6k-18k for chunks of 1 to 16 origins; the Sioux Falls
-# (16 x 76) and desk (1 x 6) chunks stay far below.
+# (_trees_for_origins, all origins of the chunk at once, loaded by
+# _load_trees) instead of one per-origin kernel call each and the Python walk.
+# Measured on square grids from 440 to 32k links (trees and loading, 25
+# zones), the two break even at 7k-15k for chunks of 16 origins and at
+# 16k-32k for chunks of 1 to 8; the Sioux Falls (16 x 76) and desk (1 x 6)
+# chunks stay far below.
 _ARRAY_TREES_MIN_WORK = 16384
 
 # Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
@@ -188,6 +193,7 @@ class _LinkArrays:
         self.alpha = np.array([l.alpha for l in net.links], dtype=float)
         self.beta = np.array([l.beta for l in net.links], dtype=float)
         self.from_nodes = [l.from_node for l in net.links]
+        self.tails = np.array(self.from_nodes, dtype=np.int64)
         self.dot = _link_dot(len(net.links))
 
     def latencies(self, flows: np.ndarray) -> np.ndarray:
@@ -217,18 +223,18 @@ def _check_demand(net: Network, demand: DemandMatrix) -> None:
 
 def _load_chunk(net, arrays, costs, chunk):
     """AON-load every origin in `chunk` under the cost array `costs`; returns
-    a dense flow vector.  Both tree paths give the same trees."""
+    a dense flow vector.  Small chunks take the per-origin kernel and walk
+    each O-D pair's path in Python, large ones the array path and
+    `_load_trees`; both give the same flows to the bit."""
     if len(chunk) * len(net.links) >= _ARRAY_TREES_MIN_WORK:
-        dist, pred = _trees_for_origins(net, costs, [origin for origin, _ in chunk])
-        trees = ((d.tolist(), p.tolist()) for d, p in zip(dist, pred))
-    else:
-        cost_list = costs.tolist()
-        adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
-        trees = (_bellman_ford(n, adj, cost_list, origin, first_thru) for origin, _ in chunk)
+        return _load_trees(net, arrays, costs, chunk)
+    cost_list = costs.tolist()
+    adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
     flows = [0.0] * len(net.links)
     from_nodes = arrays.from_nodes
     limit = net.node_count + 1
-    for (origin, dests), (dist, pred) in zip(chunk, trees):
+    for origin, dests in chunk:
+        dist, pred = _bellman_ford(n, adj, cost_list, origin, first_thru)
         for dest, q in dests:
             if not math.isfinite(dist[dest]):
                 raise SolverError(f"no path for demanded O-D pair ({origin},{dest})")
@@ -242,6 +248,46 @@ def _load_chunk(net, arrays, costs, chunk):
                 if steps >= limit:
                     raise SolverError(f"predecessor walk did not terminate for pair ({origin},{dest})")
     return np.array(flows, dtype=float)
+
+
+def _load_trees(net, arrays, costs, chunk):
+    """The array path of `_load_chunk`: trees from `_trees_for_origins`, then
+    every O-D pair of the chunk walks up its tree together with the others,
+    one link per pass.  A stable sort by pair index puts the (pair, link)
+    entries in the per-origin walk's order, and bincount adds its weights one
+    by one in input order, so each link's loads are summed in the Python
+    walk's order."""
+    origins = [origin for origin, _ in chunk]
+    dist, pred = _trees_for_origins(net, costs, origins)
+    width = net.node_count + 1
+    counts = [len(dests) for _, dests in chunk]
+    row = np.repeat(np.arange(len(chunk)), counts)
+    dest = np.array([d for _, dests in chunk for d, _ in dests], dtype=np.int64)
+    q = np.array([q for _, dests in chunk for _, q in dests], dtype=float)
+    origin = np.repeat(np.asarray(origins, dtype=np.int64), counts)
+    missing = ~np.isfinite(dist[row, dest])
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise SolverError(f"no path for demanded O-D pair ({origin[i]},{dest[i]})")
+    pred = pred.ravel()
+    tails = arrays.tails
+    pair = np.flatnonzero(dest != origin)
+    base, node, goal = row[pair] * width, dest[pair], origin[pair]
+    pairs, links = [pair], [pred[base + node]]
+    for _ in range(net.node_count):
+        node = tails[links[-1]]
+        going = node != goal
+        if not going.any():
+            break
+        pair, base, node, goal = pair[going], base[going], node[going], goal[going]
+        pairs.append(pair)
+        links.append(pred[base + node])
+    else:
+        i = int(pairs[-1][0])
+        raise SolverError(f"predecessor walk did not terminate for pair ({origin[i]},{dest[i]})")
+    pair = np.concatenate(pairs)
+    order = np.argsort(pair, kind="stable")
+    return np.bincount(np.concatenate(links)[order], weights=q[pair[order]], minlength=len(net.links))
 
 
 def _aon(net, arrays, costs, by_origin):
@@ -258,13 +304,13 @@ def all_or_nothing(
 ) -> np.ndarray:
     """Load all demand onto shortest paths under fixed link costs."""
     _check_demand(net, demand)
-    costs = [float(c) for c in link_costs]
+    costs = np.array(link_costs, dtype=float)
     if len(costs) != len(net.links):
         raise DataError(f"got {len(costs)} costs for {len(net.links)} links")
-    for c in costs:
-        if not (c >= 0 and math.isfinite(c)):
-            raise DataError(f"invalid link cost {c}")
-    return _aon(net, _LinkArrays(net), np.array(costs, dtype=float), demand.by_origin)
+    bad = ~(np.isfinite(costs) & (costs >= 0))
+    if bad.any():
+        raise DataError(f"invalid link cost {float(costs[np.argmax(bad)])}")
+    return _aon(net, _LinkArrays(net), costs, demand.by_origin)
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError, ParseError
+from .errors import DataError
 from .network import UpgradeSet
 from .scenario import DeltaTable
 
@@ -35,8 +35,6 @@ __all__ = [
     "better_assignment",
     "better_selection",
     "optimize_subset",
-    "format_problem",
-    "parse_problem",
     "format_selection",
 ]
 
@@ -251,79 +249,6 @@ def optimize_subset(problem: SelectionProblem) -> Selection:
     terms = {i: (mprime * problem.values[i] - problem.costs[i],) for i in problem.ids}
     pair_terms = {pair: mprime * d for pair, d in problem.corrections.items()}
     return _best_assignment(problem.costs, terms, pair_terms, (problem.budget,), leaf)[1]
-
-
-def format_problem(problem: SelectionProblem) -> str:
-    """Selection problem as text: count, item rows, pair rows, BUDGET, M."""
-    lines = ["# roadworks selection problem", str(len(problem.ids))]
-    for i in problem.ids:
-        lines.append(f"{i} {problem.costs[i]!r} {problem.values[i]!r}")
-    for pair in sorted(problem.corrections):
-        lines.append(f"{pair[0]} {pair[1]} {problem.corrections[pair]!r}")
-    lines.append(f"BUDGET {problem.budget!r}")
-    lines.append(f"M {problem.m!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_problem(text: str) -> SelectionProblem:
-    """Inverse of format_problem; '#' starts a comment, M is optional."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
-    if not rows:
-        raise ParseError("empty selection problem file")
-    lineno, fields = rows[0]
-    if len(fields) != 1 or not fields[0].isdigit():
-        raise ParseError("expected the number of upgrades", line=lineno)
-    count = int(fields[0])
-    if len(rows) < 1 + count:
-        raise ParseError(f"expected {count} upgrade rows, found {len(rows) - 1}")
-    ids: list[str] = []
-    values: dict[str, float] = {}
-    costs: dict[str, float] = {}
-    for lineno, fields in rows[1 : 1 + count]:
-        if len(fields) != 3:
-            raise ParseError("expected 'id cost value'", line=lineno)
-        name = fields[0]
-        if name in costs:
-            raise ParseError(f"duplicate upgrade row for {name}", line=lineno)
-        try:
-            costs[name] = float(fields[1])
-            values[name] = float(fields[2])
-        except ValueError:
-            raise ParseError(f"non-numeric cost or value for {name}", line=lineno)
-        ids.append(name)
-    corrections: dict[tuple[str, str], float] = {}
-    budget: float | None = None
-    m = DEFAULT_M
-    for lineno, fields in rows[1 + count :]:
-        if fields[0] == "BUDGET" and len(fields) == 2:
-            try:
-                budget = float(fields[1])
-            except ValueError:
-                raise ParseError(f"non-numeric budget {fields[1]!r}", line=lineno)
-        elif fields[0] == "M" and len(fields) == 2:
-            try:
-                m = float(fields[1])
-            except ValueError:
-                raise ParseError(f"non-numeric m {fields[1]!r}", line=lineno)
-        elif len(fields) == 3:
-            key = tuple(sorted((fields[0], fields[1])))
-            if key[0] == key[1]:
-                raise ParseError(f"pair of an upgrade with itself: {key[0]}", line=lineno)
-            if key in corrections:
-                raise ParseError(f"duplicate pair row {key[0]},{key[1]}", line=lineno)
-            try:
-                corrections[key] = float(fields[2])
-            except ValueError:
-                raise ParseError(f"non-numeric correction for {key[0]},{key[1]}", line=lineno)
-        else:
-            raise ParseError(f"unrecognized row {' '.join(fields)!r}", line=lineno)
-    if budget is None:
-        raise ParseError("missing BUDGET line")
-    return SelectionProblem(tuple(ids), values, costs, corrections, budget, m)
 
 
 def format_selection(problem: SelectionProblem, selection: Selection) -> str:

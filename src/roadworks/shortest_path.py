@@ -6,8 +6,8 @@ label fell.  Large networks take the array path ``_trees_for_origins``:
 numpy Bellman-Ford in passes over a whole chunk of origins at once, along a
 CSR layout of the out-links (``Network.out_links``).  The equilibrium solver
 picks the array path when origins times links reaches
-``_ARRAY_TREES_MIN_WORK`` (see ``equilibrium``); below that the kernel is
-faster.
+``_ARRAY_TREES_MIN_WORK`` (see ``equilibrium``), and loads its trees in numpy
+as well; below that the kernel, with its Python loading walk, is faster.
 
 Both forms honor the centroid rule: node ids below ``first_thru_node`` are
 never expanded as intermediate nodes (the source itself is always expanded).
@@ -54,14 +54,15 @@ def shortest_paths(
     """Solve one single-source problem under the given per-link costs."""
     if not 1 <= source <= net.node_count:
         raise DataError(f"source {source} outside 1..{net.node_count}")
-    costs = [float(c) for c in link_costs]
+    costs = np.array(link_costs, dtype=float)
     if len(costs) != len(net.links):
         raise DataError(f"got {len(costs)} costs for {len(net.links)} links")
-    for i, c in enumerate(costs):
-        if not (c >= 0 and math.isfinite(c)):
-            link = net.links[i]
-            raise DataError(f"link {link.from_node}->{link.to_node} has invalid cost {c}")
-    dist, pred = _bellman_ford(net.node_count, net.adjacency, costs, source, net.first_thru_node)
+    bad = ~(np.isfinite(costs) & (costs >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        link = net.links[i]
+        raise DataError(f"link {link.from_node}->{link.to_node} has invalid cost {float(costs[i])}")
+    dist, pred = _bellman_ford(net.node_count, net.adjacency, costs.tolist(), source, net.first_thru_node)
     labels = {node: dist[node] for node in range(1, net.node_count + 1)}
     preds = {node: pred[node] for node in range(1, net.node_count + 1) if pred[node] >= 0}
     return ShortestPathTree(source=source, labels=labels, predecessor_link=preds)

@@ -23,7 +23,9 @@ from roadworks import (
     apply_upgrades,
     bpr_integral,
     bpr_latency,
+    compute_deltas,
     format_flow_file,
+    parse_upgrades,
     relative_gap,
     solve_ue,
     solve_with,
@@ -339,6 +341,99 @@ def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch)
     per_origin = _grid_solve(grid)
     assert array.flows.tobytes() == per_origin.flows.tobytes()
     assert array.gap_history == per_origin.gap_history
+
+
+# The loader cases below run on both tree paths: the array path with its numpy
+# loader (threshold 0) and the per-origin kernel with its Python walk.
+@pytest.fixture(params=[0, math.inf], ids=["array", "per-origin"])
+def tree_path(request, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", request.param)
+    return request.param
+
+
+def test_aon_names_the_demanded_pair_without_a_path(tree_path):
+    # node 3 has no out-link, so (3,1) has no path while (1,2) has one
+    links = (
+        Link(1, 2, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 1, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 3, 1000.0, 1.0, 0.15, 4.0),
+    )
+    net = Network(node_count=3, links=links, zone_count=3)
+    demand = DemandMatrix({(1, 2): 5.0, (3, 1): 2.0})
+    with pytest.raises(SolverError, match=r"no path for demanded O-D pair \(3,1\)"):
+        all_or_nothing(net, demand, [1.0, 1.0, 1.0])
+
+
+def test_intrazonal_demand_loads_nothing(monkeypatch):
+    net = grid_net(side=9, zone_lines=(0, 4, 8))
+    costs = [1.0 + (i % 7) / 8 for i in range(len(net.links))]
+    trips = dict(grid_demand(zones=9).entries)
+    flows = {}
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
+        with_self = all_or_nothing(net, DemandMatrix({**trips, (1, 1): 30.0, (5, 5): 7.0}), costs)
+        without = all_or_nothing(net, DemandMatrix(trips), costs)
+        assert with_self.tobytes() == without.tobytes()
+        only_self = all_or_nothing(net, DemandMatrix({(1, 1): 30.0, (5, 5): 7.0}), costs)
+        assert not only_self.any()
+        flows[threshold] = with_self
+    assert flows[0].tobytes() == flows[math.inf].tobytes()
+
+
+def test_cyclic_predecessors_do_not_loop(tree_path, monkeypatch):
+    # pred holds the cycle 2 -> 3 -> 2 and never leads back to origin 1
+    links = (
+        Link(1, 2, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 3, 1000.0, 1.0, 0.15, 4.0),
+        Link(3, 2, 1000.0, 1.0, 0.15, 4.0),
+    )
+    net = Network(node_count=3, links=links, zone_count=3)
+    pred = [-1, -1, 2, 1]
+
+    def cyclic_trees(net, costs, origins):
+        return np.zeros((len(origins), 4)), np.array([pred] * len(origins))
+
+    monkeypatch.setattr(equilibrium, "_trees_for_origins", cyclic_trees)
+    monkeypatch.setattr(equilibrium, "_bellman_ford", lambda *args: ([0.0] * 4, list(pred)))
+    with pytest.raises(SolverError, match=r"did not terminate for pair \(1,3\)"):
+        all_or_nothing(net, DemandMatrix({(1, 3): 5.0}), [1.0, 1.0, 1.0])
+
+
+def test_aon_names_the_first_invalid_cost():
+    net, demand = two_link_net(), two_link_demand(100.0)
+    with pytest.raises(DataError, match=r"invalid link cost -1.0"):
+        all_or_nothing(net, demand, [-1.0, math.nan])
+    with pytest.raises(DataError, match=r"invalid link cost nan"):
+        all_or_nothing(net, demand, [1.0, math.nan])
+    with pytest.raises(DataError, match=r"invalid link cost inf"):
+        all_or_nothing(net, demand, np.array([math.inf, 1.0]))
+    with pytest.raises(DataError, match=r"got 3 costs for 2 links"):
+        all_or_nothing(net, demand, [1.0, 1.0, 1.0])
+
+
+def test_array_loader_deltas_do_not_depend_on_workers(monkeypatch):
+    # numpy runs inside both subset threads; the tables must still match bit for bit
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    net = grid_net(side=9, zone_lines=(0, 4, 8))
+    first, second = net.links[12], net.links[40]
+    upgrades = parse_upgrades(
+        f"""PROJECT widen-a 100 capacity-upgrade
+  MOD {first.from_node} {first.to_node} CAPACITY=3000
+PROJECT widen-b 120 capacity-upgrade
+  MOD {second.from_node} {second.to_node} CAPACITY=3000 FFTIME=0.5
+PROJECT link-ab 200 new-road
+  ADD 30 52 2000 1 0.5 0.15 4
+  ADD 52 30 2000 1 0.5 0.15 4
+""",
+        network=net,
+    )
+    subsets = [("widen-a",), ("widen-b",), ("link-ab",), ("link-ab", "widen-a"), ("link-ab", "widen-a", "widen-b")]
+    settings = SolverSettings(target_gap=1e-6)
+    demand = grid_demand(zones=9)
+    one = compute_deltas(net, demand, upgrades, subsets, settings, workers=1)
+    two = compute_deltas(net, demand, upgrades, subsets, settings, workers=2)
+    assert one.coefficients == two.coefficients
+    assert one.evaluated_subsets == two.evaluated_subsets
 
 
 def test_solve_with_mirrors_solve_ue(desk):

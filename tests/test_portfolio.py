@@ -7,15 +7,12 @@ import pytest
 
 from roadworks import (
     DataError,
-    ParseError,
     SelectionProblem,
     UpgradeSet,
     better_selection,
     evaluate_selection,
-    format_problem,
     format_selection,
     optimize_subset,
-    parse_problem,
 )
 
 from oracles import exhaustive_best_subset, knapsack_best_value
@@ -215,29 +212,6 @@ def test_from_delta_table(desk, desk_table):
     assert len(got.chosen) == 3  # 2400 pays for exactly three widenings
     with pytest.raises(DataError):
         SelectionProblem.from_delta_table(desk_table, desk.upgrades, budget=100.0)
-
-
-def test_problem_file_round_trip():
-    p = toy_problem()
-    text = format_problem(p)
-    q = parse_problem(text)
-    assert q.ids == p.ids
-    assert q.values == p.values
-    assert q.costs == p.costs
-    assert q.corrections == p.corrections
-    assert q.budget == p.budget
-    assert q.m == p.m
-    assert optimize_subset(q).objective == optimize_subset(p).objective
-
-
-def test_parse_problem_errors():
-    with pytest.raises(ParseError):
-        parse_problem("")
-    good = format_problem(toy_problem())
-    with pytest.raises(ParseError):
-        parse_problem(good.replace("BUDGET", "BUDGE"))
-    with pytest.raises((ParseError, DataError)):
-        parse_problem(good + "a zz 5\n")  # pair row naming an unknown id
 
 
 def test_validation():

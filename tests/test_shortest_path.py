@@ -160,3 +160,12 @@ def test_input_validation():
         shortest_paths(net, [-1.0], 1)
     with pytest.raises(DataError):
         shortest_paths(net, [math.nan], 1)
+
+
+def test_invalid_cost_names_the_first_bad_link():
+    links = (Link(1, 2, 1.0, 1.0, 0.0, 1.0), Link(2, 3, 1.0, 1.0, 0.0, 1.0), Link(3, 1, 1.0, 1.0, 0.0, 1.0))
+    net = Network(node_count=3, links=links, zone_count=1)
+    with pytest.raises(DataError, match=r"link 2->3 has invalid cost -2.0"):
+        shortest_paths(net, [1.0, -2.0, math.nan], 1)
+    with pytest.raises(DataError, match=r"link 3->1 has invalid cost inf"):
+        shortest_paths(net, np.array([1.0, 0.0, math.inf]), 1)
