@@ -87,7 +87,10 @@ def main(argv=None):
     ap.add_argument("--growth-file", help="SCALE rules for per-period demand growth")
     ap.add_argument("--gap", type=float, default=1e-5, help="relative gap target")
     ap.add_argument("--max-iters", type=int, default=10_000)
-    ap.add_argument("--workers", type=int, default=1, help="concurrent subset solves")
+    ap.add_argument(
+        "--workers", type=int, default=1,
+        help="at least 1; no effect on results or speed: subsets are solved in order on the calling thread",
+    )
     ap.add_argument("--budget", type=float, default=10_000.0, help="selection budget, k$")
     ap.add_argument(
         "--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$",

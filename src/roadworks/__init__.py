@@ -17,7 +17,6 @@ from .network import (
     parse_nodes,
     parse_upgrades,
     write_network,
-    write_trips,
 )
 from .shortest_path import ShortestPathTree, shortest_paths
 from .equilibrium import (

@@ -361,7 +361,8 @@ _FLAGS = {
     "out": dict(help="also write the command's output here"),
     "gap": dict(type=float, default=1e-4, help="relative-gap convergence target"),
     "max-iters": dict(type=int, default=1000, help="iteration cap per equilibrium solve"),
-    "workers": dict(type=int, default=1, help="concurrent subset evaluations"),
+    "workers": dict(type=int, default=1, help="at least 1; no effect on results or speed: "
+                    "subsets are solved in order on the calling thread"),
     "apply": dict(help="comma-separated upgrade ids to build first"),
     "cache": dict(help="delta cache file (deltas creates it if absent)"),
     "mode": dict(choices=["individual", "pairs", "all-subsets", "explicit"], default="individual",

@@ -43,7 +43,6 @@ __all__ = [
     "parse_upgrades",
     "apply_upgrades",
     "write_network",
-    "write_trips",
     "network_fingerprint",
     "demand_fingerprint",
 ]
@@ -649,21 +648,6 @@ def write_network(net: Network) -> str:
             f"{link.from_node}\t{link.to_node}\t{link.capacity!r}\t{link.length!r}\t"
             f"{link.free_flow_time!r}\t{link.alpha!r}\t{link.beta!r}\t0\t0\t1\t;"
         )
-    return "\n".join(out) + "\n"
-
-
-def write_trips(demand: DemandMatrix, zone_count: int) -> str:
-    """Serialize to TNTP trip-file text (entries sorted, floats exact)."""
-    out = [
-        f"<NUMBER OF ZONES> {zone_count}",
-        f"<TOTAL OD FLOW> {demand.total!r}",
-        "<END OF METADATA>",
-        "",
-    ]
-    for origin, dests in demand.by_origin:
-        out.append(f"Origin {origin}")
-        for dest, flow in dests:
-            out.append(f"    {dest} : {flow!r};")
     return "\n".join(out) + "\n"
 
 

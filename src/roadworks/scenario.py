@@ -15,16 +15,15 @@ the sorted id tuple W; an absent W counts as zero.
 Exact deltas are expensive (one equilibrium solve each), so every table is
 read from a cache of solved subsets, in memory or on disk keyed by network and
 demand fingerprints plus the gap target.  `DeltaBook` is the one subset
-layer: it maps each (network, demand) to its cache, solves what is missing on
-its subset workers and reads the table back; `compute_deltas` is the same over
-one given cache.
+layer: it maps each (network, demand) to its cache, solves what is missing one
+subset at a time on the calling thread, caching each row as it is solved, and
+reads the table back; `compute_deltas` is the same over one given cache.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
@@ -267,15 +266,16 @@ class DeltaBook:
     Fingerprints map a network and demand to their cache, in memory or, with
     `cache_dir`, in the file ``deltas_<network>_<demand>.cache`` there, so
     conditions reached twice are cache hits, not fresh solves.  Missing
-    subsets are solved on `workers` subset workers; results do not depend on
-    the worker count.
+    subsets are solved in order on the calling thread, and each row is cached
+    as soon as it is solved.  `workers` is accepted and checked (at least 1)
+    but changes neither results nor speed: threads under the GIL were slower
+    than one.
     """
 
     def __init__(self, settings: SolverSettings, workers: int = 1, cache_dir: str | None = None):
         if workers < 1:
             raise DataError("workers must be at least 1")
         self.settings = settings
-        self.workers = workers
         self.cache_dir = cache_dir
         self._caches: dict[tuple[str, str], MemoryDeltaCache] = {}
 
@@ -310,20 +310,15 @@ class DeltaBook:
             cache.set_baseline(assignment.vht, assignment.relative_gap)
             solves += 1
         baseline_vht = cache.baseline()[0]
-        missing = [S for S in wanted if cache.get(S) is None]
-
-        def evaluate(S: Subset) -> tuple[float, float, int]:
+        for S in wanted:
+            if cache.get(S) is not None:
+                continue
+            # each row is cached as soon as it is solved, so an interrupted
+            # fill keeps every finished row
             assignment = solve_with(apply_upgrades(net, upgrades, S), demand, settings)
-            return baseline_vht - assignment.vht, assignment.relative_gap, assignment.iterations
-
-        if self.workers > 1 and missing:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                fresh = list(pool.map(evaluate, missing))
-        else:
-            fresh = [evaluate(S) for S in missing]
-        for S, (delta, gap, iterations) in zip(missing, fresh):
-            warn_if_capped(iterations, gap, settings, f"subset {{{','.join(S)}}}")
-            cache.put(S, delta, gap)
+            gap = assignment.relative_gap
+            warn_if_capped(assignment.iterations, gap, settings, f"subset {{{','.join(S)}}}")
+            cache.put(S, baseline_vht - assignment.vht, gap)
             solves += 1
         table = table_from_cache(cache, wanted)
         table.tap_solves = solves

@@ -20,7 +20,6 @@ from roadworks import (
     parse_nodes,
     parse_upgrades,
     write_network,
-    write_trips,
 )
 
 
@@ -119,13 +118,6 @@ def test_network_round_trip(desk, sioux):
         again = parse_network(write_network(bare))
         assert network_fingerprint(again) == network_fingerprint(bare)
         assert network_fingerprint(net) != network_fingerprint(bare)
-
-
-def test_trips_round_trip(desk, sioux):
-    for item in (desk, sioux):
-        text = write_trips(item.demand, item.net.zone_count)
-        again = parse_demand(text)
-        assert demand_fingerprint(again) == demand_fingerprint(item.demand)
 
 
 def test_fingerprints_differ(desk, sioux):
@@ -284,12 +276,3 @@ def test_random_network_round_trip():
         net = Network(node_count=n, links=links, zone_count=rng.randint(1, n))
         again = parse_network(write_network(net))
         assert network_fingerprint(again) == network_fingerprint(net)
-        entries = {
-            (rng.randint(1, net.zone_count), rng.randint(1, net.zone_count)): round(
-                rng.uniform(0, 500), 4
-            )
-            for _ in range(rng.randint(0, 40))
-        }
-        dem = DemandMatrix(entries)
-        round_tripped = parse_demand(write_trips(dem, net.zone_count))
-        assert demand_fingerprint(round_tripped) == demand_fingerprint(dem)

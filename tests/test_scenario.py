@@ -1,16 +1,20 @@
 """Delta tables, the k-wise estimator, and the subset caches."""
 
+import threading
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import roadworks.scenario
 from roadworks import (
     DataError,
     DeltaBook,
     FileDeltaCache,
     MemoryDeltaCache,
     PlanningHorizon,
+    SolverError,
     SolverSettings,
     canonical_subset,
     compute_deltas,
@@ -331,6 +335,53 @@ def test_sioux_falls_delta_tables_do_not_depend_on_workers(sioux_tables_by_worke
     one, two = sioux_tables_by_workers
     assert len(one.evaluated_subsets) == 10
     assert one == two
+
+
+def test_subsets_are_solved_on_the_calling_thread(desk, monkeypatch):
+    solve = roadworks.scenario.solve_with
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(roadworks.scenario, "solve_with", recording)
+    subsets = [("C-A1",), ("C-B1",), ("C-X1",), ("C-A1", "C-B1")]
+    settings = SolverSettings(target_gap=1e-6)
+    table = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=2)
+    assert table.tap_solves == len(threads) == 1 + len(subsets)
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch):
+    settings = SolverSettings(target_gap=1e-6)
+    subsets = [("C-A1",), ("C-B1",), ("C-X1",), ("C-X2",), ("C-A1", "C-B1")]
+    whole = FileDeltaCache.open(str(tmp_path / "whole.cache"), desk.net, desk.demand, settings)
+    expected = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, cache=whole)
+
+    solve = roadworks.scenario.solve_with
+    calls = []
+
+    def failing_third_subset(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:  # the baseline, then the third subset
+            raise SolverError("interrupted")
+        return solve(*args, **kwargs)
+
+    path = str(tmp_path / "cut.cache")
+    monkeypatch.setattr(roadworks.scenario, "solve_with", failing_third_subset)
+    with pytest.raises(SolverError, match="interrupted"):
+        compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings,
+                       cache=FileDeltaCache.open(path, desk.net, desk.demand, settings))
+    monkeypatch.setattr(roadworks.scenario, "solve_with", solve)
+
+    reopened = FileDeltaCache.open(path, desk.net, desk.demand, settings)
+    assert reopened.baseline() == whole.baseline()
+    assert reopened.rows() == {S: whole.get(S) for S in subsets[:2]}
+    rerun = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, cache=reopened)
+    assert rerun.tap_solves == len(subsets) - 2
+    assert replace(rerun, tap_solves=0) == replace(expected, tap_solves=0)
+    assert Path(path).read_bytes() == Path(whole.path).read_bytes()
 
 
 def test_capped_solves_warn_once_per_subset(desk):
