@@ -14,7 +14,8 @@ Every delta goes through one subset layer, `DeltaBook`: --cache-dir holds
 one `deltas_<network>_<demand>.cache` per network and demand, shared by every
 stage but `realized_npv` and by reruns, so a rerun solves only its exact
 checks.  The accuracy stage reports on every row of the base file; the stage
-prints its path for `roadworks deltas --mode all-subsets`.
+prints its path for `roadworks deltas --mode all-subsets`.  Warnings and
+errors are reported as `roadworks` reports them, with its exit codes.
 
 Reference values for the original datasets (for eyeballing your output):
 
@@ -41,16 +42,12 @@ Example:
 import argparse
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from roadworks import (
-    DataError,
     DeltaBook,
-    ParseError,
     PlanningHorizon,
     SelectionProblem,
-    SolverError,
     SolverSettings,
     error_report,
     format_error_report,
@@ -72,6 +69,7 @@ from roadworks import (
     realized_npv,
     table_from_cache,
 )
+from roadworks.cli import parse_budgets, run_command
 
 
 def stamp(msg):
@@ -92,10 +90,7 @@ def main(argv=None):
         help="at least 1; no effect on results or speed: subsets are solved in order on the calling thread",
     )
     ap.add_argument("--budget", type=float, default=10_000.0, help="selection budget, k$")
-    ap.add_argument(
-        "--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$",
-        type=lambda text: tuple(float(b) for b in text.split(",") if b),
-    )
+    ap.add_argument("--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$")
     ap.add_argument("--rate", type=float, default=0.04, help="annual interest rate")
     ap.add_argument("--m", type=float, default=3650.0, help="$ per daily-VHT unit per year")
     ap.add_argument("--pairs-count", type=int, default=8, help="closest pairs to evaluate")
@@ -103,20 +98,11 @@ def main(argv=None):
     ap.add_argument(
         "--skip-schedule", action="store_true", help="stop after subset selection"
     )
-    args = ap.parse_args(argv)
-    try:
-        with warnings.catch_warnings():
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return run(args)
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(run, ap.parse_args(argv))
 
 
 def run(args):
+    budgets = parse_budgets(args.budgets)
     settings = SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
     stamp(f"parsing {args.net}")
@@ -170,7 +156,7 @@ def run(args):
         return 0
 
     rules = parse_growth_rules(Path(args.growth_file).read_text()) if args.growth_file else ()
-    horizon = PlanningHorizon.with_growth(args.budgets, args.rate, demand, rules, m=args.m)
+    horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
 
     stamp(f"greedy schedule over {horizon.T} periods at r = {args.rate:g}")
     sched = greedy_schedule(
@@ -189,7 +175,7 @@ def run(args):
 
     stamp("everything-at-the-horizon schedule for comparison")
     final_only = PlanningHorizon.with_growth(
-        (0.0,) * (horizon.T - 1) + (sum(args.budgets),), args.rate, demand, rules, m=args.m
+        (0.0,) * (horizon.T - 1) + (sum(budgets),), args.rate, demand, rules, m=args.m
     )
     at_end = greedy_schedule(
         net, upgrades, final_only, settings,

@@ -27,7 +27,6 @@ from .equilibrium import (
     bpr_latency,
     format_flow_file,
     relative_gap,
-    solve_ue,
     solve_with,
     vht,
     write_flow_file,
@@ -60,6 +59,7 @@ from .interaction import (
 from .portfolio import (
     Selection,
     SelectionProblem,
+    better_assignment,
     better_selection,
     evaluate_selection,
     format_selection,
@@ -70,13 +70,11 @@ from .scheduler import (
     GrowthRule,
     PlanningHorizon,
     Schedule,
-    better_assignment,
     check_schedule,
     format_schedule_listing,
     format_schedule_table,
     greedy_schedule,
     independent_schedule,
-    make_schedule,
     parse_growth_rules,
     period_singles,
     period_spend,

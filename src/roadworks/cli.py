@@ -11,13 +11,14 @@ solve or create one, and schedule keeps one cache per network and demand in
 read them; select and error-report take --gap alone, as the target gap their
 cache was built at.
 
-Exit codes: 0 success, 1 usage error, 2 data or input error, 3 solver
-failure.  Any flag may instead be given in a JSON --config file keyed by the
-flag name with dashes as underscores.  Its values are read as flag tokens put
-before the explicit ones, so explicit flags win: a string or number is the
-flag's value text, true turns a switch on, false and null are dropped, and a
-list is one --subset per element (dropped when --subset is given) or, for any
-other flag, its elements joined with commas.  Other values are usage errors.
+Exit codes (`run_command`): 0 success, 1 usage error, 2 data or input error,
+3 solver failure.  Any flag may instead be given in a JSON --config file
+keyed by the flag name with dashes as underscores.  Its values are read as
+flag tokens put before the explicit ones, so explicit flags win: a string or
+number is the flag's value text, true turns a switch on, false and null are
+dropped, and a list is one --subset per element (dropped when --subset is
+given) or, for any other flag, its elements joined with commas.  Other
+values are usage errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import sys
 import warnings
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .equilibrium import solve_with, write_flow_file, SolverSettings
 from .errors import DataError, ParseError, SolverError
@@ -285,9 +286,10 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _parse_budgets(text: str) -> tuple[float, ...]:
+def parse_budgets(text: str) -> tuple[float, ...]:
+    """Comma-separated per-period budgets; an empty or non-numeric element is a usage error."""
     try:
-        return tuple(float(p) for p in text.split(",") if p)
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise _UsageError(f"--budgets: bad value {text!r}")
 
@@ -297,7 +299,7 @@ def cmd_schedule(args) -> int:
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
     settings = _settings(args)
-    budgets = _parse_budgets(args.budgets)
+    budgets = parse_budgets(args.budgets)
     rules = parse_growth_rules(_read(args.growth_file)) if args.growth_file else ()
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
     if args.independent:
@@ -420,19 +422,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+def run_command(func: Callable[..., int], *args) -> int:
+    """The exit code of `func(*args)` run as a command: warnings and errors
+    print as one stderr line each, and an error exits 1 (usage), 2 (input or
+    data) or 3 (solver)."""
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            args = parser.parse_args(argv)
-            _, func, required, flags = _COMMANDS[args.command]
-            if args.config:
-                tokens = _config_tokens(args, f"{_INPUTS} {flags}".split())
-                args = parser.parse_args(argv[:1] + tokens + argv[1:])
-            _require(args, *required.split())
-            return func(args)
+            return func(*args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -442,6 +439,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _main(argv: list[str]) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _, func, required, flags = _COMMANDS[args.command]
+    if args.config:
+        tokens = _config_tokens(args, f"{_INPUTS} {flags}".split())
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    _require(args, *required.split())
+    return func(args)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return run_command(_main, sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

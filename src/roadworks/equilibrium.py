@@ -53,13 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, SolverError
 from .network import DemandMatrix, Link, Network
-from .shortest_path import _bellman_ford, _trees_for_origins
+from .shortest_path import _bellman_ford, _checked_costs, _trees_for_origins
 
 __all__ = [
     "Assignment",
@@ -69,7 +69,6 @@ __all__ = [
     "all_or_nothing",
     "relative_gap",
     "vht",
-    "solve_ue",
     "solve_with",
     "write_flow_file",
     "format_flow_file",
@@ -114,7 +113,6 @@ class Assignment:
     vht: float
     relative_gap: float
     iterations: int
-    beckmann: float
     beckmann_history: list[float] = field(default_factory=list)
     gap_history: list[float] = field(default_factory=list)
     # step lengths taken along the bi-conjugate directions, one per iteration
@@ -124,20 +122,16 @@ class Assignment:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Bundle of solve_ue keyword arguments, handy for passing through layers."""
+    """When a solve stops: at relative gap `target_gap` or after `max_iters` iterations."""
 
     target_gap: float = 1e-6
     max_iters: int = 10_000
 
     def __post_init__(self):
-        _check_settings(self.target_gap, self.max_iters)
-
-
-def _check_settings(target_gap: float, max_iters: int) -> None:
-    if not target_gap > 0:
-        raise DataError("target_gap must be positive")
-    if max_iters < 1:
-        raise DataError("max_iters must be at least 1")
+        if not self.target_gap > 0:
+            raise DataError("target_gap must be positive")
+        if self.max_iters < 1:
+            raise DataError("max_iters must be at least 1")
 
 
 def bpr_latency(link: Link, flow: float) -> float:
@@ -304,13 +298,7 @@ def all_or_nothing(
 ) -> np.ndarray:
     """Load all demand onto shortest paths under fixed link costs."""
     _check_demand(net, demand)
-    costs = np.array(link_costs, dtype=float)
-    if len(costs) != len(net.links):
-        raise DataError(f"got {len(costs)} costs for {len(net.links)} links")
-    bad = ~(np.isfinite(costs) & (costs >= 0))
-    if bad.any():
-        raise DataError(f"invalid link cost {float(costs[np.argmax(bad)])}")
-    return _aon(net, _LinkArrays(net), costs, demand.by_origin)
+    return _aon(net, _LinkArrays(net), _checked_costs(net, link_costs), demand.by_origin)
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> float:
@@ -401,19 +389,13 @@ def _direction_weights(
     return b0, nu * b0, mu * b0
 
 
-def solve_ue(
-    net: Network,
-    demand: DemandMatrix,
-    target_gap: float = 1e-4,
-    max_iters: int = 1000,
-) -> Assignment:
-    """Frank-Wolfe user-equilibrium assignment.
+def solve_with(net: Network, demand: DemandMatrix, settings: SolverSettings) -> Assignment:
+    """Bi-conjugate Frank-Wolfe user-equilibrium assignment.
 
-    Iterates until the relative gap reaches `target_gap` or `max_iters`
-    direction computations have been spent; the reported gap always describes
-    the returned flows.
+    Iterates until the relative gap reaches `settings.target_gap` or
+    `settings.max_iters` direction computations have been spent; the reported
+    gap always describes the returned flows.
     """
-    _check_settings(target_gap, max_iters)
     _check_demand(net, demand)
 
     arrays = _LinkArrays(net)
@@ -427,7 +409,6 @@ def solve_ue(
             vht=0.0,
             relative_gap=0.0,
             iterations=0,
-            beckmann=0.0,
         )
 
     freeflow = arrays.latencies(np.zeros(m, dtype=float))
@@ -438,7 +419,7 @@ def solve_ue(
     steps: list[float] = []
     points: tuple[np.ndarray, ...] = ()
     lam = 0.0
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, settings.max_iters + 1):
         lat = arrays.latencies(flows)
         if not np.all(np.isfinite(lat)):
             bad = int(np.argmax(~np.isfinite(lat)))
@@ -448,14 +429,13 @@ def solve_ue(
         gap = relative_gap(flows, lat, aon_flows)
         gap_hist.append(gap)
         beck_hist.append(arrays.beckmann(flows))
-        if gap <= target_gap or iteration == max_iters:
+        if gap <= settings.target_gap or iteration == settings.max_iters:
             return Assignment(
                 flows=flows,
                 latencies=lat,
                 vht=float(arrays.dot(flows, lat)),
                 relative_gap=gap,
                 iterations=iteration,
-                beckmann=beck_hist[-1],
                 beckmann_history=beck_hist,
                 gap_history=gap_hist,
                 step_sizes=steps,
@@ -472,10 +452,6 @@ def solve_ue(
     raise AssertionError("unreachable")  # loop always returns
 
 
-def solve_with(net: Network, demand: DemandMatrix, settings: SolverSettings) -> Assignment:
-    return solve_ue(net, demand, target_gap=settings.target_gap, max_iters=settings.max_iters)
-
-
 def format_flow_file(net: Network, assignment: Assignment) -> str:
     """Flow table text: a one-line summary header, then `from to volume cost` rows."""
     lines = [
@@ -487,10 +463,6 @@ def format_flow_file(net: Network, assignment: Assignment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_flow_file(path_or_io: str | IO[str], net: Network, assignment: Assignment) -> None:
-    text = format_flow_file(net, assignment)
-    if hasattr(path_or_io, "write"):
-        path_or_io.write(text)
-    else:
-        with open(path_or_io, "w") as fh:
-            fh.write(text)
+def write_flow_file(path: str, net: Network, assignment: Assignment) -> None:
+    with open(path, "w") as fh:
+        fh.write(format_flow_file(net, assignment))

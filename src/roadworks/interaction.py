@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, ParseError
 from .network import Network, UpgradeSet
@@ -83,7 +83,7 @@ def pairwise_distances(net: Network, upgrades: UpgradeSet) -> dict[Pair, float]:
 
 def predict_pairs_threshold(distances: Mapping[Pair, float], threshold: float) -> set[Pair]:
     """Pairs strictly closer than `threshold`."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise DataError("distance threshold must be non-negative")
     return {pair for pair, d in distances.items() if d < threshold}
 
@@ -106,9 +106,11 @@ def kmeans(
     n = len(points)
     if not 1 <= k <= n:
         raise DataError(f"k must lie in 1..{n}")
+    if restarts < 1:
+        raise DataError("k-means restarts must be at least 1")
     best_assign: list[int] | None = None
     best_wcss = math.inf
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         rng = random.Random(f"{seed}:{attempt}")
         centers = _seed_centers(points, k, rng)
         assign = [0] * n

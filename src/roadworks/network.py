@@ -61,11 +61,12 @@ class Link:
     length: float = 0.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
+        # written `not x > 0`, so NaN fails each check
+        if not self.capacity > 0:
             raise DataError(f"link {self.from_node}->{self.to_node}: capacity must be positive")
-        if self.free_flow_time < 0:
+        if not self.free_flow_time >= 0:
             raise DataError(f"link {self.from_node}->{self.to_node}: negative free-flow time")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise DataError(f"link {self.from_node}->{self.to_node}: negative BPR parameter")
 
 
@@ -186,7 +187,7 @@ class DemandMatrix:
 
     def scaled(self, zones: frozenset[int] | set[int], factor: float) -> "DemandMatrix":
         """Multiply every entry whose origin or destination lies in `zones`."""
-        if factor < 0:
+        if not factor >= 0:
             raise DataError("demand scale factor must be non-negative")
         out = {}
         for (r, s), q in self.entries.items():
@@ -230,7 +231,7 @@ class Upgrade:
         if self.id == "BASELINE" or self.id.startswith("#"):
             # delta caches read these as the baseline row and as comments
             raise DataError(f"upgrade id {self.id!r} is reserved (BASELINE, or a leading '#')")
-        if self.cost < 0:
+        if not self.cost >= 0:
             raise DataError(f"upgrade {self.id}: negative cost")
         if self.kind not in UPGRADE_KINDS:
             raise DataError(f"upgrade {self.id}: unknown kind {self.kind!r}")
@@ -309,21 +310,13 @@ def _read_metadata(lines: Sequence[str]) -> tuple[dict[str, str], int]:
     raise ParseError("missing <END OF METADATA>")
 
 
-def _meta_int(tags: dict[str, str], key: str) -> int | None:
+def _meta(tags: dict[str, str], key: str, kind: type = int) -> int | float | None:
+    """The number in metadata tag `key` as `kind` (an int truncates), or None when absent."""
     if key not in tags:
         return None
     try:
-        return int(float(tags[key]))
-    except ValueError:
-        raise ParseError(f"metadata <{key}> is not a number: {tags[key]!r}")
-
-
-def _meta_float(tags: dict[str, str], key: str) -> float | None:
-    if key not in tags:
-        return None
-    try:
-        return float(tags[key])
-    except ValueError:
+        return kind(float(tags[key]))
+    except (ValueError, OverflowError):
         raise ParseError(f"metadata <{key}> is not a number: {tags[key]!r}")
 
 
@@ -331,12 +324,12 @@ def parse_network(text: str) -> Network:
     """Parse a TNTP link file into a Network."""
     lines = text.splitlines()
     tags, start = _read_metadata(lines)
-    zone_count = _meta_int(tags, "NUMBER OF ZONES")
+    zone_count = _meta(tags, "NUMBER OF ZONES")
     if zone_count is None:
         raise ParseError("missing <NUMBER OF ZONES> metadata")
-    declared_nodes = _meta_int(tags, "NUMBER OF NODES")
-    declared_links = _meta_int(tags, "NUMBER OF LINKS")
-    first_thru = _meta_int(tags, "FIRST THRU NODE")
+    declared_nodes = _meta(tags, "NUMBER OF NODES")
+    declared_links = _meta(tags, "NUMBER OF LINKS")
+    first_thru = _meta(tags, "FIRST THRU NODE")
     if first_thru is None:
         first_thru = 1
 
@@ -404,8 +397,8 @@ def parse_demand(text: str) -> DemandMatrix:
     """Parse a TNTP trip file into a DemandMatrix."""
     lines = text.splitlines()
     tags, start = _read_metadata(lines)
-    zone_count = _meta_int(tags, "NUMBER OF ZONES")
-    declared_total = _meta_float(tags, "TOTAL OD FLOW")
+    zone_count = _meta(tags, "NUMBER OF ZONES")
+    declared_total = _meta(tags, "TOTAL OD FLOW", float)
 
     entries: dict[tuple[int, int], float] = {}
     origin: int | None = None
@@ -572,9 +565,9 @@ def parse_upgrades(text: str, network: Network | None = None) -> UpgradeSet:
                     raise ParseError(f"unknown MOD field {key!r}", line=i + 1)
             if capacity is None:
                 raise ParseError("MOD requires CAPACITY=<v>", line=i + 1)
-            if capacity <= 0:
+            if not capacity > 0:
                 raise ParseError("MOD capacity must be positive", line=i + 1)
-            if fftime is not None and fftime < 0:
+            if fftime is not None and not fftime >= 0:
                 raise ParseError("MOD free-flow time must be non-negative", line=i + 1)
             mod = LinkModification(from_node=u, to_node=v, capacity=capacity,
                                    free_flow_time=fftime, parallel_index=par)

@@ -20,6 +20,7 @@ fewer upgrades, then lexicographically smallest (id, bin) items.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
@@ -61,17 +62,17 @@ class SelectionProblem:
             if missing:
                 raise DataError(f"no {label} for upgrade(s) {', '.join(missing)}")
         for i in self.ids:
-            if self.costs[i] < 0:
+            if not self.costs[i] >= 0:
                 raise DataError(f"upgrade {i} has negative cost")
         for pair in self.corrections:
             if len(pair) != 2 or pair[0] >= pair[1]:
                 raise DataError(f"correction key {pair!r} must be a sorted pair of distinct ids")
             if pair[0] not in known or pair[1] not in known:
                 raise DataError(f"correction {pair!r} names an unknown upgrade")
-        if self.budget < 0:
+        if not self.budget >= 0:
             raise DataError("budget must be non-negative")
-        if self.m <= 0:
-            raise DataError("m (yearly value of one unit of daily VHT) must be positive")
+        if not 0 < self.m < math.inf:
+            raise DataError("m (yearly value of one unit of daily VHT) must be positive and finite")
 
     @classmethod
     def from_delta_table(

@@ -24,6 +24,7 @@ in one book, or across runs with a cache directory, is read from its cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import le
@@ -32,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .equilibrium import SolverSettings
 from .errors import DataError, ParseError
 from .network import DemandMatrix, Network, UpgradeSet, apply_upgrades
-from .portfolio import DEFAULT_M, SelectionProblem, _best_assignment, better_assignment, optimize_subset
+from .portfolio import DEFAULT_M, SelectionProblem, _best_assignment, optimize_subset
 from .scenario import DeltaBook
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "period_spend",
     "check_schedule",
     "schedule_npv",
-    "make_schedule",
-    "better_assignment",
     "independent_schedule",
     "greedy_schedule",
     "period_singles",
@@ -71,7 +70,7 @@ class GrowthRule:
             raise DataError("growth rule lists no zones")
         if any(z < 1 for z in self.zones):
             raise DataError("growth rule zone ids must be >= 1")
-        if self.factor < 0:
+        if not self.factor >= 0:
             raise DataError("growth factor must be non-negative")
 
 
@@ -121,12 +120,12 @@ class PlanningHorizon:
     def __post_init__(self):
         if not self.budgets:
             raise DataError("planning horizon needs at least one period")
-        if any(b < 0 for b in self.budgets):
+        if not all(b >= 0 for b in self.budgets):
             raise DataError("period budgets must be non-negative")
-        if self.rate < 0:
-            raise DataError("interest rate must be non-negative")
-        if self.m <= 0:
-            raise DataError("m (yearly value of one unit of daily VHT) must be positive")
+        if not 0 <= self.rate < math.inf:
+            raise DataError("interest rate must be non-negative and finite")
+        if not 0 < self.m < math.inf:
+            raise DataError("m (yearly value of one unit of daily VHT) must be positive and finite")
         if len(self.demands) != len(self.budgets):
             raise DataError(
                 f"{len(self.budgets)} budgets but {len(self.demands)} demand matrices"
@@ -186,10 +185,10 @@ class FeasibilityReport:
 
 def present_value(amount: float, t: int, rate: float) -> float:
     """Value today of `amount` arriving t periods out at interest `rate`."""
-    if t < 0:
+    if not t >= 0:
         raise DataError("period must be non-negative")
-    if rate < 0:
-        raise DataError("interest rate must be non-negative")
+    if not 0 <= rate < math.inf:
+        raise DataError("interest rate must be non-negative and finite")
     return amount / (1.0 + rate) ** t
 
 
@@ -259,21 +258,6 @@ def schedule_npv(
             if d is not None:
                 npv += coeff * d
     return npv
-
-
-def make_schedule(
-    period_values: PeriodValues,
-    period_pairs: PeriodPairs,
-    upgrades: UpgradeSet,
-    horizon: PlanningHorizon,
-    assignments: Mapping[str, int],
-) -> Schedule:
-    """Bundle assignments with their canonical spend vector and NPV."""
-    return Schedule(
-        assignments=dict(assignments),
-        per_period_spend=period_spend(upgrades, horizon, assignments),
-        npv=schedule_npv(period_values, period_pairs, upgrades, horizon, assignments),
-    )
 
 
 def independent_schedule(
@@ -374,7 +358,11 @@ def greedy_schedule(
             # duplicate added links
             current = apply_upgrades(net, upgrades, tuple(sorted(assignments)))
         remaining -= set(picked)
-    return make_schedule(period_values, period_pairs, upgrades, horizon, assignments)
+    return Schedule(
+        assignments=assignments,
+        per_period_spend=period_spend(upgrades, horizon, assignments),
+        npv=schedule_npv(period_values, period_pairs, upgrades, horizon, assignments),
+    )
 
 
 def period_singles(

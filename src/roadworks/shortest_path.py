@@ -54,6 +54,16 @@ def shortest_paths(
     """Solve one single-source problem under the given per-link costs."""
     if not 1 <= source <= net.node_count:
         raise DataError(f"source {source} outside 1..{net.node_count}")
+    costs = _checked_costs(net, link_costs).tolist()
+    dist, pred = _bellman_ford(net.node_count, net.adjacency, costs, source, net.first_thru_node)
+    labels = {node: dist[node] for node in range(1, net.node_count + 1)}
+    preds = {node: pred[node] for node in range(1, net.node_count + 1) if pred[node] >= 0}
+    return ShortestPathTree(source=source, labels=labels, predecessor_link=preds)
+
+
+def _checked_costs(net: Network, link_costs: Sequence[float]) -> np.ndarray:
+    """`link_costs` as a float array, one finite non-negative cost per link of
+    `net`; otherwise a DataError naming the first bad link."""
     costs = np.array(link_costs, dtype=float)
     if len(costs) != len(net.links):
         raise DataError(f"got {len(costs)} costs for {len(net.links)} links")
@@ -62,10 +72,7 @@ def shortest_paths(
         i = int(np.argmax(bad))
         link = net.links[i]
         raise DataError(f"link {link.from_node}->{link.to_node} has invalid cost {float(costs[i])}")
-    dist, pred = _bellman_ford(net.node_count, net.adjacency, costs.tolist(), source, net.first_thru_node)
-    labels = {node: dist[node] for node in range(1, net.node_count + 1)}
-    preds = {node: pred[node] for node in range(1, net.node_count + 1) if pred[node] >= 0}
-    return ShortestPathTree(source=source, labels=labels, predecessor_link=preds)
+    return costs
 
 
 def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):

@@ -787,3 +787,77 @@ def test_missing_cache_points_at_deltas(data_dir, tmp_path, capsys):
     # the refused file was never created, so deltas at another gap may build it
     assert main(desk_args(data_dir, "deltas", "--gap", "1e-5", "--cache", str(missing))) == 0
     capsys.readouterr()
+
+
+# the desk network's first link row: from to capacity length fftime b power
+LINK_ROW = "1\t3\t400.0\t10.0\t10.0\t0.15\t4"
+
+
+def _link_row_with(column, value):
+    fields = LINK_ROW.split("\t")
+    fields[column] = value
+    return "\t".join(fields)
+
+
+# NaN in a numeric input, or an infinite m or rate: each a data error (exit 2)
+# before any solve, named on one line.  (command, flags, file edit, message)
+BAD_NUMBERS = {
+    "select-budget-nan": ("select", ("--budget", "nan"), None, "budget must be non-negative"),
+    "select-m-nan": ("select", ("--budget", "900", "--m", "nan"), None, "must be positive and finite"),
+    "select-m-inf": ("select", ("--budget", "900", "--m", "inf"), None, "must be positive and finite"),
+    "schedule-budgets-nan": ("schedule", ("--budgets", "900,nan"), None, "period budgets must be non-negative"),
+    "schedule-rate-nan": ("schedule", ("--budgets", "900", "--rate", "nan"), None, "interest rate"),
+    "schedule-rate-inf": ("schedule", ("--budgets", "900", "--rate", "inf"), None, "interest rate"),
+    "schedule-m-inf": ("schedule", ("--budgets", "900", "--m", "inf"), None, "must be positive and finite"),
+    "schedule-growth-nan": ("schedule", ("--budgets", "900,900", "--growth-file", "{tmp}/growth.rules"), None,
+                            "growth factor must be non-negative"),
+    "predict-pairs-threshold-nan": ("predict-pairs", ("--pairs-threshold", "nan"), None,
+                                    "distance threshold must be non-negative"),
+    "project-cost-nan": ("deltas", (), ("upgrades", "PROJECT C-A1 800", "PROJECT C-A1 nan"), "C-A1: negative cost"),
+    "mod-capacity-nan": ("deltas", (), ("upgrades", "MOD 1 3 CAPACITY=800", "MOD 1 3 CAPACITY=nan"),
+                         "MOD capacity must be positive"),
+    "mod-fftime-nan": ("deltas", (), ("upgrades", "MOD 1 3 CAPACITY=800", "MOD 1 3 CAPACITY=800 FFTIME=nan"),
+                       "MOD free-flow time"),
+    "add-capacity-nan": ("deltas", (), ("upgrades", "ADD 3 5 600", "ADD 3 5 nan"), "capacity must be positive"),
+    "link-capacity-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(2, "nan")), "capacity must be positive"),
+    "link-fftime-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(4, "nan")), "negative free-flow time"),
+    "link-alpha-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(5, "nan")), "negative BPR parameter"),
+    "link-beta-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(6, "nan")), "negative BPR parameter"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_nan_and_infinite_numbers_exit_2(data_dir, tmp_path, capsys, case):
+    command, flags, edit, message = BAD_NUMBERS[case]
+    (tmp_path / "growth.rules").write_text("SCALE 1-3 nan\n")
+    argv = desk_args(data_dir, command, *(f.format(tmp=tmp_path) for f in flags))
+    if edit is not None:
+        key, old, new = edit
+        text = (data_dir / DESK[key]).read_text()
+        assert old in text
+        edited = tmp_path / DESK[key]
+        edited.write_text(text.replace(old, new, 1))
+        argv[argv.index(f"--{key}") + 1] = str(edited)
+    if command == "select":
+        cache = str(tmp_path / "c.cache")
+        assert main(desk_args(data_dir, "deltas", "--cache", cache)) == 0
+        capsys.readouterr()
+        argv += ["--cache", cache]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("budgets", ["900,,1700", "900,1700,", ""])
+def test_empty_budget_element_is_a_usage_error(data_dir, capsys, budgets):
+    assert main(desk_args(data_dir, "schedule", "--budgets", budgets)) == 1
+    assert capsys.readouterr().err == f"usage error: --budgets: bad value {budgets!r}\n"
+
+
+@pytest.mark.parametrize("restarts", ["0", "-4"])
+def test_kmeans_restarts_below_one_exit_2(data_dir, capsys, restarts):
+    argv = desk_args(data_dir, "predict-pairs", "--kmeans-k", "4", "--kmeans-restarts", restarts)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: k-means restarts must be at least 1\n"

@@ -118,6 +118,9 @@ def test_kmeans_degenerate_cases():
         kmeans(points, 0)
     with pytest.raises(DataError):
         kmeans(points, 4)
+    for restarts in (0, -4):
+        with pytest.raises(DataError, match="restarts must be at least 1"):
+            kmeans(points, 2, restarts=restarts)
 
 
 def test_clustering_pairs(desk):

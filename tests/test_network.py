@@ -66,6 +66,13 @@ def test_parse_network_requires_metadata():
         parse_network("1 2 100 1 1 0.15 4 0 0 1 ;\n")
 
 
+@pytest.mark.parametrize("value", ["many", "nan", "inf"])
+def test_metadata_that_is_no_count_is_a_parse_error(value):
+    text = f"<NUMBER OF ZONES> {value}\n<END OF METADATA>\n1 2 100 1 1 0.15 4 0 0 1 ;\n"
+    with pytest.raises(ParseError, match=r"metadata <NUMBER OF ZONES> is not a number"):
+        parse_network(text)
+
+
 def test_parse_network_bad_row_reports_line():
     text = (
         "<NUMBER OF ZONES> 2\n<NUMBER OF NODES> 2\n<FIRST THRU NODE> 1\n"

@@ -25,7 +25,7 @@ from roadworks import (
     greedy_schedule,
     network_fingerprint,
     restricted,
-    solve_ue,
+    solve_with,
     table_from_cache,
     table_from_evaluated,
 )
@@ -42,7 +42,7 @@ def test_canonical_subset(desk):
 
 
 def test_baseline_and_singles(desk, desk_table):
-    base = solve_ue(desk.net, desk.demand, target_gap=1e-8)
+    base = solve_with(desk.net, desk.demand, SolverSettings(target_gap=1e-8, max_iters=1000))
     assert desk_table.baseline_vht == base.vht
     assert set(desk_table.singles) == set(CORRIDOR)
     # widening any single link relieves a bottleneck on its corridor

@@ -14,6 +14,7 @@ from roadworks import (
     LinkModification,
     ParseError,
     PlanningHorizon,
+    Schedule,
     SolverSettings,
     Upgrade,
     UpgradeSet,
@@ -24,7 +25,6 @@ from roadworks import (
     format_schedule_table,
     greedy_schedule,
     independent_schedule,
-    make_schedule,
     optimize_subset,
     parse_growth_rules,
     parse_upgrades,
@@ -164,15 +164,6 @@ def test_npv_missing_value_is_an_error():
         schedule_npv({("a", 1): 5.0}, {}, ups, horizon, {"zz": 1})
     with pytest.raises(DataError):
         schedule_npv({("a", 1): 5.0}, {}, ups, horizon, {"a": 9})
-
-
-def test_make_schedule_bundles():
-    ups = UpgradeSet((dummy_upgrade("a", 10), dummy_upgrade("b", 20)))
-    horizon = paper_horizon([100, 100])
-    values = {("a", 1): 50.0, ("b", 2): 70.0}
-    s = make_schedule(values, {}, ups, horizon, {"a": 1, "b": 2})
-    assert s.per_period_spend == (10.0, 20.0)
-    assert s.npv == schedule_npv(values, {}, ups, horizon, s.assignments)
 
 
 def test_better_assignment_order():
@@ -384,8 +375,7 @@ def test_period_singles_reads_every_period_from_the_book(desk):
 def test_format_schedule_table(desk):
     ups = UpgradeSet((dummy_upgrade("a", 10), dummy_upgrade("b", 20)))
     horizon = paper_horizon([15, 25])
-    values = {("a", 1): 50.0, ("b", 2): 70.0}
-    sched = make_schedule(values, {}, ups, horizon, {"a": 1, "b": 2})
+    sched = Schedule({"a": 1, "b": 2}, (10.0, 20.0), 47.0)
     text = format_schedule_table(ups, horizon, sched)
     lines = text.splitlines()
     assert "Time period t" in lines[0]
@@ -397,9 +387,7 @@ def test_format_schedule_table(desk):
 
 
 def test_format_schedule_listing():
-    ups = UpgradeSet((dummy_upgrade("a", 10),))
-    horizon = paper_horizon([100])
-    sched = make_schedule({("a", 1): 50.0}, {}, ups, horizon, {"a": 1})
+    sched = Schedule({"a": 1}, (10.0,), 40.0)
     text = format_schedule_listing(sched)
     assert text.splitlines()[0] == "a 1"
     assert text.splitlines()[1].startswith("npv_kd ")

@@ -178,3 +178,10 @@ def test_fullscale_driver_rejects_a_worker_count_below_one(data_dir, tmp_path, c
     argv = driver_args(data_dir, tmp_path / "cache", "--skip-schedule", "--workers", "0")
     assert load_script().main(argv) == 2
     assert capsys.readouterr().err == "error: workers must be at least 1\n"
+
+
+def test_fullscale_driver_rejects_an_empty_budget_element(data_dir, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert load_script().main(driver_args(data_dir, cache_dir, "--budgets", "900,,1700")) == 1
+    assert capsys.readouterr() == ("", "usage error: --budgets: bad value '900,,1700'\n")
+    assert not cache_dir.exists()
