@@ -85,10 +85,6 @@ def main(argv=None):
     ap.add_argument("--growth-file", help="SCALE rules for per-period demand growth")
     ap.add_argument("--gap", type=float, default=1e-5, help="relative gap target")
     ap.add_argument("--max-iters", type=int, default=10_000)
-    ap.add_argument(
-        "--workers", type=int, default=1,
-        help="at least 1; no effect on results or speed: subsets are solved in order on the calling thread",
-    )
     ap.add_argument("--budget", type=float, default=10_000.0, help="selection budget, k$")
     ap.add_argument("--budgets", default="1000,4000,1500,3000,5000", help="per-period budgets, k$")
     ap.add_argument("--rate", type=float, default=0.04, help="annual interest rate")
@@ -116,7 +112,7 @@ def run(args):
         f"{len(demand.entries)} O-D entries, {len(upgrades.ids)} projects"
     )
 
-    book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
+    book = DeltaBook(settings, cache_dir=args.cache_dir)
     stamp(f"baseline assignment (gap {args.gap:g}, up to {args.max_iters} iterations)")
     table = book.deltas(net, demand, upgrades, [])
     stamp(f"baseline VHT {table.baseline_vht:,.0f} at gap {table.baseline_gap:.3e}")
@@ -159,10 +155,7 @@ def run(args):
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
 
     stamp(f"greedy schedule over {horizon.T} periods at r = {args.rate:g}")
-    sched = greedy_schedule(
-        net, upgrades, horizon, settings,
-        pairs=pair_subsets, workers=args.workers, cache_dir=args.cache_dir,
-    )
+    sched = greedy_schedule(net, upgrades, horizon, settings, pairs=pair_subsets, cache_dir=args.cache_dir)
     print(format_schedule_table(upgrades, horizon, sched), end="")
     print(format_schedule_listing(sched), end="")
 
@@ -177,10 +170,7 @@ def run(args):
     final_only = PlanningHorizon.with_growth(
         (0.0,) * (horizon.T - 1) + (sum(budgets),), args.rate, demand, rules, m=args.m
     )
-    at_end = greedy_schedule(
-        net, upgrades, final_only, settings,
-        pairs=pair_subsets, workers=args.workers, cache_dir=args.cache_dir,
-    )
+    at_end = greedy_schedule(net, upgrades, final_only, settings, pairs=pair_subsets, cache_dir=args.cache_dir)
     stamp(f"at-horizon NPV {at_end.npv:,.0f} k$")
     return 0
 

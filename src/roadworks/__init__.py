@@ -43,7 +43,6 @@ from .scenario import (
     format_error_report,
     restricted,
     table_from_cache,
-    table_from_evaluated,
 )
 from .interaction import (
     UpgradeLocation,

@@ -230,12 +230,8 @@ def cmd_deltas(args) -> int:
         if not args.subset:
             raise _UsageError("explicit mode needs at least one --subset")
         subsets = [canonical_subset(upgrades, _split_tokens(s, upgrades)) for s in args.subset]
-    if args.workers < 1:
-        raise DataError("workers must be at least 1")
     cache = _open_cache(args, net, demand, create=True) if args.cache else None
-    table = compute_deltas(
-        net, demand, upgrades, subsets, settings, cache=cache, workers=args.workers
-    )
+    table = compute_deltas(net, demand, upgrades, subsets, settings, cache=cache)
     lines = [f"baseline_vht {table.baseline_vht!r}"]
     for S in sorted(table.evaluated_subsets, key=lambda s: (len(s), s)):
         lines.append(f"{','.join(S)} {table.evaluated_subsets[S]!r} {table.gaps[S]!r}")
@@ -303,19 +299,11 @@ def cmd_schedule(args) -> int:
     rules = parse_growth_rules(_read(args.growth_file)) if args.growth_file else ()
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
     if args.independent:
-        book = DeltaBook(settings, workers=args.workers, cache_dir=args.cache_dir)
+        book = DeltaBook(settings, cache_dir=args.cache_dir)
         schedule = independent_schedule(period_singles(book, net, upgrades, horizon), upgrades, horizon)
     else:
         pairs = _pair_restriction(args, net, upgrades) or ()
-        schedule = greedy_schedule(
-            net,
-            upgrades,
-            horizon,
-            settings,
-            pairs=pairs,
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-        )
+        schedule = greedy_schedule(net, upgrades, horizon, settings, pairs=pairs, cache_dir=args.cache_dir)
     report = check_schedule(upgrades, horizon, schedule.assignments)
     if not report.ok:
         raise SolverError(
@@ -329,6 +317,12 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_error_report(args) -> int:
+    try:
+        orders = [int(p) for p in args.orders.split(",")]
+    except ValueError:
+        raise _UsageError(f"--orders: bad value {args.orders!r}")
+    if any(k < 1 for k in orders):
+        raise _UsageError("--orders must list positive integers")
     net = _load_network(args)
     demand = parse_demand(_read(args.trips))
     upgrades = _load_upgrades(args, net)
@@ -342,12 +336,6 @@ def cmd_error_report(args) -> int:
     used = table
     if args.pairs_file is not None:
         used = restricted(table, pairs=_read_pairs(args.pairs_file, upgrades))
-    try:
-        orders = [int(p) for p in args.orders.split(",") if p]
-    except ValueError:
-        raise _UsageError(f"--orders: bad value {args.orders!r}")
-    if not orders or any(k < 1 for k in orders):
-        raise _UsageError("--orders must list positive integers")
     rows = error_report(used, orders, reference=table)
     _emit(format_error_report(rows), args.out)
     return 0
@@ -363,8 +351,6 @@ _FLAGS = {
     "out": dict(help="also write the command's output here"),
     "gap": dict(type=float, default=1e-4, help="relative-gap convergence target"),
     "max-iters": dict(type=int, default=1000, help="iteration cap per equilibrium solve"),
-    "workers": dict(type=int, default=1, help="at least 1; no effect on results or speed: "
-                    "subsets are solved in order on the calling thread"),
     "apply": dict(help="comma-separated upgrade ids to build first"),
     "cache": dict(help="delta cache file (deltas creates it if absent)"),
     "mode": dict(choices=["individual", "pairs", "all-subsets", "explicit"], default="individual",
@@ -393,13 +379,13 @@ _PAIRS = "pairs-file pairs-threshold pairs-count"
 _COMMANDS = {
     "solve": ("solve one user-equilibrium assignment", cmd_solve, "net trips", "gap max-iters apply"),
     "deltas": ("evaluate upgrade subsets into a cache", cmd_deltas, "net trips upgrades",
-               f"gap max-iters workers cache mode subset max-size {_PAIRS}"),
+               f"gap max-iters cache mode subset max-size {_PAIRS}"),
     "predict-pairs": ("screen for interacting upgrade pairs", cmd_predict_pairs, "net nodes upgrades",
                       "pairs-threshold pairs-count kmeans-k kmeans-restarts seed"),
     "select": ("pick the best subset within a budget", cmd_select, "net trips upgrades budget",
                f"gap cache budget m {_PAIRS}"),
     "schedule": ("plan upgrades across budget periods", cmd_schedule, "net trips upgrades budgets",
-                 f"gap max-iters workers budgets rate m growth-file independent cache-dir {_PAIRS}"),
+                 f"gap max-iters budgets rate m growth-file independent cache-dir {_PAIRS}"),
     "error-report": ("estimator accuracy from cached deltas", cmd_error_report, "net trips upgrades",
                      "gap cache orders pairs-file"),
 }

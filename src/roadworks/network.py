@@ -21,6 +21,7 @@ Costs are in thousands of dollars (k$) throughout the package.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -187,12 +188,14 @@ class DemandMatrix:
 
     def scaled(self, zones: frozenset[int] | set[int], factor: float) -> "DemandMatrix":
         """Multiply every entry whose origin or destination lies in `zones`."""
-        if not factor >= 0:
-            raise DataError("demand scale factor must be non-negative")
+        if not 0 <= factor < math.inf:
+            raise DataError("demand scale factor must be non-negative and finite")
         out = {}
         for (r, s), q in self.entries.items():
             if r in zones or s in zones:
                 q = q * factor
+                if q == math.inf:
+                    raise DataError(f"demand entry ({r},{s}) scaled by {factor!r} overflows")
             if q != 0:
                 out[(r, s)] = q
         return DemandMatrix(out)

@@ -47,7 +47,6 @@ __all__ = [
     "FileDeltaCache",
     "compute_deltas",
     "table_from_cache",
-    "table_from_evaluated",
     "warn_if_capped",
     "estimate_delta",
     "error_report",
@@ -267,14 +266,10 @@ class DeltaBook:
     `cache_dir`, in the file ``deltas_<network>_<demand>.cache`` there, so
     conditions reached twice are cache hits, not fresh solves.  Missing
     subsets are solved in order on the calling thread, and each row is cached
-    as soon as it is solved.  `workers` is accepted and checked (at least 1)
-    but changes neither results nor speed: threads under the GIL were slower
-    than one.
+    as soon as it is solved.
     """
 
-    def __init__(self, settings: SolverSettings, workers: int = 1, cache_dir: str | None = None):
-        if workers < 1:
-            raise DataError("workers must be at least 1")
+    def __init__(self, settings: SolverSettings, cache_dir: str | None = None):
         self.settings = settings
         self.cache_dir = cache_dir
         self._caches: dict[tuple[str, str], MemoryDeltaCache] = {}
@@ -340,8 +335,11 @@ def compute_deltas(
     re-solved; `tap_solves` on the result counts fresh equilibrium runs
     (baseline included).
     """
+    # `workers` is read by nothing; it stays only for the benchmark's call shape
+    if workers < 1:
+        raise DataError("workers must be at least 1")
     cache = MemoryDeltaCache() if cache is None else cache
-    return DeltaBook(settings, workers)._fill(cache, net, demand, upgrades, subsets)
+    return DeltaBook(settings)._fill(cache, net, demand, upgrades, subsets)
 
 
 def table_from_cache(cache: MemoryDeltaCache, wanted: Sequence[Subset] | None = None) -> DeltaTable:
@@ -363,25 +361,12 @@ def table_from_cache(cache: MemoryDeltaCache, wanted: Sequence[Subset] | None = 
             )
         rows = {S: rows[S] for S in wanted}
     evaluated = {S: d for S, (d, _) in rows.items()}
-    gaps = {S: g for S, (_, g) in rows.items()}
-    return table_from_evaluated(base[0], base[1], evaluated, gaps)
-
-
-def table_from_evaluated(
-    baseline_vht: float,
-    baseline_gap: float,
-    evaluated: Mapping[Subset, float],
-    gaps: Mapping[Subset, float] | None = None,
-) -> DeltaTable:
-    """Assemble a DeltaTable from already-known exact deltas (cache rows)."""
-    ev = dict(evaluated)
     return DeltaTable(
-        baseline_vht=baseline_vht,
-        coefficients=_coefficients(ev),
-        evaluated_subsets=ev,
-        gaps=dict(gaps) if gaps else {},
-        baseline_gap=baseline_gap,
-        tap_solves=0,
+        baseline_vht=base[0],
+        coefficients=_coefficients(evaluated),
+        evaluated_subsets=evaluated,
+        gaps={S: g for S, (_, g) in rows.items()},
+        baseline_gap=base[1],
     )
 
 

@@ -70,8 +70,8 @@ class GrowthRule:
             raise DataError("growth rule lists no zones")
         if any(z < 1 for z in self.zones):
             raise DataError("growth rule zone ids must be >= 1")
-        if not self.factor >= 0:
-            raise DataError("growth factor must be non-negative")
+        if not 0 <= self.factor < math.inf:
+            raise DataError("growth factor must be non-negative and finite")
 
 
 def parse_growth_rules(text: str) -> tuple[GrowthRule, ...]:
@@ -124,6 +124,7 @@ class PlanningHorizon:
             raise DataError("period budgets must be non-negative")
         if not 0 <= self.rate < math.inf:
             raise DataError("interest rate must be non-negative and finite")
+        present_value(1.0, self.T, self.rate)  # an overflowing discount fails before any solve
         if not 0 < self.m < math.inf:
             raise DataError("m (yearly value of one unit of daily VHT) must be positive and finite")
         if len(self.demands) != len(self.budgets):
@@ -159,7 +160,13 @@ class PlanningHorizon:
         for t in range(1, len(budgets) + 1):
             d = base_demand
             for rule in rules:
-                d = d.scaled(set(rule.zones), rule.factor ** (t - 1))
+                try:
+                    factor = rule.factor ** (t - 1)
+                except OverflowError:
+                    raise DataError(
+                        f"growth factor {rule.factor!r} compounded over {t - 1} periods overflows"
+                    ) from None
+                d = d.scaled(set(rule.zones), factor)
             demands.append(d)
         return cls(tuple(budgets), rate, tuple(demands), m)
 
@@ -189,7 +196,10 @@ def present_value(amount: float, t: int, rate: float) -> float:
         raise DataError("period must be non-negative")
     if not 0 <= rate < math.inf:
         raise DataError("interest rate must be non-negative and finite")
-    return amount / (1.0 + rate) ** t
+    try:
+        return amount / (1.0 + rate) ** t
+    except OverflowError:
+        raise DataError(f"interest rate {rate!r} overflows when discounting over {t} periods") from None
 
 
 def period_spend(
@@ -320,7 +330,10 @@ def greedy_schedule(
         for i in p:
             if i not in upgrades.by_id:
                 raise DataError(f"interaction pair names unknown upgrade {i!r}")
-    book = DeltaBook(settings, workers=workers, cache_dir=cache_dir)
+    # `workers` is read by nothing; it stays only for the benchmark's call shape
+    if workers < 1:
+        raise DataError("workers must be at least 1")
+    book = DeltaBook(settings, cache_dir=cache_dir)
     T = horizon.T
 
     # step 1: the subset to aim for by the end of the horizon

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour, including exit codes."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -144,9 +147,12 @@ def test_usage_errors_exit_1(data_dir, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# the solver flags each command lost: none of them reads or names a solve by it
+# the solver flags each command lost: none of them reads or names a solve by
+# it, and no command takes `workers` (subsets are solved on the calling thread)
 NO_SOLVER_FLAG = [
     ("solve", "workers"),
+    ("deltas", "workers"),
+    ("schedule", "workers"),
     ("select", "max-iters"),
     ("select", "workers"),
     ("error-report", "max-iters"),
@@ -208,21 +214,6 @@ def test_deltas_warns_per_capped_subset(data_dir, tmp_path, capsys):
     assert err[1].startswith("warning: subset {C-A1}: stopped after 1 iterations")
     assert err[2].startswith("warning: subset {C-B1,C-B2}: stopped after 1 iterations")
     assert all(line.endswith("> target 1e-08") for line in err)
-
-
-def test_workers_flag_is_bit_stable(data_dir, tmp_path, capsys):
-    stdout, caches = [], []
-    for workers in ("1", "2"):
-        cache = tmp_path / f"workers{workers}.cache"
-        args = desk_args(
-            data_dir, "deltas", "--mode", "pairs", "--gap", "1e-8", "--cache", str(cache),
-            "--workers", workers,
-        )
-        assert main(args) == 0
-        stdout.append(capsys.readouterr().out)
-        caches.append(cache.read_bytes())
-    assert stdout[0] == stdout[1]
-    assert caches[0] == caches[1]
 
 
 def test_deltas_individual_and_cache_reuse(data_dir, tmp_path, capsys):
@@ -753,14 +744,8 @@ def test_config_files_do_not_leak_between_calls(data_dir, tmp_path, capsys):
     assert solve() == plain
 
 
-def test_worker_count_below_one_exits_2(data_dir, capsys):
-    assert main(desk_args(data_dir, "deltas", "--workers", "-3")) == 2
-    assert capsys.readouterr().err == "error: workers must be at least 1\n"
-
-
 # rejected and read-only calls: each exits 2 before it creates a cache file
 NO_CACHE_LEFT = {
-    "deltas-workers-0": ("deltas", "--cache", "{tmp}/w.cache", "--workers", "0"),
     "deltas-max-iters-0": ("deltas", "--cache", "{tmp}/w.cache", "--max-iters", "0"),
     "deltas-gap-0": ("deltas", "--cache", "{tmp}/w.cache", "--gap", "0"),
     "deltas-unknown-subset": ("deltas", "--mode", "explicit", "--subset", "C-ZZ", "--cache", "{tmp}/w.cache"),
@@ -799,8 +784,9 @@ def _link_row_with(column, value):
     return "\t".join(fields)
 
 
-# NaN in a numeric input, or an infinite m or rate: each a data error (exit 2)
-# before any solve, named on one line.  (command, flags, file edit, message)
+# NaN in a numeric input, an infinite m or rate, or a rate whose discount
+# overflows: each a data error (exit 2) before any solve, named on one line.
+# (command, flags, file edit, message)
 BAD_NUMBERS = {
     "select-budget-nan": ("select", ("--budget", "nan"), None, "budget must be non-negative"),
     "select-m-nan": ("select", ("--budget", "900", "--m", "nan"), None, "must be positive and finite"),
@@ -808,6 +794,8 @@ BAD_NUMBERS = {
     "schedule-budgets-nan": ("schedule", ("--budgets", "900,nan"), None, "period budgets must be non-negative"),
     "schedule-rate-nan": ("schedule", ("--budgets", "900", "--rate", "nan"), None, "interest rate"),
     "schedule-rate-inf": ("schedule", ("--budgets", "900", "--rate", "inf"), None, "interest rate"),
+    "schedule-rate-huge": ("schedule", ("--budgets", "900,900", "--rate", "1e200"), None,
+                           "interest rate 1e+200 overflows when discounting over 2 periods"),
     "schedule-m-inf": ("schedule", ("--budgets", "900", "--m", "inf"), None, "must be positive and finite"),
     "schedule-growth-nan": ("schedule", ("--budgets", "900,900", "--growth-file", "{tmp}/growth.rules"), None,
                             "growth factor must be non-negative"),
@@ -854,6 +842,48 @@ def test_nan_and_infinite_numbers_exit_2(data_dir, tmp_path, capsys, case):
 def test_empty_budget_element_is_a_usage_error(data_dir, capsys, budgets):
     assert main(desk_args(data_dir, "schedule", "--budgets", budgets)) == 1
     assert capsys.readouterr().err == f"usage error: --budgets: bad value {budgets!r}\n"
+
+
+# growth that is infinite, or overflows when compounded or applied to a trip
+# count: a data error (exit 2) before any solve.  (rule, budgets, message)
+BAD_GROWTH = {
+    "infinite": ("SCALE 1-2 inf", "900,900", "growth factor must be non-negative and finite"),
+    "compounded": ("SCALE 1-2 1e300", "900,900,900", "growth factor 1e+300 compounded over 2 periods overflows"),
+    "scaled-entry": ("SCALE 1-2 1e306", "900,900", "demand entry (1,2) scaled by 1e+306 overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GROWTH))
+def test_growth_that_overflows_exits_2(data_dir, tmp_path, capsys, case):
+    rule, budgets, message = BAD_GROWTH[case]
+    rules = tmp_path / "growth.rules"
+    rules.write_text(rule + "\n")
+    assert main(desk_args(data_dir, "schedule", "--budgets", budgets, "--growth-file", str(rules))) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("orders", ["1,,3", "1,2,", ""])
+def test_empty_orders_element_is_a_usage_error(data_dir, tmp_path, capsys, orders):
+    # rejected before the cache is read: none exists at this path
+    argv = desk_args(data_dir, "error-report", "--cache", str(tmp_path / "c.cache"), "--orders", orders)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: --orders: bad value {orders!r}\n")
+
+
+def test_readme_solver_flag_table_matches_the_parser():
+    # each command's solver flags in the README table, against the parser's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Command | Solver flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = set()
+    for row in table.splitlines():
+        _, commands, flags, _ = row.split("|")
+        documented = set(re.findall(r"`(--[\w-]+)`", flags))
+        for command in re.findall(r"`([\w-]+)`", commands):
+            listed.add(command)
+            taken = subparsers.choices[command]._option_string_actions
+            assert documented == {f for f in ("--gap", "--max-iters", "--workers") if f in taken}, command
+    assert listed == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("restarts", ["0", "-4"])

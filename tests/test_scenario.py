@@ -11,6 +11,7 @@ import roadworks.scenario
 from roadworks import (
     DataError,
     DeltaBook,
+    DeltaTable,
     FileDeltaCache,
     MemoryDeltaCache,
     PlanningHorizon,
@@ -27,7 +28,6 @@ from roadworks import (
     restricted,
     solve_with,
     table_from_cache,
-    table_from_evaluated,
 )
 
 CORRIDOR = ("C-A1", "C-A2", "C-A3", "C-B1", "C-B2", "C-B3")
@@ -240,10 +240,13 @@ def test_delta_book_keeps_one_cache_per_network_and_demand(desk, tmp_path):
     assert warm.tap_solves == 0
 
 
-def test_delta_book_rejects_a_worker_count_below_one():
+def test_the_kept_workers_keyword_rejects_a_count_below_one(desk):
+    horizon = PlanningHorizon.with_growth((900.0,), 0.05, desk.demand)
     for workers in (0, -3):
         with pytest.raises(DataError, match="workers must be at least 1"):
-            DeltaBook(SolverSettings(), workers=workers)
+            compute_deltas(desk.net, desk.demand, desk.upgrades, [], SolverSettings(), workers=workers)
+        with pytest.raises(DataError, match="workers must be at least 1"):
+            greedy_schedule(desk.net, desk.upgrades, horizon, SolverSettings(), workers=workers)
 
 
 def test_two_books_over_one_cache_dir_solve_each_row_once(desk, tmp_path):
@@ -294,32 +297,35 @@ def test_table_from_cache_reads_rows_and_names_missing_subsets():
     cache.put(("a", "b"), 25.0, 2e-8)
     cache.put(("b",), 12.0, 3e-8)
     table = table_from_cache(cache)
-    assert table == table_from_evaluated(
-        1000.0, 1e-7, {("a",): 10.0, ("a", "b"): 25.0, ("b",): 12.0},
-        {("a",): 1e-8, ("a", "b"): 2e-8, ("b",): 3e-8},
+    assert table == DeltaTable(
+        baseline_vht=1000.0,
+        coefficients={("a",): 10.0, ("b",): 12.0, ("a", "b"): 3.0},
+        evaluated_subsets={("a",): 10.0, ("a", "b"): 25.0, ("b",): 12.0},
+        gaps={("a",): 1e-8, ("a", "b"): 2e-8, ("b",): 3e-8},
+        baseline_gap=1e-7,
     )
     assert set(table_from_cache(cache, [("a",)]).evaluated_subsets) == {("a",)}
     with pytest.raises(DataError, match="missing subsets: a,c; c .*run the deltas command"):
         table_from_cache(cache, [("a",), ("a", "c"), ("c",)])
 
 
-def test_table_from_evaluated_matches_compute(desk_table):
-    rebuilt = table_from_evaluated(
-        desk_table.baseline_vht,
-        desk_table.baseline_gap,
-        desk_table.evaluated_subsets,
-        gaps=desk_table.gaps,
-    )
-    assert rebuilt.coefficients == desk_table.coefficients
-    assert rebuilt.tap_solves == 0
+def test_table_from_cache_matches_compute(desk_table):
+    cache = MemoryDeltaCache()
+    cache.set_baseline(desk_table.baseline_vht, desk_table.baseline_gap)
+    for S, delta in desk_table.evaluated_subsets.items():
+        cache.put(S, delta, desk_table.gaps[S])
+    assert table_from_cache(cache) == replace(desk_table, tap_solves=0)
 
 
-def test_table_from_evaluated_skips_unreachable_coefficients():
+def test_table_from_cache_skips_unreachable_coefficients():
     # without the (b,) single, no coefficient containing b can be derived
-    ev = {("a",): 10.0, ("a", "b"): 25.0}
-    table = table_from_evaluated(1000.0, 0.0, ev)
+    cache = MemoryDeltaCache()
+    cache.set_baseline(1000.0, 0.0)
+    cache.put(("a",), 10.0, 0.0)
+    cache.put(("a", "b"), 25.0, 0.0)
+    table = table_from_cache(cache)
     assert table.coefficients == {("a",): 10.0}
-    assert table.evaluated_subsets == ev
+    assert table.evaluated_subsets == {("a",): 10.0, ("a", "b"): 25.0}
 
 
 def test_workers_do_not_change_results(desk):

@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import roadworks.scenario as scenario
 from roadworks import PlanningHorizon, demand_fingerprint, network_fingerprint, parse_growth_rules
 from roadworks.cli import main as cli_main
@@ -174,10 +176,14 @@ def test_fullscale_driver_prints_warnings_as_the_cli_does(data_dir, tmp_path):
     assert "RuntimeWarning" not in run.stderr
 
 
-def test_fullscale_driver_rejects_a_worker_count_below_one(data_dir, tmp_path, capsys):
-    argv = driver_args(data_dir, tmp_path / "cache", "--skip-schedule", "--workers", "0")
-    assert load_script().main(argv) == 2
-    assert capsys.readouterr().err == "error: workers must be at least 1\n"
+def test_fullscale_driver_rejects_the_workers_flag(data_dir, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    argv = driver_args(data_dir, cache_dir, "--skip-schedule", "--workers", "2")
+    with pytest.raises(SystemExit) as stopped:
+        load_script().main(argv)
+    assert stopped.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not cache_dir.exists()
 
 
 def test_fullscale_driver_rejects_an_empty_budget_element(data_dir, tmp_path, capsys):
