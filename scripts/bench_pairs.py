@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Alternating side-by-side perfbench pairs: a base revision against the working tree.
+
+    PYTHONPATH=src python scripts/bench_pairs.py --base HEAD --workload desk-cli --pairs 10
+
+Copies the base revision (`git archive`) and the working tree (its tracked
+and untracked files that git does not ignore) side by side into one
+temporary directory, so neither side runs from the checkout itself.  For
+seeds 1..N it runs `perfbench/run.py --seconds 30` on both copies, the base
+first on odd seeds and the change first on even ones, and prints each
+pair's five end-to-end metrics, the median change/base ratio of each
+metric, and whether every run was correct with no failed operation.  The
+copies are removed at the end.  Usage errors exit 1, an unknown revision or
+a failed run 2.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from roadworks.cli import UsageParser, run_command  # noqa: E402
+from roadworks.errors import DataError  # noqa: E402
+
+WORKLOADS = ("sf-plan", "grid-solve", "desk-cli")
+METRICS = ("setup_s", "solve_s", "plan_s", "replan_s", "peak_rss_mb")
+SECONDS = "30"
+
+
+def count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
+def build_parser():
+    ap = UsageParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--pairs", required=True, type=count, help="number of pairs (seeds 1..N)")
+    return ap
+
+
+def _git(*args, **kwargs):
+    return subprocess.run(["git", "-C", ROOT, *args], capture_output=True, check=False, **kwargs)
+
+
+def _copy_base(rev, dest):
+    archive = _git("archive", "--format=tar", rev)
+    if archive.returncode != 0:
+        raise DataError(f"git archive {rev}: {archive.stderr.decode().strip()}")
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def _copy_tree(dest):
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in listed.stdout.decode().split("\0"):
+        source = os.path.join(ROOT, name)
+        if name and os.path.isfile(source):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(dest, name))
+
+
+def _run(side, workload, seed):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", SECONDS],
+        cwd=side, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise DataError(f"perfbench in {side} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def run(argv):
+    args = build_parser().parse_args(argv)
+    if _git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}").returncode != 0:
+        raise DataError(f"unknown revision {args.base!r}")
+    work = tempfile.mkdtemp(prefix="bench-pairs-")
+    try:
+        sides = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
+        _copy_base(args.base, sides["base"])
+        _copy_tree(sides["change"])
+        ratios = {m: [] for m in METRICS}
+        healthy = True
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            result = {name: _run(sides[name], args.workload, seed) for name in order}
+            cells = []
+            for m in METRICS:
+                base, change = (result[name]["metrics"][m]["value"] for name in ("base", "change"))
+                ratios[m].append(change / base if base else float("nan"))
+                cells.append(f"{m} {base:.4g} -> {change:.4g}")
+            status = "  ".join(f"{name} correct {str(r['correct']).lower()} failed {r['failed']}"
+                               for name, r in result.items())
+            healthy &= all(r["correct"] and r["failed"] == 0 for r in result.values())
+            print(f"pair {seed} ({order[0]} first): {', '.join(cells)}; {status}", flush=True)
+        print("median change/base: " + ", ".join(f"{m} {statistics.median(ratios[m]):.3f}" for m in METRICS))
+        print(f"every run correct with 0 failed operations: {str(healthy).lower()}")
+        return 0
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def main(argv=None):
+    return run_command(run, sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,10 +12,11 @@ at persistent storage, and expect to leave it overnight.
 
 Every delta goes through one subset layer, `DeltaBook`: --cache-dir holds
 one `deltas_<network>_<demand>.cache` per network and demand, shared by every
-stage but `realized_npv` and by reruns, so a rerun solves only its exact
-checks.  The accuracy stage reports on every row of the base file; the stage
-prints its path for `roadworks deltas --mode all-subsets`.  Warnings and
-errors are reported as `roadworks` reports them, with its exit codes.
+stage, the exact (realized) check of the independent schedule included, and
+by reruns, so a rerun solves nothing.  The accuracy stage reports on every
+row of the base file; the stage prints its path for `roadworks deltas --mode
+all-subsets`.  Flags, warnings and errors are reported as `roadworks` reports
+them, with its exit codes: a usage error exits 1.
 
 Reference values for the original datasets (for eyeballing your output):
 
@@ -39,7 +40,6 @@ Example:
       --growth-file chicago_growth.rules --cache-dir ./chicago-cache
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -69,15 +69,15 @@ from roadworks import (
     realized_npv,
     table_from_cache,
 )
-from roadworks.cli import parse_budgets, run_command
+from roadworks.cli import UsageParser, parse_budgets, run_command
 
 
 def stamp(msg):
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", flush=True)
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def build_parser():
+    ap = UsageParser(description=__doc__.splitlines()[0])
     ap.add_argument("--net", required=True, help="TNTP network file")
     ap.add_argument("--trips", required=True, help="TNTP trips file")
     ap.add_argument("--nodes", help="TNTP node coordinates (enables pair screening)")
@@ -94,10 +94,15 @@ def main(argv=None):
     ap.add_argument(
         "--skip-schedule", action="store_true", help="stop after subset selection"
     )
-    return run_command(run, ap.parse_args(argv))
+    return ap
 
 
-def run(args):
+def main(argv=None):
+    return run_command(run, sys.argv[1:] if argv is None else argv)
+
+
+def run(argv):
+    args = build_parser().parse_args(argv)
     budgets = parse_budgets(args.budgets)
     settings = SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
@@ -163,7 +168,7 @@ def run(args):
     indep = independent_schedule(period_singles(book, net, upgrades, horizon), upgrades, horizon)
     print(format_schedule_table(upgrades, horizon, indep), end="")
     stamp(f"independent model estimate {indep.npv:,.0f} k$; realizing it exactly")
-    indep_real = realized_npv(net, upgrades, horizon, indep.assignments, settings)
+    indep_real = realized_npv(net, upgrades, horizon, indep.assignments, settings, book=book)
     stamp(f"independent schedule realized NPV {indep_real:,.0f} k$")
 
     stamp("everything-at-the-horizon schedule for comparison")

@@ -86,8 +86,10 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse would sys.exit(2); route usage problems to exit code 1 instead
+class UsageParser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are usage errors: `run_command` exits 1
+    on them, where argparse would exit 2, the data-error code."""
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -394,7 +396,7 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The roadworks parser, built once per process and shared: never modify it."""
-    parser = _Parser(prog="roadworks", description=__doc__.splitlines()[0])
+    parser = UsageParser(prog="roadworks", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
     for name, (text, _, _, flags) in _COMMANDS.items():

@@ -36,8 +36,19 @@ The step length is exact: a safeguarded Newton iteration on the derivative
 falling back to bisection whenever Newton leaves the bracket.  Each step is
 exact along a feasible direction, so the Beckmann objective never rises.
 
-Determinism contract: a solve runs on one thread, and the same inputs give
-bit-identical flows.  Origins are loaded in chunks of _CHUNK in a fixed
+One loop solves any number of (network, demand) problems in lock-step
+(`_solve_batch`; `solve_with` is that loop with one problem).  Each
+elementwise step runs once over the active problems' links end to end, while
+AON loading, inner products, sums, the branches of the direction weights and
+of the line search, and the histories stay per problem.  A problem leaves
+the batch when it converges or reaches its iteration cap.  Subset tables
+batch their missing subsets this way, so that many small solves share the
+cost of each numpy call.
+
+Determinism contract: solves run on one thread, and the same inputs give
+bit-identical flows, alone or in any batch: elementwise results do not
+depend on where a link sits in the batch, and each problem's reductions run
+over its own slice.  Origins are loaded in chunks of _CHUNK in a fixed
 order and the chunk flows are summed in that order.  A chunk's trees come
 from Bellman-Ford in one of two forms, the per-origin kernel or, on large
 inputs, the array path, and both build the same trees.  Each form has its
@@ -53,7 +64,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -178,17 +190,43 @@ def relative_gap(flows: np.ndarray, costs: np.ndarray, aon_flows: np.ndarray) ->
 
 
 class _LinkArrays:
-    """Per-link BPR parameters as numpy columns, and the inner product of
-    link vectors for this link count."""
+    """Per-link BPR parameters of one or more networks as numpy columns, the
+    networks' links end to end.  Elementwise work runs once over all of
+    them; `inner` and `beckmann` reduce each network's slice on its own,
+    with the inner product for that network's link count."""
 
-    def __init__(self, net: Network):
-        self.t = np.array([l.free_flow_time for l in net.links], dtype=float)
-        self.cap = np.array([l.capacity for l in net.links], dtype=float)
-        self.alpha = np.array([l.alpha for l in net.links], dtype=float)
-        self.beta = np.array([l.beta for l in net.links], dtype=float)
-        self.from_nodes = [l.from_node for l in net.links]
-        self.tails = np.array(self.from_nodes, dtype=np.int64)
-        self.dot = _link_dot(len(net.links))
+    def __init__(self, nets: Sequence[Network]):
+        links = nets[0].links if len(nets) == 1 else [l for net in nets for l in net.links]
+        self.t = np.array([l.free_flow_time for l in links], dtype=float)
+        self.cap = np.array([l.capacity for l in links], dtype=float)
+        self.alpha = np.array([l.alpha for l in links], dtype=float)
+        self.beta = np.array([l.beta for l in links], dtype=float)
+        # the leading factors of `slopes` and `beckmann`, in their order of
+        # evaluation, so the results stay the same to the bit
+        self.slope_scale = self.t * self.alpha * self.beta
+        self.t_alpha = self.t * self.alpha
+        self.beck_scale = (self.beta + 1.0) * np.power(self.cap, self.beta)
+        counts = [len(net.links) for net in nets]
+        self.single = len(counts) == 1
+        # the network of each link, for `spread`
+        self.owner = None if self.single else np.repeat(np.arange(len(counts)), counts)
+        self.slices = [slice(end - count, end) for end, count in zip(accumulate(counts), counts)]
+        self.dots = [_link_dot(count) for count in counts]
+
+    def spread(self, values: Sequence[float]):
+        """One value per network as a per-link factor: the value itself
+        when there is one network."""
+        return values[0] if self.single else np.array(values)[self.owner]
+
+    def inner(self, x: np.ndarray, y: np.ndarray, which: Sequence[int] | None = None) -> list[float]:
+        """x . y over each network's links, or over those of the networks in `which`."""
+        dots = self.dots
+        if self.single:
+            return [float(dots[0](x, y))]
+        slices = self.slices
+        if which is None:
+            which = range(len(slices))
+        return [float(dots[k](x[slices[k]], y[slices[k]])) for k in which]
 
     def latencies(self, flows: np.ndarray) -> np.ndarray:
         return self.t * (1.0 + self.alpha * np.power(flows / self.cap, self.beta))
@@ -197,14 +235,28 @@ class _LinkArrays:
         """l'(f), the diagonal of the Beckmann Hessian; non-finite slopes
         (zero flow with beta < 1) read as 0."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = self.t * self.alpha * self.beta * np.power(flows / self.cap, self.beta - 1.0) / self.cap
+            s = self.slope_scale * np.power(flows / self.cap, self.beta - 1.0) / self.cap
         return np.where(np.isfinite(s), s, 0.0)
 
-    def beckmann(self, flows: np.ndarray) -> float:
-        terms = self.t * flows + self.t * self.alpha * np.power(flows, self.beta + 1.0) / (
-            (self.beta + 1.0) * np.power(self.cap, self.beta)
-        )
-        return float(np.sum(terms))
+    def beckmann(self, flows: np.ndarray) -> list[float]:
+        """Each network's Beckmann objective."""
+        terms = self.t * flows + self.t_alpha * np.power(flows, self.beta + 1.0) / self.beck_scale
+        return [float(terms[s].sum()) for s in self.slices]
+
+
+class _Problem:
+    """One (network, demand) solve: what its AON loading reads, and its histories."""
+
+    def __init__(self, net: Network, demand: DemandMatrix, index: int = 0):
+        _check_demand(net, demand)
+        self.net = net
+        self.index = index
+        self.by_origin = demand.by_origin
+        self.from_nodes = [l.from_node for l in net.links]
+        self.tails = np.array(self.from_nodes, dtype=np.int64)
+        self.beckmann: list[float] = []
+        self.gaps: list[float] = []
+        self.steps: list[float] = []
 
 
 def _check_demand(net: Network, demand: DemandMatrix) -> None:
@@ -215,17 +267,18 @@ def _check_demand(net: Network, demand: DemandMatrix) -> None:
             )
 
 
-def _load_chunk(net, arrays, costs, chunk):
+def _load_chunk(problem, costs, chunk):
     """AON-load every origin in `chunk` under the cost array `costs`; returns
     a dense flow vector.  Small chunks take the per-origin kernel and walk
     each O-D pair's path in Python, large ones the array path and
     `_load_trees`; both give the same flows to the bit."""
+    net = problem.net
     if len(chunk) * len(net.links) >= _ARRAY_TREES_MIN_WORK:
-        return _load_trees(net, arrays, costs, chunk)
+        return _load_trees(problem, costs, chunk)
     cost_list = costs.tolist()
     adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
     flows = [0.0] * len(net.links)
-    from_nodes = arrays.from_nodes
+    from_nodes = problem.from_nodes
     limit = net.node_count + 1
     for origin, dests in chunk:
         dist, pred = _bellman_ford(n, adj, cost_list, origin, first_thru)
@@ -244,13 +297,14 @@ def _load_chunk(net, arrays, costs, chunk):
     return np.array(flows, dtype=float)
 
 
-def _load_trees(net, arrays, costs, chunk):
+def _load_trees(problem, costs, chunk):
     """The array path of `_load_chunk`: trees from `_trees_for_origins`, then
     every O-D pair of the chunk walks up its tree together with the others,
     one link per pass.  A stable sort by pair index puts the (pair, link)
     entries in the per-origin walk's order, and bincount adds its weights one
     by one in input order, so each link's loads are summed in the Python
     walk's order."""
+    net = problem.net
     origins = [origin for origin, _ in chunk]
     dist, pred = _trees_for_origins(net, costs, origins)
     width = net.node_count + 1
@@ -264,7 +318,7 @@ def _load_trees(net, arrays, costs, chunk):
         i = int(np.argmax(missing))
         raise SolverError(f"no path for demanded O-D pair ({origin[i]},{dest[i]})")
     pred = pred.ravel()
-    tails = arrays.tails
+    tails = problem.tails
     pair = np.flatnonzero(dest != origin)
     base, node, goal = row[pair] * width, dest[pair], origin[pair]
     pairs, links = [pair], [pred[base + node]]
@@ -284,10 +338,13 @@ def _load_trees(net, arrays, costs, chunk):
     return np.bincount(np.concatenate(links)[order], weights=q[pair[order]], minlength=len(net.links))
 
 
-def _aon(net, arrays, costs, by_origin):
-    total = np.zeros(len(net.links), dtype=float)
-    for i in range(0, len(by_origin), _CHUNK):
-        total += _load_chunk(net, arrays, costs, by_origin[i : i + _CHUNK])
+def _aon(problem, costs):
+    """AON flows of all of `problem`'s demand, its chunks summed in order;
+    the first chunk's flows start the sum, as 0.0 + x is x for x >= 0."""
+    by_origin = problem.by_origin
+    total = _load_chunk(problem, costs, by_origin[:_CHUNK])
+    for i in range(_CHUNK, len(by_origin), _CHUNK):
+        total += _load_chunk(problem, costs, by_origin[i : i + _CHUNK])
     return total
 
 
@@ -297,53 +354,75 @@ def all_or_nothing(
     link_costs: Sequence[float],
 ) -> np.ndarray:
     """Load all demand onto shortest paths under fixed link costs."""
-    _check_demand(net, demand)
-    return _aon(net, _LinkArrays(net), _checked_costs(net, link_costs), demand.by_origin)
+    return _aon(_Problem(net, demand), _checked_costs(net, link_costs))
 
 
-def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> float:
-    """Exact step length for the Beckmann objective along `direction`.
+def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> list[float]:
+    """Exact step length for the Beckmann objective along `direction`, one
+    per network of `arrays`.
 
     g'(lam) = direction . l(flows + lam * direction) is nondecreasing in lam
     (convex objective), so [0, 1] brackets its root whenever g'(0) < 0 < g'(1).
     Newton steps on g' use g''(lam) = sum direction^2 l'(flows + lam *
     direction); a step that leaves the bracket, or a non-positive g'', is
     replaced by bisection.  Stops when the bracket or the Newton step is
-    narrower than _STEP_TOL, or g' is exactly zero.
+    narrower than _STEP_TOL, or g' is exactly zero.  The networks search in
+    lock-step, each with its own bracket and branches: every round
+    evaluates all their trial points in one pass over the links.
     """
-
-    def gprime(lam: float) -> float:
-        return float(arrays.dot(direction, arrays.latencies(flows + lam * direction)))
-
-    g0 = gprime(0.0)
-    if g0 >= 0.0:
-        return 0.0
-    g1 = gprime(1.0)
-    if g1 <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    lam = g0 / (g0 - g1)  # secant through the bracket ends
-    d2 = direction * direction
+    count = len(arrays.dots)
+    steps = [0.0] * count
+    lam = [0.0] * count
+    g0 = arrays.inner(direction, arrays.latencies(flows + arrays.spread(lam) * direction))
+    going = [k for k in range(count) if not g0[k] >= 0.0]
+    if not going:
+        return steps
+    lam = [1.0] * count
+    g1 = arrays.inner(direction, arrays.latencies(flows + arrays.spread(lam) * direction), going)
+    lo, hi = [0.0] * count, [1.0] * count
+    bracketed = []
+    for k, g in zip(going, g1):
+        if g <= 0.0:
+            steps[k] = 1.0
+        else:
+            lam[k] = g0[k] / (g0[k] - g)  # secant through the bracket ends
+            bracketed.append(k)
+    going = bracketed
+    d2 = direction * direction if going else None
     for _ in range(_LINE_SEARCH_MAX_STEPS):
-        x = flows + lam * direction
-        g = float(arrays.dot(direction, arrays.latencies(x)))
-        if g == 0.0:
-            return lam
-        if g < 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo < _STEP_TOL:
+        if not going:
             break
-        h = float(arrays.dot(d2, arrays.slopes(x)))
-        newton = lam - g / h if h > 0.0 else math.nan
-        if not lo < newton < hi:  # outside the bracket, or no usable g''
-            lam = 0.5 * (lo + hi)
-        elif abs(newton - lam) < _STEP_TOL:
-            return newton
-        else:
-            lam = newton
-    return 0.5 * (lo + hi)
+        x = flows + arrays.spread(lam) * direction
+        curving, gs = [], []
+        for k, g in zip(going, arrays.inner(direction, arrays.latencies(x), going)):
+            if g == 0.0:
+                steps[k] = lam[k]
+                continue
+            if g < 0.0:
+                lo[k] = lam[k]
+            else:
+                hi[k] = lam[k]
+            if hi[k] - lo[k] < _STEP_TOL:
+                steps[k] = 0.5 * (lo[k] + hi[k])
+                continue
+            curving.append(k)
+            gs.append(g)
+        going = []
+        if not curving:
+            break
+        for k, g, h in zip(curving, gs, arrays.inner(d2, arrays.slopes(x), curving)):
+            newton = lam[k] - g / h if h > 0.0 else math.nan
+            if not lo[k] < newton < hi[k]:  # outside the bracket, or no usable g''
+                lam[k] = 0.5 * (lo[k] + hi[k])
+            elif abs(newton - lam[k]) < _STEP_TOL:
+                steps[k] = newton
+                continue
+            else:
+                lam[k] = newton
+            going.append(k)
+    for k in going:
+        steps[k] = 0.5 * (lo[k] + hi[k])
+    return steps
 
 
 def _direction_weights(
@@ -351,42 +430,173 @@ def _direction_weights(
     flows: np.ndarray,
     aon_flows: np.ndarray,
     points: tuple[np.ndarray, ...],
-    tau: float,
-) -> tuple[float, float, float]:
-    """Weights (b0, b1, b2) of the bi-conjugate point b0 y + b1 s1 + b2 s2.
+    taus: Sequence[float],
+) -> list[tuple[float, float, float]]:
+    """Weights (b0, b1, b2) of the bi-conjugate point b0 y + b1 s1 + b2 s2,
+    one triple per network of `arrays`.
 
     `points` holds the last two points s1, s2 (fewer in the first two
-    iterations) and `tau` is the step length taken towards s1.  The weights
+    iterations) and `taus` the step lengths taken towards s1.  The weights
     are non-negative, sum to 1, and b0 is at least _CONJUGATE_MARGIN.
     """
     if not points:
-        return 1.0, 0.0, 0.0
+        return [(1.0, 0.0, 0.0)] * len(arrays.slices)
     slope = arrays.slopes(flows)
     s1 = points[0]
     dfw = aon_flows - flows
     hdb = slope * (s1 - flows)
-    den = float(arrays.dot(hdb, aon_flows - s1))
-    a = 0.0 if den == 0.0 else float(arrays.dot(hdb, dfw)) / den
-    a = min(max(a, 0.0), 1.0 - _CONJUGATE_MARGIN)
-    mu = 0.0
-    if len(points) == 2 and 0.0 < tau < 1.0:
+    top = 1.0 - _CONJUGATE_MARGIN
+    a = [
+        min(max(0.0 if den == 0.0 else num / den, 0.0), top)
+        for den, num in zip(arrays.inner(hdb, aon_flows - s1), arrays.inner(hdb, dfw))
+    ]
+    mu = [0.0] * len(a)
+    bent = [k for k, tau in enumerate(taus) if 0.0 < tau < 1.0] if len(points) == 2 else []
+    if bent:
         # built in place: fewer link-length temporaries, which otherwise
         # fragment the heap and raise the peak resident set on large grids
+        tau = arrays.spread(taus)
         hdbb = tau * s1
         hdbb -= flows
         hdbb += (1.0 - tau) * points[1]
         hdbb *= slope
-        den = float(arrays.dot(hdbb, points[1] - s1))
-        if den != 0.0:
-            mu = max(-float(arrays.dot(hdbb, dfw)) / den, 0.0)
-    if mu == 0.0:
-        return 1.0 - a, a, 0.0
-    nu = a / (1.0 - a) + mu * tau / (1.0 - tau)
+        dens = arrays.inner(hdbb, points[1] - s1, bent)
+        for k, den, num in zip(bent, dens, arrays.inner(hdbb, dfw, bent)):
+            if den != 0.0:
+                mu[k] = max(-num / den, 0.0)
     cap = (1.0 - _CONJUGATE_MARGIN) / _CONJUGATE_MARGIN  # mu + nu at which b0 = margin
-    if mu + nu > cap:
-        mu, nu = mu * cap / (mu + nu), nu * cap / (mu + nu)
-    b0 = 1.0 / (1.0 + mu + nu)
-    return b0, nu * b0, mu * b0
+    weights = []
+    for a_k, mu_k, tau_k in zip(a, mu, taus):
+        if mu_k == 0.0:
+            weights.append((1.0 - a_k, a_k, 0.0))
+            continue
+        nu = a_k / (1.0 - a_k) + mu_k * tau_k / (1.0 - tau_k)
+        if mu_k + nu > cap:
+            mu_k, nu = mu_k * cap / (mu_k + nu), nu * cap / (mu_k + nu)
+        b0 = 1.0 / (1.0 + mu_k + nu)
+        weights.append((b0, nu * b0, mu_k * b0))
+    return weights
+
+
+def _solve_batch(
+    problems: Sequence[tuple[Network, DemandMatrix]], settings: SolverSettings
+) -> Iterator[Assignment]:
+    """Bi-conjugate Frank-Wolfe on several (network, demand) problems in lock-step.
+
+    Yields the problems' Assignments in problem order, each as soon as it
+    and every problem before it are done.  Every elementwise step runs once
+    over the links of all problems still iterating, end to end; AON
+    loading, inner products, sums, branches and histories stay per problem,
+    so each Assignment is bit-identical to the problem's solve alone.  A
+    problem leaves the batch when it converges or reaches the iteration
+    cap.  If a problem raises, the problems before it still finish and are
+    yielded, the ones after it are dropped, and then its error is raised.
+    """
+    finished: list[Assignment | None] = [None] * len(problems)
+    cut, error = len(problems), None  # problems from `cut` on are dropped; `error` stopped problem `cut`
+    live = []
+    for index, (net, demand) in enumerate(problems):
+        try:
+            problem = _Problem(net, demand, index)
+        except Exception as exc:
+            cut, error = index, exc
+            break
+        if problem.by_origin:
+            live.append(problem)
+        else:
+            zeros = np.zeros(len(net.links), dtype=float)
+            finished[index] = Assignment(
+                flows=zeros,
+                latencies=_LinkArrays([net]).latencies(zeros),
+                vht=0.0,
+                relative_gap=0.0,
+                iterations=0,
+            )
+    if live:
+        arrays = _LinkArrays([problem.net for problem in live])
+        freeflow = arrays.latencies(np.zeros(arrays.slices[-1].stop, dtype=float))
+        loads = []
+        for problem, s in zip(live, arrays.slices):
+            try:
+                loads.append(_aon(problem, freeflow[s]))
+            except Exception as exc:
+                cut, error = problem.index, exc
+                break
+        if len(loads) < len(live):
+            live = live[: len(loads)]
+            arrays = _LinkArrays([problem.net for problem in live]) if live else None
+        flows = loads[0] if len(loads) == 1 else np.concatenate(loads) if loads else None
+        del freeflow, loads  # not held through the iterations
+
+    points: tuple[np.ndarray, ...] = ()
+    taus = [0.0] * len(live)
+    iteration = 0
+    out = 0  # problems yielded
+    while True:
+        while out < cut and finished[out] is not None:
+            yield finished[out]
+            finished[out] = None
+            out += 1
+        if not live:
+            break
+        iteration += 1
+        lat = arrays.latencies(flows)
+        finite = np.isfinite(lat).all()
+        beckmann = arrays.beckmann(flows)
+        going, aons = [], []
+        for k, (problem, s) in enumerate(zip(live, arrays.slices)):
+            try:
+                if not finite and not np.isfinite(lat[s]).all():
+                    link = problem.net.links[int(np.argmax(~np.isfinite(lat[s])))]
+                    raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
+                aon_flows = _aon(problem, lat[s])
+                gap = relative_gap(flows[s], lat[s], aon_flows)
+            except Exception as exc:
+                cut, error = problem.index, exc
+                break
+            problem.gaps.append(gap)
+            problem.beckmann.append(beckmann[k])
+            if gap <= settings.target_gap or iteration == settings.max_iters:
+                finished[problem.index] = Assignment(
+                    flows=flows[s],
+                    latencies=lat[s],
+                    vht=float(arrays.dots[k](flows[s], lat[s])),
+                    relative_gap=gap,
+                    iterations=iteration,
+                    beckmann_history=problem.beckmann,
+                    gap_history=problem.gaps,
+                    step_sizes=problem.steps,
+                )
+            else:
+                going.append(k)
+                aons.append(aon_flows)
+        if len(going) < len(live):
+            # the finished, failed and dropped problems leave the batch
+            if not going:
+                live = []
+                continue
+            keep = np.zeros(len(live), dtype=bool)
+            keep[going] = True
+            links = keep[arrays.owner]
+            flows = flows[links]
+            points = tuple(point[links] for point in points)
+            live = [live[k] for k in going]
+            taus = [taus[k] for k in going]
+            arrays = _LinkArrays([problem.net for problem in live])
+        aon_flows = aons[0] if len(aons) == 1 else np.concatenate(aons)
+
+        b0, *bs = zip(*_direction_weights(arrays, flows, aon_flows, points, taus))
+        point = arrays.spread(b0) * aon_flows
+        for b, s in zip(bs, points):
+            point += arrays.spread(b) * s
+        points = (point,) + points[:1]
+        direction = point - flows
+        taus = _line_search(arrays, flows, direction)
+        for problem, lam in zip(live, taus):
+            problem.steps.append(lam)
+        flows = flows + arrays.spread(taus) * direction
+    if error is not None:
+        raise error
 
 
 def solve_with(net: Network, demand: DemandMatrix, settings: SolverSettings) -> Assignment:
@@ -396,60 +606,8 @@ def solve_with(net: Network, demand: DemandMatrix, settings: SolverSettings) -> 
     `settings.max_iters` direction computations have been spent; the reported
     gap always describes the returned flows.
     """
-    _check_demand(net, demand)
-
-    arrays = _LinkArrays(net)
-    m = len(net.links)
-    by_origin = demand.by_origin
-    if not by_origin:
-        zeros = np.zeros(m, dtype=float)
-        return Assignment(
-            flows=zeros,
-            latencies=arrays.latencies(zeros),
-            vht=0.0,
-            relative_gap=0.0,
-            iterations=0,
-        )
-
-    freeflow = arrays.latencies(np.zeros(m, dtype=float))
-    flows = _aon(net, arrays, freeflow, by_origin)
-
-    beck_hist: list[float] = []
-    gap_hist: list[float] = []
-    steps: list[float] = []
-    points: tuple[np.ndarray, ...] = ()
-    lam = 0.0
-    for iteration in range(1, settings.max_iters + 1):
-        lat = arrays.latencies(flows)
-        if not np.all(np.isfinite(lat)):
-            bad = int(np.argmax(~np.isfinite(lat)))
-            link = net.links[bad]
-            raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
-        aon_flows = _aon(net, arrays, lat, by_origin)
-        gap = relative_gap(flows, lat, aon_flows)
-        gap_hist.append(gap)
-        beck_hist.append(arrays.beckmann(flows))
-        if gap <= settings.target_gap or iteration == settings.max_iters:
-            return Assignment(
-                flows=flows,
-                latencies=lat,
-                vht=float(arrays.dot(flows, lat)),
-                relative_gap=gap,
-                iterations=iteration,
-                beckmann_history=beck_hist,
-                gap_history=gap_hist,
-                step_sizes=steps,
-            )
-        weights = _direction_weights(arrays, flows, aon_flows, points, lam)
-        point = weights[0] * aon_flows
-        for w, s in zip(weights[1:], points):
-            point += w * s
-        points = (point,) + points[:1]
-        direction = point - flows
-        lam = _line_search(arrays, flows, direction)
-        steps.append(lam)
-        flows = flows + lam * direction
-    raise AssertionError("unreachable")  # loop always returns
+    (assignment,) = _solve_batch([(net, demand)], settings)
+    return assignment
 
 
 def format_flow_file(net: Network, assignment: Assignment) -> str:

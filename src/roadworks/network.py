@@ -159,8 +159,12 @@ class DemandMatrix:
         for (r, s), q in self.entries.items():
             if r < 1 or s < 1:
                 raise DataError(f"demand entry ({r},{s}) has a non-positive node id")
-            if q < 0:
-                raise DataError(f"demand entry ({r},{s}) is negative")
+            if not q >= 0:
+                raise DataError(f"demand entry ({r},{s}) is {'negative' if q < 0 else 'not a finite number'}")
+        if self.total == math.inf:  # an infinite entry, or finite ones whose sum overflows
+            for (r, s), q in self.entries.items():
+                if q == math.inf:
+                    raise DataError(f"demand entry ({r},{s}) is not a finite number")
 
     @cached_property
     def total(self) -> float:
@@ -434,6 +438,8 @@ def parse_demand(text: str) -> DemandMatrix:
                 raise ParseError(f"destination {dest} exceeds zone count {zone_count}", line=i + 1)
             if flow < 0:
                 raise ParseError(f"negative demand for pair ({origin},{dest})", line=i + 1)
+            if flow == math.inf:
+                raise ParseError(f"demand {em.group(2)} for pair ({origin},{dest}) is not finite", line=i + 1)
             if (origin, dest) in entries:
                 raise ParseError(f"duplicate entry for pair ({origin},{dest})", line=i + 1)
             if flow != 0:

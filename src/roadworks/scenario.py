@@ -15,9 +15,12 @@ the sorted id tuple W; an absent W counts as zero.
 Exact deltas are expensive (one equilibrium solve each), so every table is
 read from a cache of solved subsets, in memory or on disk keyed by network and
 demand fingerprints plus the gap target.  `DeltaBook` is the one subset
-layer: it maps each (network, demand) to its cache, solves what is missing one
-subset at a time on the calling thread, caching each row as it is solved, and
-reads the table back; `compute_deltas` is the same over one given cache.
+layer: it maps each (network, demand) to its cache, solves what is missing
+on the calling thread in lock-step batches of at most _BATCH_LINKS links,
+caches the rows in order, each as soon as it and every row before it are
+solved, and reads the table back; `compute_deltas` is the same over one
+given cache.  If a subset fails, the rows before it are cached and the
+error is raised.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .equilibrium import SolverSettings, solve_with
+from .equilibrium import SolverSettings, _solve_batch
 from .errors import DataError
 from .network import (
     DemandMatrix,
@@ -58,6 +61,15 @@ __all__ = [
 
 Subset = tuple[str, ...]
 Subsets = Iterable[Iterable[str | int]]
+
+# Links in all of the networks that one lock-step batch solves; a network
+# with more links is solved alone, as the grids' 16k-link ones are.  Measured
+# on desk's 255 subsets at gap 1e-8 (6-10 links each), CPU time against one
+# subset at a time: 64 links 0.85x, 128 0.6x, 256 0.45-0.55x, 512 or more
+# no faster.  The desk round's peak RSS grows with the bound in allocator
+# steps of 128-256 kB: not at 32 links, by 0.1-0.35 MB at 64-512 in one
+# process, and by 0.4-0.8 MB in perfbench's desk-cli at 256.
+_BATCH_LINKS = 256
 
 
 def canonical_subset(upgrades: UpgradeSet, subset: Iterable[str | int]) -> Subset:
@@ -264,9 +276,10 @@ class DeltaBook:
 
     Fingerprints map a network and demand to their cache, in memory or, with
     `cache_dir`, in the file ``deltas_<network>_<demand>.cache`` there, so
-    conditions reached twice are cache hits, not fresh solves.  Missing
-    subsets are solved in order on the calling thread, and each row is cached
-    as soon as it is solved.
+    conditions reached twice are cache hits, not fresh solves.  The missing
+    baseline and subsets are solved on the calling thread in lock-step
+    batches, and each row is cached as soon as it and every row before it
+    are solved.
     """
 
     def __init__(self, settings: SolverSettings, cache_dir: str | None = None):
@@ -297,27 +310,52 @@ class DeltaBook:
         canonical = {canonical_subset(upgrades, list(s)) for s in subsets}
         wanted = sorted((S for S in canonical if S), key=lambda s: (len(s), s))
         settings = self.settings
-        solves = 0
         cache.refresh()
-        if cache.baseline() is None:
-            assignment = solve_with(net, demand, settings)
-            warn_if_capped(assignment.iterations, assignment.relative_gap, settings, "baseline")
-            cache.set_baseline(assignment.vht, assignment.relative_gap)
-            solves += 1
-        baseline_vht = cache.baseline()[0]
-        for S in wanted:
-            if cache.get(S) is not None:
-                continue
-            # each row is cached as soon as it is solved, so an interrupted
-            # fill keeps every finished row
-            assignment = solve_with(apply_upgrades(net, upgrades, S), demand, settings)
-            gap = assignment.relative_gap
-            warn_if_capped(assignment.iterations, gap, settings, f"subset {{{','.join(S)}}}")
-            cache.put(S, baseline_vht - assignment.vht, gap)
-            solves += 1
+        todo: list[Subset | None] = [None] if cache.baseline() is None else []  # None: the baseline
+        todo += [S for S in wanted if cache.get(S) is None]
+        solves = 0
+        for run, problems in _runs(net, demand, upgrades, todo):
+            # each row is cached as soon as it and every row before it are
+            # solved, so an interrupted fill keeps every finished row
+            for S, assignment in zip(run, _solve_batch(problems, settings)):
+                gap = assignment.relative_gap
+                if S is None:
+                    warn_if_capped(assignment.iterations, gap, settings, "baseline")
+                    cache.set_baseline(assignment.vht, gap)
+                else:
+                    warn_if_capped(assignment.iterations, gap, settings, f"subset {{{','.join(S)}}}")
+                    cache.put(S, cache.baseline()[0] - assignment.vht, gap)
+                solves += 1
         table = table_from_cache(cache, wanted)
         table.tap_solves = solves
         return table
+
+
+def _runs(net: Network, demand: DemandMatrix, upgrades: UpgradeSet, todo: Sequence[Subset | None]):
+    """`todo` (None for the baseline) in consecutive runs of at most
+    _BATCH_LINKS links in all, a larger network alone, each with its
+    (network, demand) problems.  A run's networks are built only once the
+    run before it is solved.  A subset whose network cannot be built ends
+    the run before it, which is still solved, and then raises."""
+    run: list[Subset | None] = []
+    problems: list[tuple[Network, DemandMatrix]] = []
+    links = 0
+    for S in todo:
+        size = len(net.links) + (0 if S is None else sum(len(u.additions) for u in upgrades.resolve(S)))
+        if run and links + size > _BATCH_LINKS:
+            yield run, problems
+            run, problems, links = [], [], 0
+        try:
+            built = net if S is None else apply_upgrades(net, upgrades, S)
+        except Exception:
+            if run:
+                yield run, problems
+            raise
+        run.append(S)
+        problems.append((built, demand))
+        links += size
+    if run:
+        yield run, problems
 
 
 def compute_deltas(

@@ -396,18 +396,26 @@ def realized_npv(
     horizon: PlanningHorizon,
     assignments: Mapping[str, int],
     settings: SolverSettings,
+    *,
+    book: DeltaBook | None = None,
 ) -> float:
     """NPV of a schedule with each period's joint effect solved exactly.
 
     For each period the VHT drop of that period's whole batch is measured on
     the evolving network (everything built earlier included) under period-t
     demand, so all interaction effects are realized rather than estimated.
-    Each is the batch's delta in an in-memory `DeltaBook`.
+    Each is the batch's delta read through `book` (default: a fresh
+    in-memory `DeltaBook`), so a book shared with greedy or another
+    realized evaluation reuses its baselines and rows; its settings must be
+    `settings`.
     """
     report = check_schedule(upgrades, horizon, assignments)
     if not report.ok:
         raise DataError("infeasible schedule: " + "; ".join(report.violations))
-    book = DeltaBook(settings)
+    if book is None:
+        book = DeltaBook(settings)
+    elif book.settings != settings:
+        raise DataError(f"realized_npv: the book solves at {book.settings}, not at {settings}")
     mprime = horizon.m / 1000.0
     current = net
     npv = 0.0

@@ -862,6 +862,18 @@ def test_growth_that_overflows_exits_2(data_dir, tmp_path, capsys, case):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("total", ["1000.0", "1e309"])
+def test_an_infinite_trip_entry_is_a_parse_error(data_dir, tmp_path, capsys, total):
+    # with an infinite declared total too, the total check cannot catch it
+    text = (data_dir / DESK["trips"]).read_text()
+    trips = tmp_path / DESK["trips"]
+    trips.write_text(text.replace("1000.0;", "1e309;").replace("<TOTAL OD FLOW> 1000.0", f"<TOTAL OD FLOW> {total}"))
+    argv = desk_args(data_dir, "solve")
+    argv[argv.index("--trips") + 1] = str(trips)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: line 6: demand 1e309 for pair (1,2) is not finite\n")
+
+
 @pytest.mark.parametrize("orders", ["1,,3", "1,2,", ""])
 def test_empty_orders_element_is_a_usage_error(data_dir, tmp_path, capsys, orders):
     # rejected before the cache is read: none exists at this path

@@ -175,8 +175,12 @@ def _conjugate_weight(arrays, x, y, s1):
 
 
 def test_direction_weights(sioux):
-    arrays = equilibrium._LinkArrays(sioux.net)
-    weights = equilibrium._direction_weights
+    arrays = equilibrium._LinkArrays([sioux.net])
+
+    def weights(arrays, x, y, points, tau):  # one network's triple
+        (triple,) = equilibrium._direction_weights(arrays, x, y, points, [tau])
+        return triple
+
     margin = equilibrium._CONJUGATE_MARGIN
     rng = np.random.default_rng(2013)
     m = len(sioux.net.links)
@@ -294,6 +298,92 @@ def test_repeat_solves_are_bit_identical(desk):
     b = solve_with(desk.net, desk.demand, SolverSettings(target_gap=1e-6, max_iters=1000))
     assert np.array_equal(a.flows, b.flows)
     assert a.vht == b.vht
+
+
+# Lock-step batches: every field of a problem's Assignment is the same
+# whether it is solved alone, in one batch, or in batches cut at any size.
+
+
+def _fields(a):
+    return (a.flows.tobytes(), a.latencies.tobytes(), a.vht, a.relative_gap, a.iterations,
+            a.beckmann_history, a.gap_history, a.step_sizes)
+
+
+def _in_batches(problems, settings, size):
+    out = []
+    for start in range(0, len(problems), size):
+        out += [_fields(a) for a in equilibrium._solve_batch(problems[start : start + size], settings)]
+    return out
+
+
+def _subset_problems(case, sizes):
+    subsets = [()] + [S for r in sizes for S in combinations(case.upgrades.ids, r)]
+    return [(apply_upgrades(case.net, case.upgrades, S), case.demand) for S in subsets]
+
+
+@pytest.fixture(scope="module")
+def desk_subset_solves(desk):
+    """The desk baseline and all 255 subsets at 1e-8, each solved alone."""
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    problems = _subset_problems(desk, range(1, 9))
+    return problems, settings, [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+
+
+def test_desk_subsets_solve_alike_alone_and_in_batches(desk_subset_solves):
+    problems, settings, alone = desk_subset_solves
+    assert len(problems) == 256
+    for size in (256, 100, 64, 7):
+        assert _in_batches(problems, settings, size) == alone, size
+
+
+def test_batches_cut_at_every_size_solve_alike(desk_subset_solves):
+    problems, settings, alone = desk_subset_solves
+    first = 1 + 8 + 28  # the baseline, the singles and the pairs
+    for size in range(1, first + 1):
+        assert _in_batches(problems[:first], settings, size) == alone[:first], size
+
+
+def test_sioux_falls_singles_and_pairs_solve_alike_alone_and_in_batches(sioux):
+    # SF-D adds links, so the batch mixes link counts
+    settings = SolverSettings(target_gap=1e-4, max_iters=2000)
+    problems = _subset_problems(sioux, (1, 2))
+    assert len({len(net.links) for net, _ in problems}) > 1
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+    for size in (len(problems), 4):
+        assert _in_batches(problems, settings, size) == alone, size
+
+
+def test_capped_and_empty_problems_share_a_batch(desk, sioux):
+    settings = SolverSettings(target_gap=1e-12, max_iters=2)
+    problems = [
+        (desk.net, desk.demand),
+        (desk.net, DemandMatrix({})),
+        (sioux.net, sioux.demand),
+        (apply_upgrades(desk.net, desk.upgrades, ["C-X1"]), desk.demand),
+    ]
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+    assert [fields[4] for fields in alone] == [2, 0, 2, 2]
+    for size in (4, 3, 2):
+        assert _in_batches(problems, settings, size) == alone, size
+
+
+def test_a_failing_problem_ends_the_batch_after_the_problems_before_it(desk):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    choked = replace(desk.net, links=(replace(desk.net.links[0], capacity=1e-80),) + desk.net.links[1:])
+    x1 = apply_upgrades(desk.net, desk.upgrades, ["C-X1"])
+    ok = [(desk.net, desk.demand), (x1, desk.demand)]
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in ok]
+    outside = DemandMatrix({(1, 99): 5.0})
+    # the choked network fails in its first iteration, the one after it
+    # before its first; the error raised is the earlier problem's
+    batch = equilibrium._solve_batch(ok + [(choked, desk.demand), (desk.net, outside), (x1, desk.demand)], settings)
+    done = []
+    with pytest.raises(SolverError, match="non-finite latency on link 1->3"), np.errstate(over="ignore"):
+        for a in batch:
+            done.append(_fields(a))
+    assert done == alone
+    with pytest.raises(DataError, match=r"demand pair \(1,99\)"):
+        list(equilibrium._solve_batch(ok + [(desk.net, outside), (choked, desk.demand)], settings))
 
 
 # Large-network determinism: the grid's 10,200 links put every chunk on the

@@ -1,5 +1,6 @@
 """Parsing, serialization, and upgrade application."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -116,6 +117,12 @@ def test_demand_validation():
         DemandMatrix({(1, 2): -5.0})
     with pytest.raises(DataError):
         DemandMatrix({(0, 2): 5.0})
+
+
+@pytest.mark.parametrize("q", [math.inf, math.nan])
+def test_demand_must_be_finite(q):
+    with pytest.raises(DataError, match=r"demand entry \(1,2\) is not a finite number"):
+        DemandMatrix({(1, 2): q})
 
 
 def test_network_round_trip(desk, sioux):

@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roadworks.scenario
@@ -25,6 +26,7 @@ from roadworks import (
     format_error_report,
     greedy_schedule,
     network_fingerprint,
+    parse_upgrades,
     restricted,
     solve_with,
     table_from_cache,
@@ -344,14 +346,14 @@ def test_sioux_falls_delta_tables_do_not_depend_on_workers(sioux_tables_by_worke
 
 
 def test_subsets_are_solved_on_the_calling_thread(desk, monkeypatch):
-    solve = roadworks.scenario.solve_with
+    solve = roadworks.scenario._solve_batch
     threads = []
 
-    def recording(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return solve(*args, **kwargs)
+    def recording(problems, settings):  # one thread id per problem, taken where the batch runs
+        threads.extend(threading.get_ident() for _ in problems)
+        yield from solve(problems, settings)
 
-    monkeypatch.setattr(roadworks.scenario, "solve_with", recording)
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", recording)
     subsets = [("C-A1",), ("C-B1",), ("C-X1",), ("C-A1", "C-B1")]
     settings = SolverSettings(target_gap=1e-6)
     table = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=2)
@@ -365,21 +367,26 @@ def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch
     whole = FileDeltaCache.open(str(tmp_path / "whole.cache"), desk.net, desk.demand, settings)
     expected = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, cache=whole)
 
-    solve = roadworks.scenario.solve_with
-    calls = []
+    solve = roadworks.scenario._solve_batch
+    handed = []
 
-    def failing_third_subset(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 4:  # the baseline, then the third subset
-            raise SolverError("interrupted")
-        return solve(*args, **kwargs)
+    def failing_third_subset(problems, settings):
+        problems = list(problems)
+        for i, (net, demand) in enumerate(problems):
+            handed.append(net)
+            if len(handed) == 4:  # the baseline, then the third subset
+                # a capacity that makes its first latencies overflow, so it
+                # fails inside the batch while the others iterate on
+                choked = (replace(net.links[0], capacity=1e-80),) + net.links[1:]
+                problems[i] = (replace(net, links=choked), demand)
+        return solve(problems, settings)
 
     path = str(tmp_path / "cut.cache")
-    monkeypatch.setattr(roadworks.scenario, "solve_with", failing_third_subset)
-    with pytest.raises(SolverError, match="interrupted"):
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", failing_third_subset)
+    with pytest.raises(SolverError, match="non-finite latency on link 1->3"), np.errstate(over="ignore"):
         compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings,
                        cache=FileDeltaCache.open(path, desk.net, desk.demand, settings))
-    monkeypatch.setattr(roadworks.scenario, "solve_with", solve)
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", solve)
 
     reopened = FileDeltaCache.open(path, desk.net, desk.demand, settings)
     assert reopened.baseline() == whole.baseline()
@@ -387,6 +394,27 @@ def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch
     rerun = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, cache=reopened)
     assert rerun.tap_solves == len(subsets) - 2
     assert replace(rerun, tap_solves=0) == replace(expected, tap_solves=0)
+    assert Path(path).read_bytes() == Path(whole.path).read_bytes()
+
+
+def test_a_subset_that_cannot_be_built_keeps_the_rows_before_it(desk, tmp_path):
+    upgrades = parse_upgrades(
+        """PROJECT A 100 capacity-upgrade
+  MOD 1 3 CAPACITY=800
+PROJECT B 100 capacity-upgrade
+  MOD 1 3 CAPACITY=900
+PROJECT C 100 capacity-upgrade
+  MOD 5 6 CAPACITY=800
+""",
+        network=desk.net,
+    )
+    settings = SolverSettings(target_gap=1e-6)
+    whole = FileDeltaCache.open(str(tmp_path / "whole.cache"), desk.net, desk.demand, settings)
+    compute_deltas(desk.net, desk.demand, upgrades, [("A",), ("B",), ("C",)], settings, cache=whole)
+    path = str(tmp_path / "cut.cache")
+    with pytest.raises(DataError, match="upgrades A and B both modify link 1->3"):
+        compute_deltas(desk.net, desk.demand, upgrades, [("A",), ("B",), ("C",), ("A", "B"), ("A", "C")],
+                       settings, cache=FileDeltaCache.open(path, desk.net, desk.demand, settings))
     assert Path(path).read_bytes() == Path(whole.path).read_bytes()
 
 

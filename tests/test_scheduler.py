@@ -18,6 +18,7 @@ from roadworks import (
     SolverSettings,
     Upgrade,
     UpgradeSet,
+    apply_upgrades,
     better_assignment,
     check_schedule,
     compute_deltas,
@@ -355,6 +356,23 @@ def test_realized_npv_rejects_a_mod_conflict_between_periods(desk):
     horizon = desk_horizon(desk, [800.0, 800.0])
     with pytest.raises(DataError, match="upgrades C-A1 and C-A2 both modify link"):
         realized_npv(desk.net, upgrades, horizon, {"C-A1": 1, "C-A2": 2}, SolverSettings(target_gap=1e-6))
+
+
+def test_realized_npv_reads_through_a_book(desk):
+    settings = SolverSettings(target_gap=1e-8)
+    horizon = desk_horizon(desk, [800.0, 800.0])
+    schedule = {"C-A1": 1, "C-B1": 2}
+    book = DeltaBook(settings)
+    # period 1's baseline and C-A1 row are already in the book
+    book.deltas(desk.net, horizon.demand_for(1), desk.upgrades, [("C-A1",)])
+    alone = realized_npv(desk.net, desk.upgrades, horizon, schedule, settings)
+    assert realized_npv(desk.net, desk.upgrades, horizon, schedule, settings, book=book) == alone
+    # period 1 reused the book's row; period 2's baseline and row are now in the book
+    assert list(book.cache(desk.net, horizon.demand_for(1)).rows()) == [("C-A1",)]
+    built = apply_upgrades(desk.net, desk.upgrades, ["C-A1"])
+    assert book.deltas(built, horizon.demand_for(2), desk.upgrades, [("C-B1",)]).tap_solves == 0
+    with pytest.raises(DataError, match="the book solves at"):
+        realized_npv(desk.net, desk.upgrades, horizon, schedule, SolverSettings(target_gap=1e-6), book=book)
 
 
 def test_period_singles_reads_every_period_from_the_book(desk):

@@ -1,4 +1,5 @@
-"""The full-scale driver script, run end to end on the desk fixtures."""
+"""The scripts: the full-scale driver, run end to end on the desk fixtures, and
+the argument checks of the benchmark-pair runner."""
 
 import importlib.util
 import os
@@ -52,17 +53,18 @@ def unstamped(out):
 def record_solves(monkeypatch, script):
     """Log every equilibrium solve as (layer, (network, demand, subset)).
 
-    Every solve goes through the subset layer; the layer is "realized" for
-    those made inside the driver's `realized_npv` call, whose book lives in
-    memory, and "book" for those of the driver's file-backed books.  The
-    network is the one a subset is built on, so one key per "book" solve
-    means no subset was solved twice under the same conditions.
+    Every solve goes through the subset layer, which hands its problems to
+    the solver in batches; the layer is "realized" for those handed over
+    inside the driver's `realized_npv` call and "book" for the others.  All
+    of them read through the driver's file-backed caches.  The network is
+    the one a subset is built on, so one key per solve means no subset was
+    solved twice under the same conditions.
     """
     solves = []
     built = {}
     layer = ["book"]
     apply_upgrades = scenario.apply_upgrades
-    solve_with = scenario.solve_with
+    solve_batch = scenario._solve_batch
     realized_npv = script.realized_npv
 
     def recording_apply(net, upgrades, subset):
@@ -70,20 +72,21 @@ def record_solves(monkeypatch, script):
         built[id(modified)] = (modified, network_fingerprint(net), tuple(subset))
         return modified
 
-    def recording_solve(net, demand, settings):
-        _, base, subset = built.get(id(net), (net, network_fingerprint(net), ()))
-        solves.append((layer[-1], (base, demand_fingerprint(demand), subset)))
-        return solve_with(net, demand, settings)
+    def recording_solve(problems, settings):
+        for net, demand in problems:
+            _, base, subset = built.get(id(net), (net, network_fingerprint(net), ()))
+            solves.append((layer[-1], (base, demand_fingerprint(demand), subset)))
+        return solve_batch(problems, settings)
 
-    def recording_realized(*args):
+    def recording_realized(*args, **kwargs):
         layer.append("realized")
         try:
-            return realized_npv(*args)
+            return realized_npv(*args, **kwargs)
         finally:
             layer.pop()
 
     monkeypatch.setattr(scenario, "apply_upgrades", recording_apply)
-    monkeypatch.setattr(scenario, "solve_with", recording_solve)
+    monkeypatch.setattr(scenario, "_solve_batch", recording_solve)
     monkeypatch.setattr(script, "realized_npv", recording_realized)
     return solves
 
@@ -103,12 +106,12 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
                   "at-horizon NPV"):
         assert stage in out
 
-    # cold: 50 distinct solves in the file-backed books, each once, and 6 in
-    # realized_npv
-    file_backed = Counter(key for layer, key in solves if layer == "book")
-    assert max(file_backed.values()) == 1
-    assert len(solves) <= 56
-    assert [layer for layer, _ in solves].count("realized") == 6
+    # cold: 54 distinct solves, each once; realized_npv reads through the
+    # driver's book, so it reuses greedy's period baselines and makes 4
+    keys = Counter(key for _, key in solves)
+    assert max(keys.values()) == 1
+    assert len(solves) <= 54
+    assert [layer for layer, _ in solves].count("realized") == 4
 
     # one fingerprint-named file per (network, demand), the base demand of
     # every period among them
@@ -122,11 +125,11 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
         assert name in names
     snapshot = {name: (cache_dir / name).read_text() for name in names}
 
-    # warm: only realized_npv solves, and no cache file grows
+    # warm: no solves, and no cache file grows
     solves.clear()
     assert script.main(argv) == 0
     assert unstamped(capsys.readouterr().out) == unstamped(out)
-    assert [layer for layer, _ in solves] == ["realized"] * 6
+    assert solves == []
     assert {p.name: p.read_text() for p in cache_dir.iterdir()} == snapshot
 
 
@@ -179,11 +182,22 @@ def test_fullscale_driver_prints_warnings_as_the_cli_does(data_dir, tmp_path):
 def test_fullscale_driver_rejects_the_workers_flag(data_dir, tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     argv = driver_args(data_dir, cache_dir, "--skip-schedule", "--workers", "2")
-    with pytest.raises(SystemExit) as stopped:
-        load_script().main(argv)
-    assert stopped.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert load_script().main(argv) == 1
+    assert capsys.readouterr() == ("", "usage error: unrecognized arguments: --workers 2\n")
     assert not cache_dir.exists()
+
+
+def test_fullscale_driver_without_a_required_flag_is_a_usage_error(data_dir, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    argv = driver_args(data_dir, cache_dir, "--skip-schedule")
+    at = argv.index("--net")
+    del argv[at : at + 2]
+    assert load_script().main(argv) == 1
+    message = "usage error: the following arguments are required: --net\n"
+    assert capsys.readouterr() == ("", message)
+    assert not cache_dir.exists()
+    run = run_script(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", message)
 
 
 def test_fullscale_driver_rejects_an_empty_budget_element(data_dir, tmp_path, capsys):
@@ -191,3 +205,23 @@ def test_fullscale_driver_rejects_an_empty_budget_element(data_dir, tmp_path, ca
     assert load_script().main(driver_args(data_dir, cache_dir, "--budgets", "900,,1700")) == 1
     assert capsys.readouterr() == ("", "usage error: --budgets: bad value '900,,1700'\n")
     assert not cache_dir.exists()
+
+
+BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 1, "usage error: the following arguments are required: --base, --workload, --pairs"),
+    (["--base", "HEAD", "--workload", "desk-cli", "--pairs", "0"], 1,
+     "usage error: argument --pairs: must be at least 1, not 0"),
+    (["--base", "HEAD", "--workload", "desk-cli", "--pairs", "two"], 1,
+     "usage error: argument --pairs: invalid count value: 'two'"),
+    (["--base", "HEAD", "--workload", "desk", "--pairs", "2"], 1, "usage error: argument --workload: invalid choice"),
+    (["--base", "no-such-revision", "--workload", "desk-cli", "--pairs", "2"], 2,
+     "error: unknown revision 'no-such-revision'"),
+], ids=["no-flags", "zero-pairs", "word-pairs", "unknown-workload", "unknown-revision"])
+def test_bench_pairs_checks_its_arguments_before_any_run(argv, code, message):
+    # each case stops before a copy is made or perfbench runs
+    run = subprocess.run([sys.executable, str(BENCH_PAIRS), *argv], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert run.stderr.startswith(message) and run.stderr.count("\n") == 1
