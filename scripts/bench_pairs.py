@@ -8,8 +8,12 @@ and untracked files that git does not ignore) side by side into one
 temporary directory, so neither side runs from the checkout itself.  For
 seeds 1..N it runs `perfbench/run.py --seconds 30` on both copies, the base
 first on odd seeds and the change first on even ones, and prints each
-pair's five end-to-end metrics, the median change/base ratio of each
-metric, and whether every run was correct with no failed operation.  The
+pair's five end-to-end metrics, then per metric each side's median and
+quartiles, the base's interquartile range, the pairs the change won (lower;
+a tie counts for neither), the median change/base ratio and whether a gain
+may be claimed: the change won at least nine tenths of the pairs and its
+median is below the base's by more than the base's interquartile range.
+Last it says whether every run was correct with no failed operation.  The
 copies are removed at the end.  Usage errors exit 1, an unknown revision or
 a failed run 2.
 """
@@ -81,6 +85,34 @@ def _run(side, workload, seed):
     return json.loads(lines[-1])
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile) of `values`, by linear
+    interpolation between order statistics; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    first, median, third = statistics.quantiles(values, n=4, method="inclusive")
+    return first, median, third
+
+
+def summarize(base, change):
+    """One line per metric of METRICS; `base` and `change` map each metric to
+    its values, one per pair, in pair order.  Every metric is better lower."""
+    lines = []
+    for m in METRICS:
+        pairs = list(zip(base[m], change[m]))
+        b1, b2, b3 = quartiles(base[m])
+        c1, c2, c3 = quartiles(change[m])
+        won = sum(c < b for b, c in pairs)
+        ratio = statistics.median(c / b if b else float("nan") for b, c in pairs)
+        gain = 10 * won >= 9 * len(pairs) and b2 - c2 > b3 - b1
+        lines.append(
+            f"{m}: base {b2:.4g} [{b1:.4g}, {b3:.4g}], change {c2:.4g} [{c1:.4g}, {c3:.4g}], "
+            f"base IQR {b3 - b1:.4g}, change lower in {won}/{len(pairs)} pairs, "
+            f"median change/base {ratio:.3f}, gain {str(gain).lower()}"
+        )
+    return lines
+
+
 def run(argv):
     args = build_parser().parse_args(argv)
     if _git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}").returncode != 0:
@@ -90,7 +122,7 @@ def run(argv):
         sides = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
         _copy_base(args.base, sides["base"])
         _copy_tree(sides["change"])
-        ratios = {m: [] for m in METRICS}
+        values = {name: {m: [] for m in METRICS} for name in sides}
         healthy = True
         for seed in range(1, args.pairs + 1):
             order = ("base", "change") if seed % 2 else ("change", "base")
@@ -98,13 +130,14 @@ def run(argv):
             cells = []
             for m in METRICS:
                 base, change = (result[name]["metrics"][m]["value"] for name in ("base", "change"))
-                ratios[m].append(change / base if base else float("nan"))
+                values["base"][m].append(base)
+                values["change"][m].append(change)
                 cells.append(f"{m} {base:.4g} -> {change:.4g}")
             status = "  ".join(f"{name} correct {str(r['correct']).lower()} failed {r['failed']}"
                                for name, r in result.items())
             healthy &= all(r["correct"] and r["failed"] == 0 for r in result.values())
             print(f"pair {seed} ({order[0]} first): {', '.join(cells)}; {status}", flush=True)
-        print("median change/base: " + ", ".join(f"{m} {statistics.median(ratios[m]):.3f}" for m in METRICS))
+        print("\n".join(summarize(values["base"], values["change"])))
         print(f"every run correct with 0 failed operations: {str(healthy).lower()}")
         return 0
     finally:

@@ -39,30 +39,33 @@ exact along a feasible direction, so the Beckmann objective never rises.
 One loop solves any number of (network, demand) problems in lock-step
 (`_solve_batch`; `solve_with` is that loop with one problem).  Each
 elementwise step runs once over the active problems' links end to end, while
-AON loading, inner products, sums, the branches of the direction weights and
-of the line search, and the histories stay per problem.  A problem leaves
-the batch when it converges or reaches its iteration cap.  Subset tables
-batch their missing subsets this way, so that many small solves share the
-cost of each numpy call.
+inner products, sums, the branches of the direction weights and of the line
+search, and the histories stay per problem.  AON loading is picked once per
+iteration for the whole batch: below _ARRAY_TREES_MIN_WORK origins times
+links, each problem on the per-origin kernel and its Python walk; from there
+on, one array pass over every problem at once, its trees from one call of
+the array Bellman-Ford and its O-D pairs walked in numpy together.  A
+problem leaves the batch when it converges or reaches its iteration cap.
+Subset tables batch their missing subsets this way, so that many small
+solves share the cost of each numpy call.
 
 Determinism contract: solves run on one thread, and the same inputs give
 bit-identical flows, alone or in any batch: elementwise results do not
 depend on where a link sits in the batch, and each problem's reductions run
-over its own slice.  Origins are loaded in chunks of _CHUNK in a fixed
-order and the chunk flows are summed in that order.  A chunk's trees come
-from Bellman-Ford in one of two forms, the per-origin kernel or, on large
-inputs, the array path, and both build the same trees.  Each form has its
-loader, a Python walk or numpy passes, and both add each link's loads in the
-same order, pair by pair and each pair from its destination up, so the flows
-do not depend on which tree path ran.  Inner products of
-link vectors never call BLAS from _BLAS_FREE_MIN_LINKS links on, where
-OpenBLAS would split them over threads, so flows do not depend on the BLAS
-thread count.
+over its own slice.  Each problem's origins are loaded in chunks of _CHUNK
+in a fixed order and the chunk flows are summed in that order.  Both AON
+paths build the same trees, and both add each link's loads in the same
+order: pair by pair, each pair from its destination up, within a chunk, and
+then chunk by chunk.  So the flows do not depend on which path ran, nor on
+the batch around a problem.  Inner products of link vectors never call
+BLAS from _BLAS_FREE_MIN_LINKS links on, where OpenBLAS would split them
+over threads, so flows do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -71,7 +74,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .network import DemandMatrix, Link, Network
-from .shortest_path import _bellman_ford, _checked_costs, _trees_for_origins
+from .shortest_path import _BatchGraph, _bellman_ford, _checked_costs, _trees_for_origins
 
 __all__ = [
     "Assignment",
@@ -86,19 +89,27 @@ __all__ = [
     "format_flow_file",
 ]
 
-# Origins per loading chunk.  It fixes the order in which chunk flows are
-# summed and the number of origins the array path takes at once, so any
-# other value changes the flows in their last bits.
+# Origins per loading chunk.  It fixes the order in which a problem's flows
+# are summed, chunk by chunk, on both AON paths, so any other value changes
+# the flows in their last bits.
 _CHUNK = 16
 
-# Origins times links from which a chunk's trees come from the array path
-# (_trees_for_origins, all origins of the chunk at once, loaded by
-# _load_trees) instead of one per-origin kernel call each and the Python walk.
-# Measured on square grids from 440 to 32k links (trees and loading, 25
-# zones), the two break even at 7k-15k for chunks of 16 origins and at
-# 16k-32k for chunks of 1 to 8; the Sioux Falls (16 x 76) and desk (1 x 6)
-# chunks stay far below.
-_ARRAY_TREES_MIN_WORK = 16384
+# Origins times links, summed over a batch's live problems, from which AON
+# loading takes the array path (_load_trees: one _trees_for_origins call
+# over every (problem, origin) row, then one numpy walk over all O-D pairs)
+# instead of the per-problem kernel (_aon: one _bellman_ford call per origin
+# and the Python walk).  The kernel costs about the same per origin and link
+# wherever it runs; the array path costs about 60 us per Bellman-Ford pass
+# on top, and a pass per link of the deepest tree.  Timed alternately, array
+# / kernel: Sioux Falls 1.07x for 1 problem (1,824), 0.68x for 2 (3,648),
+# 0.61x for 3 and 0.47x for 10; desk 1.2x for 32 problems (212), 1.0x for
+# 40 (272); grids of one problem 1.83x at 9x9 with 9 zones (2,592), 1.40x
+# at 15x15 with 9 zones (7,560), 0.55x at 21x21 with 25 zones (42,000) and
+# 0.33x on the 64x64 grid with 25 zones (403,200).  So a lone Sioux Falls
+# problem and every desk batch stay on the kernel, and a Sioux Falls batch
+# of two or more takes the array path; deep networks with few origins lose
+# up to 1.4x between here and about 16k, where their trees take many passes.
+_ARRAY_TREES_MIN_WORK = 3072
 
 # Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
 # splits ddot over threads above about 10k elements, so the sum would depend
@@ -252,6 +263,8 @@ class _Problem:
         self.net = net
         self.index = index
         self.by_origin = demand.by_origin
+        # whether any trip leaves its zone; intrazonal trips load no link
+        self.travels = any(dest != origin for origin, dests in self.by_origin for dest, _ in dests)
         self.from_nodes = [l.from_node for l in net.links]
         self.tails = np.array(self.from_nodes, dtype=np.int64)
         self.beckmann: list[float] = []
@@ -268,13 +281,10 @@ def _check_demand(net: Network, demand: DemandMatrix) -> None:
 
 
 def _load_chunk(problem, costs, chunk):
-    """AON-load every origin in `chunk` under the cost array `costs`; returns
-    a dense flow vector.  Small chunks take the per-origin kernel and walk
-    each O-D pair's path in Python, large ones the array path and
-    `_load_trees`; both give the same flows to the bit."""
+    """AON-load every origin in `chunk` under the cost array `costs` with
+    the per-origin kernel, walking each O-D pair's path in Python; returns a
+    dense flow vector."""
     net = problem.net
-    if len(chunk) * len(net.links) >= _ARRAY_TREES_MIN_WORK:
-        return _load_trees(problem, costs, chunk)
     cost_list = costs.tolist()
     adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
     flows = [0.0] * len(net.links)
@@ -297,55 +307,148 @@ def _load_chunk(problem, costs, chunk):
     return np.array(flows, dtype=float)
 
 
-def _load_trees(problem, costs, chunk):
-    """The array path of `_load_chunk`: trees from `_trees_for_origins`, then
-    every O-D pair of the chunk walks up its tree together with the others,
-    one link per pass.  A stable sort by pair index puts the (pair, link)
-    entries in the per-origin walk's order, and bincount adds its weights one
-    by one in input order, so each link's loads are summed in the Python
-    walk's order."""
-    net = problem.net
-    origins = [origin for origin, _ in chunk]
-    dist, pred = _trees_for_origins(net, costs, origins)
-    width = net.node_count + 1
-    counts = [len(dests) for _, dests in chunk]
-    row = np.repeat(np.arange(len(chunk)), counts)
-    dest = np.array([d for _, dests in chunk for d, _ in dests], dtype=np.int64)
-    q = np.array([q for _, dests in chunk for _, q in dests], dtype=float)
-    origin = np.repeat(np.asarray(origins, dtype=np.int64), counts)
-    missing = ~np.isfinite(dist[row, dest])
-    if missing.any():
-        i = int(np.argmax(missing))
-        raise SolverError(f"no path for demanded O-D pair ({origin[i]},{dest[i]})")
-    pred = pred.ravel()
-    tails = problem.tails
-    pair = np.flatnonzero(dest != origin)
-    base, node, goal = row[pair] * width, dest[pair], origin[pair]
-    pairs, links = [pair], [pred[base + node]]
-    for _ in range(net.node_count):
-        node = tails[links[-1]]
-        going = node != goal
-        if not going.any():
-            break
-        pair, base, node, goal = pair[going], base[going], node[going], goal[going]
-        pairs.append(pair)
-        links.append(pred[base + node])
-    else:
-        i = int(pairs[-1][0])
-        raise SolverError(f"predecessor walk did not terminate for pair ({origin[i]},{dest[i]})")
-    pair = np.concatenate(pairs)
-    order = np.argsort(pair, kind="stable")
-    return np.bincount(np.concatenate(links)[order], weights=q[pair[order]], minlength=len(net.links))
-
-
 def _aon(problem, costs):
-    """AON flows of all of `problem`'s demand, its chunks summed in order;
-    the first chunk's flows start the sum, as 0.0 + x is x for x >= 0."""
+    """AON flows of all of `problem`'s demand on the kernel, its chunks
+    summed in order; the first chunk's flows start the sum, as 0.0 + x is x
+    for x >= 0."""
     by_origin = problem.by_origin
     total = _load_chunk(problem, costs, by_origin[:_CHUNK])
     for i in range(_CHUNK, len(by_origin), _CHUNK):
         total += _load_chunk(problem, costs, by_origin[i : i + _CHUNK])
     return total
+
+
+class _Pairs:
+    """The O-D pairs of several problems as arrays, for `_load_trees`.
+
+    One tree row per (problem, origin) and one pair per (problem, origin,
+    destination), in problem order and each problem in its `by_origin`
+    order; links are the problems' links end to end."""
+
+    def __init__(self, problems: Sequence[_Problem]):
+        self.graph = _BatchGraph([problem.net for problem in problems])
+        self.tails = np.concatenate([problem.tails for problem in problems])
+        self.links = len(self.tails)
+        rows = [len(problem.by_origin) for problem in problems]
+        self.row_ends = [0, *accumulate(rows)]
+        self.origins = np.array([o for problem in problems for o, _ in problem.by_origin], dtype=np.int64)
+        self.owners = np.repeat(np.arange(len(problems)), rows)
+        counts = [len(dests) for problem in problems for _, dests in problem.by_origin]
+        ends = [0, *accumulate(counts)]
+        self.pair_ends = [ends[end] for end in self.row_ends]
+        row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        self.dest = np.array(
+            [d for problem in problems for _, dests in problem.by_origin for d, _ in dests], dtype=np.int64
+        )
+        self.q = np.array([q for problem in problems for _, dests in problem.by_origin for _, q in dests], dtype=float)
+        self.pair_origin = self.origins[row]
+        # each pair's chunk: its origin's place among its problem's origins,
+        # by _CHUNK, as _aon cuts them
+        place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
+        self.chunk = (place // _CHUNK)[row]
+        self.chunks = max(1, -(-max(rows, default=0) // _CHUNK))
+        self.row_base = row * self.graph.width
+        # the pairs that load links, and how many of them the problems before each have
+        moves = self.dest != self.pair_origin
+        self.moving = np.flatnonzero(moves)
+        self.moving_ends = [int(np.count_nonzero(moves[:end])) for end in self.pair_ends]
+
+
+def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
+    """The array path of AON loading: the flows of the first `stop` problems
+    of `pairs` under `costs`, their links' slice of one vector over all of
+    the problems' links (zeros after them).
+
+    Trees for every row come from one `_trees_for_origins` call, then every
+    O-D pair walks up its tree together with the others, one link per pass.
+    A stable sort by pair puts the (pair, link) entries in the per-origin
+    walk's order, and bincount adds their weights one by one in input order
+    into (chunk, link) bins, so each link's load in a chunk is summed in the
+    Python walk's order; each problem's chunk rows are then summed in chunk
+    order, as `_aon` sums its chunks.  Returns ``(flows, failed, error)``:
+    `failed` is the first problem, in order, with a demanded pair that has
+    no path or whose walk does not end, and `error` names that pair; they
+    are `stop` and None when there is none.
+    """
+    links = pairs.links
+    if stop == 0:
+        return np.zeros(links), 0, None
+    rows, end = pairs.row_ends[stop], pairs.pair_ends[stop]
+    width = pairs.graph.width
+    dist, pred = _trees_for_origins(pairs.graph, costs, pairs.origins[:rows], pairs.owners[:rows])
+    at = pairs.row_base[:end] + pairs.dest[:end]  # each pair's destination in the trees
+    missing = ~np.isfinite(dist.ravel()[at])
+    lost = missing.any()
+    pred = pred.ravel()
+    pair = pairs.moving[: pairs.moving_ends[stop]]
+    if lost:
+        pair = pair[~missing[pair]]
+    base, goal = pairs.row_base[pair], pairs.pair_origin[pair]
+    walked, taken = [pair], [pred[at[pair]]]
+    stuck = pair[:0]
+    tails = pairs.tails
+    for _ in range(width - 1):
+        node = tails[taken[-1]]
+        going = node != goal
+        if not going.any():
+            break
+        pair, base, goal = pair[going], base[going], goal[going]
+        walked.append(pair)
+        taken.append(pred[base + node[going]])
+    else:
+        # a walk that ends takes at most node_count links; these took more
+        stuck = walked[-1]
+    failed, error = stop, None
+    if lost or stuck.size:
+        bad = missing.copy()
+        bad[stuck] = True
+        i = int(np.argmax(bad))
+        failed = bisect_right(pairs.pair_ends, i) - 1
+        o, d = pairs.pair_origin[i], pairs.dest[i]
+        if missing[i]:
+            error = SolverError(f"no path for demanded O-D pair ({o},{d})")
+        else:
+            error = SolverError(f"predecessor walk did not terminate for pair ({o},{d})")
+    pair = np.concatenate(walked)
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    bins = pairs.chunk[pair] * links + np.concatenate(taken)[order]
+    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links).reshape(pairs.chunks, links)
+    flows = loads[0] if pairs.chunks == 1 else loads[0] + loads[1]
+    for more in loads[2:]:
+        flows += more
+    return flows, failed, error
+
+
+class _Loader:
+    """AON loading of a batch's problems, in one of two forms picked on each
+    call: the per-problem kernel (`_aon`) or, once the problems' origins
+    times links reach _ARRAY_TREES_MIN_WORK, the array path over all of them
+    at once (`_load_trees`).  Both give the same flows to the bit."""
+
+    def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
+        self.problems = problems
+        self.slices = slices
+        self.work = sum(len(problem.by_origin) * len(problem.net.links) for problem in problems)
+        self.pairs = None  # built on the first array-path call
+
+    def __call__(self, costs: np.ndarray, stop: int):
+        """AON flows under `costs`, the problems' link vector, for the
+        problems before `stop`; returns what `_load_trees` does."""
+        if self.work >= _ARRAY_TREES_MIN_WORK:
+            if self.pairs is None:
+                self.pairs = _Pairs(self.problems)
+            return _load_trees(self.pairs, costs, stop)
+        loads, failed, error = [], stop, None
+        for k in range(stop):
+            try:
+                loads.append(_aon(self.problems[k], costs[self.slices[k]]))
+            except SolverError as exc:
+                failed, error = k, exc
+                break
+        if len(loads) < len(self.problems):  # zeros for the problems not loaded
+            loads.append(np.zeros(len(costs) - self.slices[len(loads)].start))
+        return (loads[0] if len(loads) == 1 else np.concatenate(loads)), failed, error
 
 
 def all_or_nothing(
@@ -354,7 +457,11 @@ def all_or_nothing(
     link_costs: Sequence[float],
 ) -> np.ndarray:
     """Load all demand onto shortest paths under fixed link costs."""
-    return _aon(_Problem(net, demand), _checked_costs(net, link_costs))
+    costs = _checked_costs(net, link_costs)
+    flows, _, error = _Loader([_Problem(net, demand)], [slice(0, len(costs))])(costs, 1)
+    if error is not None:
+        raise error
+    return flows
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> list[float]:
@@ -501,7 +608,7 @@ def _solve_batch(
         except Exception as exc:
             cut, error = index, exc
             break
-        if problem.by_origin:
+        if problem.travels:
             live.append(problem)
         else:
             zeros = np.zeros(len(net.links), dtype=float)
@@ -514,19 +621,17 @@ def _solve_batch(
             )
     if live:
         arrays = _LinkArrays([problem.net for problem in live])
+        loader = _Loader(live, arrays.slices)
         freeflow = arrays.latencies(np.zeros(arrays.slices[-1].stop, dtype=float))
-        loads = []
-        for problem, s in zip(live, arrays.slices):
-            try:
-                loads.append(_aon(problem, freeflow[s]))
-            except Exception as exc:
-                cut, error = problem.index, exc
-                break
-        if len(loads) < len(live):
-            live = live[: len(loads)]
-            arrays = _LinkArrays([problem.net for problem in live]) if live else None
-        flows = loads[0] if len(loads) == 1 else np.concatenate(loads) if loads else None
-        del freeflow, loads  # not held through the iterations
+        flows, failed, exc = loader(freeflow, len(live))
+        if exc is not None:
+            cut, error = live[failed].index, exc
+            live = live[:failed]
+            if live:
+                arrays = _LinkArrays([problem.net for problem in live])
+                loader = _Loader(live, arrays.slices)
+                flows = flows[: arrays.slices[-1].stop]
+        del freeflow  # not held through the iterations
 
     points: tuple[np.ndarray, ...] = ()
     taus = [0.0] * len(live)
@@ -541,18 +646,24 @@ def _solve_batch(
             break
         iteration += 1
         lat = arrays.latencies(flows)
-        finite = np.isfinite(lat).all()
         beckmann = arrays.beckmann(flows)
-        going, aons = [], []
+        # problems from the first with a non-finite latency on are not loaded
+        stop = len(live)
+        if not np.isfinite(lat).all():
+            stop = next(k for k, s in enumerate(arrays.slices) if not np.isfinite(lat[s]).all())
+        aon_flows, failed, exc = loader(lat, stop)
+        if exc is None and stop < len(live):
+            s = arrays.slices[stop]
+            link = live[stop].net.links[int(np.argmax(~np.isfinite(lat[s])))]
+            exc = SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
+        going = []
         for k, (problem, s) in enumerate(zip(live, arrays.slices)):
             try:
-                if not finite and not np.isfinite(lat[s]).all():
-                    link = problem.net.links[int(np.argmax(~np.isfinite(lat[s])))]
-                    raise SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
-                aon_flows = _aon(problem, lat[s])
-                gap = relative_gap(flows[s], lat[s], aon_flows)
-            except Exception as exc:
-                cut, error = problem.index, exc
+                if k == failed:
+                    raise exc
+                gap = relative_gap(flows[s], lat[s], aon_flows[s])
+            except (DataError, SolverError) as caught:
+                cut, error = problem.index, caught
                 break
             problem.gaps.append(gap)
             problem.beckmann.append(beckmann[k])
@@ -569,7 +680,6 @@ def _solve_batch(
                 )
             else:
                 going.append(k)
-                aons.append(aon_flows)
         if len(going) < len(live):
             # the finished, failed and dropped problems leave the batch
             if not going:
@@ -579,11 +689,12 @@ def _solve_batch(
             keep[going] = True
             links = keep[arrays.owner]
             flows = flows[links]
+            aon_flows = aon_flows[links]
             points = tuple(point[links] for point in points)
             live = [live[k] for k in going]
             taus = [taus[k] for k in going]
             arrays = _LinkArrays([problem.net for problem in live])
-        aon_flows = aons[0] if len(aons) == 1 else np.concatenate(aons)
+            loader = _Loader(live, arrays.slices)
 
         b0, *bs = zip(*_direction_weights(arrays, flows, aon_flows, points, taus))
         point = arrays.spread(b0) * aon_flows

@@ -1,13 +1,15 @@
 """Single-source shortest paths over the road network.
 
-One algorithm, label-correcting Bellman-Ford, in two forms.  Small networks
-take the per-origin kernel ``_bellman_ford``: a FIFO queue of nodes whose
-label fell.  Large networks take the array path ``_trees_for_origins``:
-numpy Bellman-Ford in passes over a whole chunk of origins at once, along a
-CSR layout of the out-links (``Network.out_links``).  The equilibrium solver
-picks the array path when origins times links reaches
-``_ARRAY_TREES_MIN_WORK`` (see ``equilibrium``), and loads its trees in numpy
-as well; below that the kernel, with its Python loading walk, is faster.
+One algorithm, label-correcting Bellman-Ford, in two forms.  The per-origin
+kernel ``_bellman_ford`` keeps a FIFO queue of nodes whose label fell.  The
+array path ``_trees_for_origins`` runs numpy Bellman-Ford in passes over many
+origins at once, along a CSR layout of the out-links, and the origins may
+belong to different networks: a ``_BatchGraph`` lays a batch's networks side
+by side, their links numbered as in the batch's link vector.  The
+equilibrium solver takes the array path for a whole batch of problems once
+their origins times links reach ``_ARRAY_TREES_MIN_WORK`` (see
+``equilibrium``), and loads those trees in numpy as well; below that the
+kernel, with its Python loading walk, is faster.
 
 Both forms honor the centroid rule: node ids below ``first_thru_node`` are
 never expanded as intermediate nodes (the source itself is always expanded).
@@ -75,29 +77,83 @@ def _checked_costs(net: Network, link_costs: Sequence[float]) -> np.ndarray:
     return costs
 
 
-def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):
+class _BatchGraph:
+    """One or more networks as one graph for the array path.
+
+    Node u of network j is graph node ``j * width + u``, with ``width`` one
+    more than the largest node count, and link k of network j is batch link
+    ``offset_j + k``, the networks' links end to end in their given order
+    (the order of ``equilibrium._LinkArrays``).  ``out_links`` is the CSR
+    layout of every network's ``Network.out_links`` side by side, holding
+    batch link indices and each network's own head nodes.
+    """
+
+    def __init__(self, nets: Sequence[Network]):
+        self.count = len(nets)
+        self.width = max(net.node_count for net in nets) + 1
+        if len(nets) == 1:
+            self.out_links = nets[0].out_links
+        else:
+            degrees = np.zeros((len(nets), self.width), dtype=np.int64)
+            links, heads, offset = [], [], 0
+            for j, net in enumerate(nets):
+                start, link, head = net.out_links
+                degrees[j, : net.node_count + 1] = np.diff(start)
+                links.append(link + offset)
+                heads.append(head)
+                offset += len(net.links)
+            start = np.zeros(degrees.size + 1, dtype=np.int64)
+            np.cumsum(degrees.ravel(), out=start[1:])
+            self.out_links = start, np.concatenate(links), np.concatenate(heads)
+        thru = np.array([net.first_thru_node for net in nets], dtype=np.int64)
+        # one value when every network shares it, as subsets of one network do
+        self.first_thru = int(thru[0]) if (thru == thru[0]).all() else thru
+
+
+def _trees_for_origins(graph, costs: np.ndarray, origins: Sequence[int], owners=None):
     """Internal array path: trees from every origin in `origins` at once.
 
-    Returns ``(dist, pred)`` of shape ``(len(origins), node_count + 1)``, row
-    i holding what ``_bellman_ford`` returns for ``origins[i]``.  Runs
+    `graph` is a Network or a `_BatchGraph`, and `costs` holds one cost per
+    link of it (a batch's link vector).  Row i starts at ``origins[i]`` in
+    network ``owners[i]`` of the graph; `owners` may be left out when the
+    graph holds one network.  Returns ``(dist, pred)`` of shape
+    ``(len(origins), width)``, row i holding what ``_bellman_ford`` returns
+    for ``origins[i]`` in its network, with predecessors as batch link
+    indices and +inf, -1 on the nodes a narrower network lacks.  Runs
     Bellman-Ford in passes over all rows together: the frontier is the
-    (row, node) pairs whose label fell in the last pass, expanded along
-    ``net.out_links``.  A predecessor is reset when its label falls and then
-    lowered to the smallest tight link index, which is the kernel's tie rule.
+    (row, node) pairs whose label fell in the last pass, expanded along the
+    graph's out-links.  A row only ever reaches its own network's nodes and
+    links, so it gets the same tree as alone.  The final labels are the
+    least path sums whatever order the frontier takes.  A predecessor is
+    reset when its label falls and then lowered to the smallest tight link
+    index, which is the kernel's tie rule.
     """
-    start, link, head = net.out_links
-    width = net.node_count + 1
-    none = len(net.links)  # "no tight link yet", above every link index
-    roots = np.arange(len(origins)) * width + np.asarray(origins, dtype=np.int64)
+    if isinstance(graph, Network):
+        graph = _BatchGraph([graph])
+    start, link, head = graph.out_links
+    width = graph.width
+    none = len(costs)  # "no tight link yet", above every link index
+    bases = np.arange(len(origins)) * width
+    roots = bases + np.asarray(origins, dtype=np.int64)
+    # (row, node) + shift[row] is the node's graph node; one network needs none
+    shift, thru = None, graph.first_thru
+    if graph.count > 1:
+        owners = np.asarray(owners, dtype=np.int64)
+        shift = owners * width - bases
+        if np.ndim(thru):
+            thru = thru[owners]  # each row's own, looked up by row in each pass
+    per_row = np.ndim(thru) > 0
     dist = np.full(len(origins) * width, _INF)
     pred = np.full(len(origins) * width, none, dtype=np.int64)
+    slot = np.empty(len(origins) * width, dtype=np.int32)  # for the dedup below
     dist[roots] = 0.0
     pred[roots] = -1  # below every link index, so a root never takes a link
     frontier = roots
     while frontier.size:
         node = frontier % width
-        first = start[node]
-        degree = start[node + 1] - first
+        at = node if shift is None else frontier + shift[frontier // width]
+        first = start[at]
+        degree = start[at + 1] - first
         ends = np.cumsum(degree)
         pos = np.arange(ends[-1]) + np.repeat(first - (ends - degree), degree)
         via = link[pos]
@@ -107,15 +163,19 @@ def _trees_for_origins(net: Network, costs: np.ndarray, origins: Sequence[int]):
         np.minimum.at(dist, target, label)
         after = dist[target]
         tight = label == after
-        fell = np.sort(target[tight & (after < before)])
+        fell = target[tight & (after < before)]
         pred[fell] = none
         np.minimum.at(pred, target[tight], via[tight])
-        # each fallen pair once (np.diff costs 2-4x as much here, np.unique up to 30x)
-        frontier = fell[np.concatenate(([True], fell[1:] != fell[:-1]))] if fell.size else fell
-        if net.first_thru_node > 1:
-            # centroids never relay; roots never fall, so only the first
-            # frontier holds them
-            frontier = frontier[frontier % width >= net.first_thru_node]
+        # each fallen pair once: the last of its entries claims its slot
+        order = np.arange(fell.size, dtype=np.int32)
+        slot[fell] = order
+        frontier = fell[slot[fell] == order]
+        # centroids never relay; roots never fall, so only the first frontier
+        # holds them
+        if per_row:
+            frontier = frontier[frontier % width >= thru[frontier // width]]
+        elif thru > 1:
+            frontier = frontier[frontier % width >= thru]
     pred[pred == none] = -1
     return dist.reshape(len(origins), width), pred.reshape(len(origins), width)
 

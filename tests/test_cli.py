@@ -54,6 +54,17 @@ def test_solve_writes_flow_file(data_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_with_only_intrazonal_trips_solves_to_zero(data_dir, tmp_path, capsys):
+    # a trip that stays in its zone loads no link: the same solve as no trips
+    trips = tmp_path / "trips.tntp"
+    trips.write_text((data_dir / DESK["trips"]).read_text().replace("2 :    1000.0;", "1 :    1000.0;"))
+    empty = tmp_path / "empty.tntp"
+    empty.write_text("<NUMBER OF ZONES> 2\n<TOTAL OD FLOW> 0.0\n<END OF METADATA>\n")
+    for path in (trips, empty):
+        rc = main(["solve", "--net", str(data_dir / DESK["net"]), "--trips", str(path)])
+        assert (rc, out_lines(capsys)) == (0, ["vht 0.0", "relative_gap 0.0", "iterations 0"])
+
+
 def test_solve_apply_reduces_vht(data_dir, capsys):
     rc = main(desk_args(data_dir, "solve", "--gap", "1e-7"))
     base = float(out_lines(capsys)[0].split()[1])

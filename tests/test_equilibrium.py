@@ -30,7 +30,7 @@ from roadworks import (
     vht,
     write_flow_file,
 )
-from roadworks import equilibrium
+from roadworks import equilibrium, scenario
 
 from netfixtures import grid_demand, grid_net, two_link_demand, two_link_net
 from oracles import independent_gap, latency, two_link_flows
@@ -386,7 +386,97 @@ def test_a_failing_problem_ends_the_batch_after_the_problems_before_it(desk):
         list(equilibrium._solve_batch(ok + [(desk.net, outside), (choked, desk.demand)], settings))
 
 
-# Large-network determinism: the grid's 10,200 links put every chunk on the
+def test_intrazonal_only_demand_is_an_empty_problem_in_any_batch(desk, tree_path):
+    # a trip that stays in its zone loads no link, so there is no gap to close
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    x1 = apply_upgrades(desk.net, desk.upgrades, ["C-X1"])
+    problems = [(desk.net, desk.demand), (desk.net, DemandMatrix({(1, 1): 1000.0})), (x1, desk.demand)]
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+    assert not np.frombuffer(alone[1][0]).any()
+    assert alone[1][2:5] == (0.0, 0.0, 0)
+    assert _in_batches(problems, settings, 3) == alone
+
+
+# The batch-wide array path: one tree-and-load pass over every live problem.
+
+
+def test_sioux_falls_batch_on_the_array_path_matches_each_alone_on_the_kernel(sioux, monkeypatch):
+    settings = SolverSettings(target_gap=1e-4, max_iters=2000)
+    problems = _subset_problems(sioux, (1, 2))[1:]  # the 4 singles and 6 pairs
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    assert _in_batches(problems, settings, len(problems)) == alone
+
+
+def _stranded():
+    """A 3-node network in which (3,1) and (3,2) have no path while (1,2) has one."""
+    links = (
+        Link(1, 2, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 1, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 3, 1000.0, 1.0, 0.15, 4.0),
+    )
+    return Network(node_count=3, links=links, zone_count=3), DemandMatrix({(1, 2): 5.0, (3, 1): 2.0, (3, 2): 1.0})
+
+
+def test_errors_on_the_array_path_end_the_batch_after_the_problems_before_it(desk, monkeypatch):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    choked = replace(desk.net, links=(replace(desk.net.links[0], capacity=1e-80),) + desk.net.links[1:])
+    x1 = apply_upgrades(desk.net, desk.upgrades, ["C-X1"])
+    ok = [(desk.net, desk.demand), (x1, desk.demand)]
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in ok]
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    cases = [
+        # the stranded network fails before its first iteration; it has 3
+        # nodes and no centroids, so the batch's networks differ in both
+        ([_stranded(), (desk.net, desk.demand)], r"no path for demanded O-D pair \(3,1\)"),
+        # the choked network fails in its first iteration, and the rows of
+        # the problems after it are left out of that pass
+        ([(choked, desk.demand), (desk.net, desk.demand)], "non-finite latency on link 1->3"),
+        # each time the error raised is the earlier problem's
+        ([(choked, desk.demand), _stranded()], "non-finite latency on link 1->3"),
+        ([_stranded(), (choked, desk.demand)], r"no path for demanded O-D pair \(3,1\)"),
+    ]
+    for tail, message in cases:
+        done = []
+        with pytest.raises(SolverError, match=message), np.errstate(over="ignore"):
+            for a in equilibrium._solve_batch(ok + tail, settings):
+                done.append(_fields(a))
+        assert done == alone, message
+
+
+def test_the_batch_takes_the_array_path_from_the_threshold_on(desk, sioux, monkeypatch):
+    paths = []
+    for name, function in (("array", equilibrium._load_trees), ("kernel", equilibrium._aon)):
+
+        def record(*args, name=name, function=function):
+            paths.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(equilibrium, function.__name__, record)
+
+    def path(problems):
+        paths.clear()
+        list(equilibrium._solve_batch(problems, SolverSettings(target_gap=1e-12, max_iters=1)))
+        return set(paths)
+
+    measured = equilibrium._ARRAY_TREES_MIN_WORK
+    two = _subset_problems(sioux, (1,))[:2]
+    work = sum(len(demand.by_origin) * len(net.links) for net, demand in two)
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work)
+    assert path(two) == {"array"}
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work + 1)
+    assert path(two) == {"kernel"}
+    # at the measured threshold a lone Sioux Falls problem and a full desk
+    # batch stay on the kernel, and two Sioux Falls problems take the array path
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", measured)
+    assert path(two[:1]) == {"kernel"}
+    assert path(two) == {"array"}
+    assert path([(desk.net, desk.demand)] * 40) == {"kernel"}
+
+
+# Large-network determinism: the grid's 10,200 links put its AON on the
 # array path and every inner product on the reduction that avoids BLAS.  A
 # few iterations suffice for a last-bit difference to show in the flows.
 GRID_SETTINGS = {"target_gap": 1e-12, "max_iters": 4}
@@ -429,6 +519,21 @@ def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch)
     per_origin = _grid_solve(grid)
     assert array.flows.tobytes() == per_origin.flows.tobytes()
     assert array.gap_history == per_origin.gap_history
+
+
+def test_many_chunks_load_alike_on_both_paths(monkeypatch):
+    # 49 zones make 4 chunks, so the order the chunks are summed in shows
+    net = grid_net(side=13, zone_lines=(0, 2, 4, 6, 8, 10, 12))
+    demand = grid_demand(zones=49, per_pair=3.0)
+    costs = [1.0 + (i % 11) / 10 for i in range(len(net.links))]
+    widened = replace(net, links=(replace(net.links[0], capacity=3000.0),) + net.links[1:])
+    settings = SolverSettings(target_gap=1e-12, max_iters=3)
+    runs = {}
+    for threshold in (0, math.inf):
+        monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
+        aon = all_or_nothing(net, demand, costs)
+        runs[threshold] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
+    assert runs[0] == runs[math.inf]
 
 
 # The loader cases below run on both tree paths: the array path with its numpy
@@ -478,7 +583,7 @@ def test_cyclic_predecessors_do_not_loop(tree_path, monkeypatch):
     net = Network(node_count=3, links=links, zone_count=3)
     pred = [-1, -1, 2, 1]
 
-    def cyclic_trees(net, costs, origins):
+    def cyclic_trees(graph, costs, origins, owners=None):
         return np.zeros((len(origins), 4)), np.array([pred] * len(origins))
 
     monkeypatch.setattr(equilibrium, "_trees_for_origins", cyclic_trees)
@@ -499,9 +604,7 @@ def test_aon_names_the_first_invalid_cost():
         all_or_nothing(net, demand, [1.0, 1.0, 1.0])
 
 
-def test_array_loader_deltas_do_not_depend_on_workers(monkeypatch):
-    # numpy runs inside both subset threads; the tables must still match bit for bit
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+def test_grid_subsets_solve_alike_in_one_array_batch_and_alone_on_the_kernel(monkeypatch):
     net = grid_net(side=9, zone_lines=(0, 4, 8))
     first, second = net.links[12], net.links[40]
     upgrades = parse_upgrades(
@@ -518,10 +621,16 @@ PROJECT link-ab 200 new-road
     subsets = [("widen-a",), ("widen-b",), ("link-ab",), ("link-ab", "widen-a"), ("link-ab", "widen-a", "widen-b")]
     settings = SolverSettings(target_gap=1e-6)
     demand = grid_demand(zones=9)
-    one = compute_deltas(net, demand, upgrades, subsets, settings, workers=1)
-    two = compute_deltas(net, demand, upgrades, subsets, settings, workers=2)
-    assert one.coefficients == two.coefficients
-    assert one.evaluated_subsets == two.evaluated_subsets
+    # the baseline and all five subsets in one batch, on the array path
+    monkeypatch.setattr(scenario, "_BATCH_LINKS", math.inf)
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    batched = compute_deltas(net, demand, upgrades, subsets, settings)
+    # each alone, on the kernel
+    monkeypatch.setattr(scenario, "_BATCH_LINKS", 0)
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    alone = compute_deltas(net, demand, upgrades, subsets, settings)
+    assert batched.coefficients == alone.coefficients
+    assert batched.evaluated_subsets == alone.evaluated_subsets
 
 
 def test_flow_file_format(desk, tmp_path):

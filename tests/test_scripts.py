@@ -225,3 +225,35 @@ def test_bench_pairs_checks_its_arguments_before_any_run(argv, code, message):
     run = subprocess.run([sys.executable, str(BENCH_PAIRS), *argv], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout) == (code, "")
     assert run.stderr.startswith(message) and run.stderr.count("\n") == 1
+
+
+def test_bench_pairs_summary_reads_the_claim_rule_off_fixed_numbers():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.quartiles([5.0]) == (5.0, 5.0, 5.0)
+    assert bench.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    base = {m: [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0] for m in bench.METRICS}
+    change = {
+        # lower in all 10 pairs, by more than the base's IQR
+        "setup_s": [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
+        # lower in 9 pairs and tied in one, but by less than the IQR
+        "solve_s": [6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 19.0],
+        # far lower in 8 pairs: not nine tenths
+        "plan_s": [1.0] * 8 + [20.0, 20.0],
+        # far lower in 9 pairs and tied in one: exactly nine tenths
+        "replan_s": [1.0] * 9 + [19.0],
+        "peak_rss_mb": [v + 1.0 for v in base["peak_rss_mb"]],
+    }
+    assert bench.summarize(base, change) == [
+        "setup_s: base 14.5 [12.25, 16.75], change 7.5 [5.25, 9.75], base IQR 4.5, "
+        "change lower in 10/10 pairs, median change/base 0.517, gain true",
+        "solve_s: base 14.5 [12.25, 16.75], change 10.5 [8.25, 12.75], base IQR 4.5, "
+        "change lower in 9/10 pairs, median change/base 0.724, gain false",
+        "plan_s: base 14.5 [12.25, 16.75], change 1 [1, 1], base IQR 4.5, "
+        "change lower in 8/10 pairs, median change/base 0.080, gain false",
+        "replan_s: base 14.5 [12.25, 16.75], change 1 [1, 1], base IQR 4.5, "
+        "change lower in 9/10 pairs, median change/base 0.074, gain true",
+        "peak_rss_mb: base 14.5 [12.25, 16.75], change 15.5 [13.25, 17.75], base IQR 4.5, "
+        "change lower in 0/10 pairs, median change/base 1.069, gain false",
+    ]
