@@ -40,14 +40,18 @@ One loop solves any number of (network, demand) problems in lock-step
 (`_solve_batch`; `solve_with` is that loop with one problem).  Each
 elementwise step runs once over the active problems' links end to end, while
 inner products, sums, the branches of the direction weights and of the line
-search, and the histories stay per problem.  AON loading is picked once per
-iteration for the whole batch: below _ARRAY_TREES_MIN_WORK origins times
-links, each problem on the per-origin kernel and its Python walk; from there
-on, one array pass over every problem at once, its trees from one call of
-the array Bellman-Ford and its O-D pairs walked in numpy together.  A
-problem leaves the batch when it converges or reaches its iteration cap.
-Subset tables batch their missing subsets this way, so that many small
-solves share the cost of each numpy call.
+search, and the histories stay per problem.  AON loading runs in calls
+over every problem still iterating (`_Loader`), each call holding whole
+chunks of origins: as many as keep its origins and O-D pairs times the node
+count within _CALL_MAX_CELLS, so a batch of small networks loads in one
+call and a large network chunk by chunk.  A call takes the array path, one
+array Bellman-Ford over all its origins and one numpy walk over all its O-D
+pairs, once its origins times links reach _ARRAY_TREES_MIN_WORK, or
+_ARRAY_BATCH_MIN_WORK when it holds origins of two or more problems; below
+that each problem's origins go through the per-origin kernel and its
+Python walk.  A problem leaves the batch when it converges or reaches its
+iteration cap.  Subset tables batch their missing subsets this way, so that
+many small solves share the cost of each numpy call.
 
 Determinism contract: solves run on one thread, and the same inputs give
 bit-identical flows, alone or in any batch: elementwise results do not
@@ -94,22 +98,34 @@ __all__ = [
 # the flows in their last bits.
 _CHUNK = 16
 
-# Origins times links, summed over a batch's live problems, from which AON
-# loading takes the array path (_load_trees: one _trees_for_origins call
-# over every (problem, origin) row, then one numpy walk over all O-D pairs)
-# instead of the per-problem kernel (_aon: one _bellman_ford call per origin
-# and the Python walk).  The kernel costs about the same per origin and link
-# wherever it runs; the array path costs about 60 us per Bellman-Ford pass
-# on top, and a pass per link of the deepest tree.  Timed alternately, array
-# / kernel: Sioux Falls 1.07x for 1 problem (1,824), 0.68x for 2 (3,648),
-# 0.61x for 3 and 0.47x for 10; desk 1.2x for 32 problems (212), 1.0x for
-# 40 (272); grids of one problem 1.83x at 9x9 with 9 zones (2,592), 1.40x
-# at 15x15 with 9 zones (7,560), 0.55x at 21x21 with 25 zones (42,000) and
-# 0.33x on the 64x64 grid with 25 zones (403,200).  So a lone Sioux Falls
-# problem and every desk batch stay on the kernel, and a Sioux Falls batch
-# of two or more takes the array path; deep networks with few origins lose
-# up to 1.4x between here and about 16k, where their trees take many passes.
-_ARRAY_TREES_MIN_WORK = 3072
+# Origins times links of one loading call (`_Call`) over one network from
+# which it takes the array path instead of the per-origin kernel.  The
+# kernel costs about the same per origin and link wherever it runs; the
+# array path pays about 60 us per Bellman-Ford pass and takes a pass per
+# link of the deepest tree, so a deep network with few origins loses.  On
+# square grids (trees and loading, 25 zones) the two break even at 7k-15k
+# for 16 origins and at 16k-32k for 1 to 8.  Timed alternately, array /
+# kernel, one call: a 15x15 grid with 9 zones (7,560) 1.6x, with 25 zones
+# (21,000) 0.65x, a 21x21 grid with 25 zones (42,000) 0.57x.
+_ARRAY_TREES_MIN_WORK = 16384
+
+# The same for a call that holds origins of two or more networks.  A subset
+# table batches at most scenario._BATCH_LINKS links, so such networks are
+# small and shallow (8 passes on Sioux Falls), and one pass over all of
+# them pays for itself sooner.  Timed alternately, one call: Sioux Falls
+# 0.7-0.8x for 2 problems (3,648), 0.34-0.5x for 3 to 10; desk breaks even
+# at about 40 problems (240), and a full desk batch (at most 252) stays on
+# the kernel.
+_ARRAY_BATCH_MIN_WORK = 3072
+
+# Bound on one loading call, in origins plus O-D pairs, times the widest
+# network's node count plus one (`_Loader`).  The array path's trees take
+# 20 bytes per origin and node, and its walk one entry per pair and pass,
+# at most one pass per node; a call of one chunk may exceed the bound.  A
+# batch of three Sioux Falls problems counts 43k and loads in one call; the
+# 64x64 perfbench grid counts 1.6M for one chunk of 16 origins, so it loads
+# chunk by chunk, and so does any larger network.
+_CALL_MAX_CELLS = 1 << 20
 
 # Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
 # splits ddot over threads above about 10k elements, so the sum would depend
@@ -307,83 +323,63 @@ def _load_chunk(problem, costs, chunk):
     return np.array(flows, dtype=float)
 
 
-def _aon(problem, costs):
-    """AON flows of all of `problem`'s demand on the kernel, its chunks
-    summed in order; the first chunk's flows start the sum, as 0.0 + x is x
-    for x >= 0."""
-    by_origin = problem.by_origin
-    total = _load_chunk(problem, costs, by_origin[:_CHUNK])
-    for i in range(_CHUNK, len(by_origin), _CHUNK):
-        total += _load_chunk(problem, costs, by_origin[i : i + _CHUNK])
-    return total
-
-
 class _Pairs:
-    """The O-D pairs of several problems as arrays, for `_load_trees`.
+    """One loading call's O-D pairs as arrays, for `_load_trees`.
 
-    One tree row per (problem, origin) and one pair per (problem, origin,
-    destination), in problem order and each problem in its `by_origin`
-    order; links are the problems' links end to end."""
+    One tree row per origin of the call and one pair per O-D pair that
+    leaves its zone (intrazonal trips load no link and always have a path),
+    in problem order and each problem in its `by_origin` order.  A pair is
+    kept as its destination's place in the trees (row times the graph's
+    width plus the node) and its trips, 16 bytes, plus its chunk when the
+    call holds more than one."""
 
-    def __init__(self, problems: Sequence[_Problem]):
-        self.graph = _BatchGraph([problem.net for problem in problems])
-        self.tails = np.concatenate([problem.tails for problem in problems])
-        self.links = len(self.tails)
-        rows = [len(problem.by_origin) for problem in problems]
+    def __init__(self, graph: _BatchGraph, tails: np.ndarray, parts: Sequence[list]):
+        self.graph = graph
+        self.tails = tails
+        rows = [len(part) for part in parts]
         self.row_ends = [0, *accumulate(rows)]
-        self.origins = np.array([o for problem in problems for o, _ in problem.by_origin], dtype=np.int64)
-        self.owners = np.repeat(np.arange(len(problems)), rows)
-        counts = [len(dests) for problem in problems for _, dests in problem.by_origin]
+        self.origins = np.array([o for part in parts for o, _ in part], dtype=np.int64)
+        self.owners = np.repeat(np.arange(len(parts)), rows)
+        trips = [[(d, q) for d, q in dests if d != o] for part in parts for o, dests in part]
+        counts = [len(row) for row in trips]
         ends = [0, *accumulate(counts)]
         self.pair_ends = [ends[end] for end in self.row_ends]
         row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        self.dest = np.array(
-            [d for problem in problems for _, dests in problem.by_origin for d, _ in dests], dtype=np.int64
-        )
-        self.q = np.array([q for problem in problems for _, dests in problem.by_origin for _, q in dests], dtype=float)
-        self.pair_origin = self.origins[row]
-        # each pair's chunk: its origin's place among its problem's origins,
-        # by _CHUNK, as _aon cuts them
-        place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
-        self.chunk = (place // _CHUNK)[row]
-        self.chunks = max(1, -(-max(rows, default=0) // _CHUNK))
-        self.row_base = row * self.graph.width
-        # the pairs that load links, and how many of them the problems before each have
-        moves = self.dest != self.pair_origin
-        self.moving = np.flatnonzero(moves)
-        self.moving_ends = [int(np.count_nonzero(moves[:end])) for end in self.pair_ends]
+        self.at = row * graph.width + np.array([d for row in trips for d, _ in row], dtype=np.int64)
+        self.q = np.array([q for row in trips for _, q in row], dtype=float)
+        self.chunks = -(-max(rows) // _CHUNK)
+        self.chunk = None
+        if self.chunks > 1:
+            # each pair's chunk in the call: its origin's place in its
+            # problem's part, by _CHUNK
+            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
+            self.chunk = (place // _CHUNK)[row]
 
 
 def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
-    """The array path of AON loading: the flows of the first `stop` problems
-    of `pairs` under `costs`, their links' slice of one vector over all of
-    the problems' links (zeros after them).
+    """The array path of AON loading: the flows of one call's chunks of the
+    first `stop` problems under `costs`, one row per chunk over all of the
+    problems' links (zeros elsewhere).
 
     Trees for every row come from one `_trees_for_origins` call, then every
     O-D pair walks up its tree together with the others, one link per pass.
     A stable sort by pair puts the (pair, link) entries in the per-origin
     walk's order, and bincount adds their weights one by one in input order
     into (chunk, link) bins, so each link's load in a chunk is summed in the
-    Python walk's order; each problem's chunk rows are then summed in chunk
-    order, as `_aon` sums its chunks.  Returns ``(flows, failed, error)``:
-    `failed` is the first problem, in order, with a demanded pair that has
-    no path or whose walk does not end, and `error` names that pair; they
-    are `stop` and None when there is none.
+    Python walk's order.  Returns ``(loads, failed, error)``: `failed` is
+    the first problem, in order, with a demanded pair that has no path or
+    whose walk does not end, and `error` names that pair; they are `stop`
+    and None when there is none.
     """
-    links = pairs.links
-    if stop == 0:
-        return np.zeros(links), 0, None
     rows, end = pairs.row_ends[stop], pairs.pair_ends[stop]
     width = pairs.graph.width
     dist, pred = _trees_for_origins(pairs.graph, costs, pairs.origins[:rows], pairs.owners[:rows])
-    at = pairs.row_base[:end] + pairs.dest[:end]  # each pair's destination in the trees
+    at = pairs.at[:end]  # each pair's destination in the trees
     missing = ~np.isfinite(dist.ravel()[at])
-    lost = missing.any()
     pred = pred.ravel()
-    pair = pairs.moving[: pairs.moving_ends[stop]]
-    if lost:
-        pair = pair[~missing[pair]]
-    base, goal = pairs.row_base[pair], pairs.pair_origin[pair]
+    pair = np.flatnonzero(~missing)
+    row = at[pair] // width
+    base, goal = row * width, pairs.origins[row]
     walked, taken = [pair], [pred[at[pair]]]
     stuck = pair[:0]
     tails = pairs.tails
@@ -399,12 +395,12 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
         # a walk that ends takes at most node_count links; these took more
         stuck = walked[-1]
     failed, error = stop, None
-    if lost or stuck.size:
+    if stuck.size or missing.any():
         bad = missing.copy()
         bad[stuck] = True
         i = int(np.argmax(bad))
         failed = bisect_right(pairs.pair_ends, i) - 1
-        o, d = pairs.pair_origin[i], pairs.dest[i]
+        o, d = pairs.origins[at[i] // width], at[i] % width
         if missing[i]:
             error = SolverError(f"no path for demanded O-D pair ({o},{d})")
         else:
@@ -412,43 +408,116 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
     pair = np.concatenate(walked)
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
-    bins = pairs.chunk[pair] * links + np.concatenate(taken)[order]
-    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links).reshape(pairs.chunks, links)
-    flows = loads[0] if pairs.chunks == 1 else loads[0] + loads[1]
-    for more in loads[2:]:
-        flows += more
-    return flows, failed, error
+    links = len(tails)
+    bins = np.concatenate(taken)[order]
+    if pairs.chunk is not None:
+        bins += pairs.chunk[pair] * links
+    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links)
+    return loads.reshape(pairs.chunks, links), failed, error
+
+
+class _Call:
+    """One AON loading call of a batch: chunks `first` up to `end` of every
+    problem, their origins ``first * _CHUNK`` up to ``end * _CHUNK`` in
+    `by_origin` order.  It takes the array path (`_load_trees`) once its
+    origins times links reach _ARRAY_TREES_MIN_WORK, or _ARRAY_BATCH_MIN_WORK
+    when it holds origins of two or more problems; otherwise each problem's
+    chunks go through the per-origin kernel in turn (`_load_chunk`)."""
+
+    def __init__(self, problems: Sequence[_Problem], first: int, end: int):
+        self.parts = [problem.by_origin[first * _CHUNK : end * _CHUNK] for problem in problems]
+        rows = [len(part) for part in self.parts]
+        self.row_ends = [0, *accumulate(rows)]
+        work = sum(count * len(problem.net.links) for count, problem in zip(rows, problems))
+        batched = len(rows) - rows.count(0) > 1
+        self.array = work >= (_ARRAY_BATCH_MIN_WORK if batched else _ARRAY_TREES_MIN_WORK)
+        self.pairs = None  # built on the first array-path load
 
 
 class _Loader:
-    """AON loading of a batch's problems, in one of two forms picked on each
-    call: the per-problem kernel (`_aon`) or, once the problems' origins
-    times links reach _ARRAY_TREES_MIN_WORK, the array path over all of them
-    at once (`_load_trees`).  Both give the same flows to the bit."""
+    """AON loading of a batch's problems in calls (`_Call`) of whole chunk
+    indices, each chunk's flows added in chunk order, as the per-origin
+    kernel of one problem alone adds them.  A call takes as many chunk
+    indices as keep its origins and O-D pairs times the widest network's
+    nodes within _CALL_MAX_CELLS, and at least one: that bounds the array
+    path's trees and its walk, which takes at most one entry per pair and
+    node.  A lone large network thus loads chunk by chunk, while a batch of
+    small networks loads in one call."""
 
     def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
         self.problems = problems
         self.slices = slices
-        self.work = sum(len(problem.by_origin) * len(problem.net.links) for problem in problems)
-        self.pairs = None  # built on the first array-path call
+        chunks = -(-max(len(problem.by_origin) for problem in problems) // _CHUNK)
+        cuts = [0]
+        if chunks > 1:
+            width = max(problem.net.node_count for problem in problems) + 1
+            sizes = [0] * chunks
+            for problem in problems:
+                for i, (_, dests) in enumerate(problem.by_origin):
+                    sizes[i // _CHUNK] += (1 + len(dests)) * width
+            cells = 0
+            for c, size in enumerate(sizes):
+                if c > cuts[-1] and cells + size > _CALL_MAX_CELLS:
+                    cuts.append(c)
+                    cells = 0
+                cells += size
+        cuts.append(chunks)
+        self.calls = [_Call(problems, first, end) for first, end in zip(cuts, cuts[1:])]
+        self.graph = self.tails = None  # built on the first array-path load
 
     def __call__(self, costs: np.ndarray, stop: int):
         """AON flows under `costs`, the problems' link vector, for the
-        problems before `stop`; returns what `_load_trees` does."""
-        if self.work >= _ARRAY_TREES_MIN_WORK:
-            if self.pairs is None:
-                self.pairs = _Pairs(self.problems)
-            return _load_trees(self.pairs, costs, stop)
-        loads, failed, error = [], stop, None
-        for k in range(stop):
-            try:
-                loads.append(_aon(self.problems[k], costs[self.slices[k]]))
-            except SolverError as exc:
-                failed, error = k, exc
+        problems before `stop` (the rest of the vector is to be ignored).
+        Returns ``(flows, failed, error)``: `failed` is the first problem, in
+        order, whose loading raised or failed, and `error` what it raised;
+        they are `stop` and None when there is none."""
+        flows, failed, error = None, stop, None
+        for call in self.calls:
+            if not call.row_ends[failed]:  # no origins this far out before `failed`
                 break
-        if len(loads) < len(self.problems):  # zeros for the problems not loaded
-            loads.append(np.zeros(len(costs) - self.slices[len(loads)].start))
-        return (loads[0] if len(loads) == 1 else np.concatenate(loads)), failed, error
+            loads, k, exc = self._load(call, costs, failed)
+            if exc is not None:
+                failed, error = k, exc
+            if loads is None:
+                break
+            for load in loads:
+                if flows is None:
+                    flows = load
+                else:
+                    flows += load
+        return (np.zeros(len(costs)) if flows is None else flows), failed, error
+
+    def _load(self, call: _Call, costs: np.ndarray, stop: int):
+        """The flows of `call` for the problems before `stop`, one vector
+        over all the problems' links per chunk, in chunk order, or None when
+        an error left nothing loaded; then `failed` and `error` as in
+        `__call__`."""
+        if call.array:
+            if call.pairs is None:
+                if self.graph is None:
+                    self.graph = _BatchGraph([problem.net for problem in self.problems])
+                    self.tails = np.concatenate([problem.tails for problem in self.problems])
+                call.pairs = _Pairs(self.graph, self.tails, call.parts)
+            try:
+                return _load_trees(call.pairs, costs, stop)
+            except Exception as exc:  # no one pair's fault: the first problem loaded takes it
+                return None, next(k for k in range(stop) if call.parts[k]), exc
+        if len(self.problems) == 1:  # its chunk flows are the whole vector
+            problem, part = self.problems[0], call.parts[0]
+            try:
+                loads = [_load_chunk(problem, costs, part[i : i + _CHUNK]) for i in range(0, len(part), _CHUNK)]
+                return loads, 1, None
+            except Exception as exc:
+                return None, 0, exc
+        loads = np.zeros((-(-max(map(len, call.parts)) // _CHUNK), len(costs)))
+        for k in range(stop):
+            s, part = self.slices[k], call.parts[k]
+            try:
+                for i in range(0, len(part), _CHUNK):
+                    loads[i // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], part[i : i + _CHUNK])
+            except Exception as exc:
+                return loads, k, exc
+        return loads, stop, None
 
 
 def all_or_nothing(
@@ -662,7 +731,7 @@ def _solve_batch(
                 if k == failed:
                     raise exc
                 gap = relative_gap(flows[s], lat[s], aon_flows[s])
-            except (DataError, SolverError) as caught:
+            except Exception as caught:
                 cut, error = problem.index, caught
                 break
             problem.gaps.append(gap)

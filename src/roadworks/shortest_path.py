@@ -6,10 +6,11 @@ array path ``_trees_for_origins`` runs numpy Bellman-Ford in passes over many
 origins at once, along a CSR layout of the out-links, and the origins may
 belong to different networks: a ``_BatchGraph`` lays a batch's networks side
 by side, their links numbered as in the batch's link vector.  The
-equilibrium solver takes the array path for a whole batch of problems once
-their origins times links reach ``_ARRAY_TREES_MIN_WORK`` (see
-``equilibrium``), and loads those trees in numpy as well; below that the
-kernel, with its Python loading walk, is faster.
+equilibrium solver loads a batch's origins in calls of whole chunks, and a
+call takes the array path once its origins times links reach
+``_ARRAY_TREES_MIN_WORK``, or ``_ARRAY_BATCH_MIN_WORK`` over two or more
+networks (see ``equilibrium``); it loads those trees in numpy as well.
+Below that the kernel, with its Python loading walk, is faster.
 
 Both forms honor the centroid rule: node ids below ``first_thru_node`` are
 never expanded as intermediate nodes (the source itself is always expanded).
@@ -110,26 +111,22 @@ class _BatchGraph:
         self.first_thru = int(thru[0]) if (thru == thru[0]).all() else thru
 
 
-def _trees_for_origins(graph, costs: np.ndarray, origins: Sequence[int], owners=None):
+def _trees_for_origins(graph: _BatchGraph, costs: np.ndarray, origins: Sequence[int], owners: Sequence[int]):
     """Internal array path: trees from every origin in `origins` at once.
 
-    `graph` is a Network or a `_BatchGraph`, and `costs` holds one cost per
-    link of it (a batch's link vector).  Row i starts at ``origins[i]`` in
-    network ``owners[i]`` of the graph; `owners` may be left out when the
-    graph holds one network.  Returns ``(dist, pred)`` of shape
-    ``(len(origins), width)``, row i holding what ``_bellman_ford`` returns
-    for ``origins[i]`` in its network, with predecessors as batch link
-    indices and +inf, -1 on the nodes a narrower network lacks.  Runs
-    Bellman-Ford in passes over all rows together: the frontier is the
-    (row, node) pairs whose label fell in the last pass, expanded along the
-    graph's out-links.  A row only ever reaches its own network's nodes and
+    `costs` holds one cost per link of `graph` (a batch's link vector), and
+    row i starts at ``origins[i]`` in network ``owners[i]`` of it.  Returns
+    ``(dist, pred)`` of shape ``(len(origins), width)``, row i holding what
+    ``_bellman_ford`` returns for ``origins[i]`` in its network, with
+    predecessors as batch link indices and +inf, -1 on the nodes a narrower
+    network lacks.  Runs Bellman-Ford in passes over all rows together: the
+    frontier is the (row, node) pairs whose label fell in the last pass,
+    expanded along the graph's out-links.  A row only ever reaches its own network's nodes and
     links, so it gets the same tree as alone.  The final labels are the
     least path sums whatever order the frontier takes.  A predecessor is
     reset when its label falls and then lowered to the smallest tight link
     index, which is the kernel's tie rule.
     """
-    if isinstance(graph, Network):
-        graph = _BatchGraph([graph])
     start, link, head = graph.out_links
     width = graph.width
     none = len(costs)  # "no tight link yet", above every link index

@@ -41,7 +41,7 @@ from roadworks import (
     solve_with,
 )
 
-from roadworks.shortest_path import _trees_for_origins
+from roadworks.shortest_path import _BatchGraph, _trees_for_origins
 
 from netfixtures import braess_demand, braess_net, braess_upgrades, two_link_demand, two_link_net
 from oracles import (
@@ -110,7 +110,7 @@ def test_criterion_1_shortest_path_oracle_equivalence(criterion_line):
         source = rng.randint(1, net.node_count)
         ref, _ = dijkstra(net.node_count, net.adjacency, costs, source, net.first_thru_node)
         kernel = shortest_paths(net, costs, source).labels
-        array, _ = _trees_for_origins(net, np.array(costs), [source])
+        array, _ = _trees_for_origins(_BatchGraph([net]), np.array(costs), [source], [0])
         for labels in (kernel, array[0].tolist()):
             for node in net.nodes:
                 got, want = labels[node], ref[node]

@@ -316,6 +316,12 @@ def _in_batches(problems, settings, size):
     return out
 
 
+def _force_path(monkeypatch, threshold):
+    """Every AON loading call on the array path (0) or on the kernel (inf)."""
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
+    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", threshold)
+
+
 def _subset_problems(case, sizes):
     subsets = [()] + [S for r in sizes for S in combinations(case.upgrades.ids, r)]
     return [(apply_upgrades(case.net, case.upgrades, S), case.demand) for S in subsets]
@@ -403,9 +409,9 @@ def test_intrazonal_only_demand_is_an_empty_problem_in_any_batch(desk, tree_path
 def test_sioux_falls_batch_on_the_array_path_matches_each_alone_on_the_kernel(sioux, monkeypatch):
     settings = SolverSettings(target_gap=1e-4, max_iters=2000)
     problems = _subset_problems(sioux, (1, 2))[1:]  # the 4 singles and 6 pairs
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    _force_path(monkeypatch, math.inf)
     alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    _force_path(monkeypatch, 0)
     assert _in_batches(problems, settings, len(problems)) == alone
 
 
@@ -424,9 +430,9 @@ def test_errors_on_the_array_path_end_the_batch_after_the_problems_before_it(des
     choked = replace(desk.net, links=(replace(desk.net.links[0], capacity=1e-80),) + desk.net.links[1:])
     x1 = apply_upgrades(desk.net, desk.upgrades, ["C-X1"])
     ok = [(desk.net, desk.demand), (x1, desk.demand)]
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    _force_path(monkeypatch, math.inf)
     alone = [_fields(solve_with(net, demand, settings)) for net, demand in ok]
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    _force_path(monkeypatch, 0)
     cases = [
         # the stranded network fails before its first iteration; it has 3
         # nodes and no centroids, so the batch's networks differ in both
@@ -446,9 +452,9 @@ def test_errors_on_the_array_path_end_the_batch_after_the_problems_before_it(des
         assert done == alone, message
 
 
-def test_the_batch_takes_the_array_path_from_the_threshold_on(desk, sioux, monkeypatch):
+def test_each_loading_call_picks_its_path_by_its_work(desk, sioux, monkeypatch):
     paths = []
-    for name, function in (("array", equilibrium._load_trees), ("kernel", equilibrium._aon)):
+    for name, function in (("array", equilibrium._load_trees), ("kernel", equilibrium._load_chunk)):
 
         def record(*args, name=name, function=function):
             paths.append(name)
@@ -461,19 +467,80 @@ def test_the_batch_takes_the_array_path_from_the_threshold_on(desk, sioux, monke
         list(equilibrium._solve_batch(problems, SolverSettings(target_gap=1e-12, max_iters=1)))
         return set(paths)
 
-    measured = equilibrium._ARRAY_TREES_MIN_WORK
-    two = _subset_problems(sioux, (1,))[:2]
-    work = sum(len(demand.by_origin) * len(net.links) for net, demand in two)
+    one, two = _subset_problems(sioux, (1,))[:1], _subset_problems(sioux, (1,))[:2]
+    trees, batch = equilibrium._ARRAY_TREES_MIN_WORK, equilibrium._ARRAY_BATCH_MIN_WORK
+    # a lone network's call is held to one threshold, a batch's to the other
+    work = len(sioux.demand.by_origin) * len(sioux.net.links)
+    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", math.inf)
     monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work)
-    assert path(two) == {"array"}
+    assert path(one) == {"array"}
     monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work + 1)
+    assert path(one) == {"kernel"}
+    work = sum(len(demand.by_origin) * len(net.links) for net, demand in two)
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", work)
+    assert path(two) == {"array"}
+    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", work + 1)
     assert path(two) == {"kernel"}
-    # at the measured threshold a lone Sioux Falls problem and a full desk
-    # batch stay on the kernel, and two Sioux Falls problems take the array path
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", measured)
-    assert path(two[:1]) == {"kernel"}
+    # at the measured thresholds a lone Sioux Falls problem, a full desk batch
+    # and a deep grid with few origins stay on the kernel, while two Sioux
+    # Falls problems and a grid with more origins take the array path
+    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", trees)
+    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", batch)
+    assert path(one) == {"kernel"}
     assert path(two) == {"array"}
     assert path([(desk.net, desk.demand)] * 40) == {"kernel"}
+    deep = grid_net(side=15, zone_lines=(0, 7, 14))
+    assert path([(deep, grid_demand(zones=9))]) == {"kernel"}
+    wide = grid_net(side=15, zone_lines=(0, 3, 7, 11, 14))
+    assert path([(wide, grid_demand(zones=25))]) == {"array"}
+
+
+def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it(desk, monkeypatch):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    slow = apply_upgrades(desk.net, desk.upgrades, ["C-A1", "C-X1"])
+    problems = [(desk.net, desk.demand), (slow, desk.demand)]
+    alone = [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+    assert alone[0][4] < alone[1][4]  # the first converges first
+    # on the array path one call loads both problems, so an error no pair
+    # explains falls on the first problem loaded: the first while both
+    # iterate, the second once the first has finished
+    _force_path(monkeypatch, 0)
+    trees = equilibrium._trees_for_origins
+    for failing_call, kept in ((2, 0), (alone[0][4] + 2, 1)):  # the free-flow load, then one per iteration
+        calls = []
+
+        def out_of_memory(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise MemoryError("out of memory")
+            return trees(*args)
+
+        monkeypatch.setattr(equilibrium, "_trees_for_origins", out_of_memory)
+        done = []
+        with pytest.raises(MemoryError):
+            for a in equilibrium._solve_batch(problems, settings):
+                done.append(_fields(a))
+        assert done == alone[:kept]
+    # on the kernel the problem that raised takes the error, here in its
+    # second iteration, and the one before it iterates on to its end
+    monkeypatch.setattr(equilibrium, "_trees_for_origins", trees)
+    _force_path(monkeypatch, math.inf)
+    load, loads = equilibrium._load_chunk, []
+
+    def overflow(problem, costs, chunk):
+        if problem.index == 1:
+            loads.append(chunk)
+            if len(loads) == 3:
+                raise FloatingPointError("overflow")
+        return load(problem, costs, chunk)
+
+    monkeypatch.setattr(equilibrium, "_load_chunk", overflow)
+    done = []
+    with pytest.raises(FloatingPointError):
+        for a in equilibrium._solve_batch(problems, settings):
+            done.append(_fields(a))
+    assert done == alone[:1]
 
 
 # Large-network determinism: the grid's 10,200 links put its AON on the
@@ -513,34 +580,46 @@ def test_grid_flows_do_not_depend_on_blas_threads():
 
 
 def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    _force_path(monkeypatch, 0)
     array = _grid_solve(grid)
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    _force_path(monkeypatch, math.inf)
     per_origin = _grid_solve(grid)
     assert array.flows.tobytes() == per_origin.flows.tobytes()
     assert array.gap_history == per_origin.gap_history
 
 
-def test_many_chunks_load_alike_on_both_paths(monkeypatch):
+def test_many_chunks_load_alike_on_both_paths_and_in_calls_of_any_size(monkeypatch):
     # 49 zones make 4 chunks, so the order the chunks are summed in shows
     net = grid_net(side=13, zone_lines=(0, 2, 4, 6, 8, 10, 12))
     demand = grid_demand(zones=49, per_pair=3.0)
     costs = [1.0 + (i % 11) / 10 for i in range(len(net.links))]
     widened = replace(net, links=(replace(net.links[0], capacity=3000.0),) + net.links[1:])
     settings = SolverSettings(target_gap=1e-12, max_iters=3)
+    trees, rows = equilibrium._trees_for_origins, []
+
+    def record(graph, costs, origins, owners):
+        rows.append(len(origins))
+        return trees(graph, costs, origins, owners)
+
+    monkeypatch.setattr(equilibrium, "_trees_for_origins", record)
     runs = {}
-    for threshold in (0, math.inf):
-        monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
+    # all four chunks in one array call, one chunk per call, and the kernel
+    for threshold, cells in ((0, equilibrium._CALL_MAX_CELLS), (0, 1), (math.inf, 1)):
+        _force_path(monkeypatch, threshold)
+        monkeypatch.setattr(equilibrium, "_CALL_MAX_CELLS", cells)
+        rows.clear()
         aon = all_or_nothing(net, demand, costs)
-        runs[threshold] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
-    assert runs[0] == runs[math.inf]
+        runs[threshold, cells] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
+        assert set(rows) == ({49, 98} if cells > 1 else {16, 32, 1, 2} if threshold == 0 else set())
+    one_call, per_chunk, kernel = runs.values()
+    assert one_call == per_chunk == kernel
 
 
 # The loader cases below run on both tree paths: the array path with its numpy
 # loader (threshold 0) and the per-origin kernel with its Python walk.
 @pytest.fixture(params=[0, math.inf], ids=["array", "per-origin"])
 def tree_path(request, monkeypatch):
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", request.param)
+    _force_path(monkeypatch, request.param)
     return request.param
 
 
@@ -563,7 +642,7 @@ def test_intrazonal_demand_loads_nothing(monkeypatch):
     trips = dict(grid_demand(zones=9).entries)
     flows = {}
     for threshold in (0, math.inf):
-        monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
+        _force_path(monkeypatch, threshold)
         with_self = all_or_nothing(net, DemandMatrix({**trips, (1, 1): 30.0, (5, 5): 7.0}), costs)
         without = all_or_nothing(net, DemandMatrix(trips), costs)
         assert with_self.tobytes() == without.tobytes()
@@ -623,11 +702,11 @@ PROJECT link-ab 200 new-road
     demand = grid_demand(zones=9)
     # the baseline and all five subsets in one batch, on the array path
     monkeypatch.setattr(scenario, "_BATCH_LINKS", math.inf)
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", 0)
+    _force_path(monkeypatch, 0)
     batched = compute_deltas(net, demand, upgrades, subsets, settings)
     # each alone, on the kernel
     monkeypatch.setattr(scenario, "_BATCH_LINKS", 0)
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
+    _force_path(monkeypatch, math.inf)
     alone = compute_deltas(net, demand, upgrades, subsets, settings)
     assert batched.coefficients == alone.coefficients
     assert batched.evaluated_subsets == alone.evaluated_subsets

@@ -14,7 +14,7 @@ from roadworks import (
     ShortestPathTree,
     shortest_paths,
 )
-from roadworks.shortest_path import _trees_for_origins
+from roadworks.shortest_path import _BatchGraph, _trees_for_origins
 
 from oracles import bellman_ford_labels, dijkstra
 
@@ -52,7 +52,8 @@ def every_tree(net, costs, source):
     kernel = shortest_paths(net, costs, source)
     dist, pred = dijkstra(net.node_count, net.adjacency, costs, source, net.first_thru_node)
     reference = as_tree(source, dist, pred, net.nodes)
-    dist, pred = _trees_for_origins(net, np.array(costs, dtype=float), [net.node_count, source, 1])
+    graph = _BatchGraph([net])
+    dist, pred = _trees_for_origins(graph, np.array(costs, dtype=float), [net.node_count, source, 1], [0, 0, 0])
     return [kernel, reference, as_tree(source, dist[1], pred[1], net.nodes)]
 
 
