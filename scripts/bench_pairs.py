@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Alternating side-by-side perfbench pairs: a base revision against the working tree.
 
-    PYTHONPATH=src python scripts/bench_pairs.py --base HEAD --workload desk-cli --pairs 10
+    PYTHONPATH=src python scripts/bench_pairs.py --base HEAD --workload desk-cli --pairs 10 [--first-seed 11]
 
 Copies the base revision (`git archive`) and the working tree (its tracked
 and untracked files that git does not ignore) side by side into one
-temporary directory, so neither side runs from the checkout itself.  For
-seeds 1..N it runs `perfbench/run.py --seconds 30` on both copies, the base
-first on odd seeds and the change first on even ones, and prints each
-pair's five end-to-end metrics, then per metric each side's median and
+temporary directory, so neither side runs from the checkout itself.  For N
+seeds from --first-seed on (default 1; a confirmation run can take seeds no
+earlier run used) it runs `perfbench/run.py --seconds 30` on both copies,
+the base first on odd seeds and the change first on even ones, and prints
+each pair's five end-to-end metrics, then per metric each side's median and
 quartiles, the base's interquartile range, the pairs the change won (lower;
 a tie counts for neither), the median change/base ratio and whether a gain
 may be claimed: the change won at least nine tenths of the pairs and its
@@ -49,7 +50,8 @@ def build_parser():
     ap = UsageParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
-    ap.add_argument("--pairs", required=True, type=count, help="number of pairs (seeds 1..N)")
+    ap.add_argument("--pairs", required=True, type=count, help="number of pairs, one seed each")
+    ap.add_argument("--first-seed", type=count, default=1, help="seed of the first pair (default 1)")
     return ap
 
 
@@ -124,7 +126,7 @@ def run(argv):
         _copy_tree(sides["change"])
         values = {name: {m: [] for m in METRICS} for name in sides}
         healthy = True
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("base", "change") if seed % 2 else ("change", "base")
             result = {name: _run(sides[name], args.workload, seed) for name in order}
             cells = []
@@ -136,7 +138,8 @@ def run(argv):
             status = "  ".join(f"{name} correct {str(r['correct']).lower()} failed {r['failed']}"
                                for name, r in result.items())
             healthy &= all(r["correct"] and r["failed"] == 0 for r in result.values())
-            print(f"pair {seed} ({order[0]} first): {', '.join(cells)}; {status}", flush=True)
+            print(f"pair {seed - args.first_seed + 1}, seed {seed} ({order[0]} first): "
+                  f"{', '.join(cells)}; {status}", flush=True)
         print("\n".join(summarize(values["base"], values["change"])))
         print(f"every run correct with 0 failed operations: {str(healthy).lower()}")
         return 0

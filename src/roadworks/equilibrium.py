@@ -114,8 +114,10 @@ _ARRAY_TREES_MIN_WORK = 16384
 # small and shallow (8 passes on Sioux Falls), and one pass over all of
 # them pays for itself sooner.  Timed alternately, one call: Sioux Falls
 # 0.7-0.8x for 2 problems (3,648), 0.34-0.5x for 3 to 10; desk breaks even
-# at about 40 problems (240), and a full desk batch (at most 252) stays on
-# the kernel.
+# at about 40 problems (240).  Desk has one origin, so even its whole table
+# in one batch (the baseline and 255 subsets, 2,048) stays on the kernel,
+# where that table runs faster than with every call forced onto the array
+# path (1.09x there, median of 15 alternating pairs at gap 1e-8).
 _ARRAY_BATCH_MIN_WORK = 3072
 
 # Bound on one loading call, in origins plus O-D pairs, times the widest
@@ -340,19 +342,21 @@ class _Pairs:
         self.row_ends = [0, *accumulate(rows)]
         self.origins = np.array([o for part in parts for o, _ in part], dtype=np.int64)
         self.owners = np.repeat(np.arange(len(parts)), rows)
-        trips = [[(d, q) for d, q in dests if d != o] for part in parts for o, dests in part]
-        counts = [len(row) for row in trips]
-        ends = [0, *accumulate(counts)]
+        trips = [dests for part in parts for _, dests in part]
+        row = np.repeat(np.arange(len(trips), dtype=np.int64), [len(dests) for dests in trips])
+        dest = np.array([d for dests in trips for d, _ in dests], dtype=np.int64)
+        keep = dest != self.origins[row]
+        row = row[keep]
+        self.at = row * graph.width + dest[keep]
+        self.q = np.array([q for dests in trips for _, q in dests], dtype=float)[keep]
+        ends = [0, *accumulate(np.bincount(row, minlength=len(trips)).tolist())]
         self.pair_ends = [ends[end] for end in self.row_ends]
-        row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        self.at = row * graph.width + np.array([d for row in trips for d, _ in row], dtype=np.int64)
-        self.q = np.array([q for row in trips for _, q in row], dtype=float)
         self.chunks = -(-max(rows) // _CHUNK)
         self.chunk = None
         if self.chunks > 1:
             # each pair's chunk in the call: its origin's place in its
             # problem's part, by _CHUNK
-            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
+            place = np.arange(len(trips)) - np.repeat(self.row_ends[:-1], rows)
             self.chunk = (place // _CHUNK)[row]
 
 
@@ -405,11 +409,17 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
             error = SolverError(f"no path for demanded O-D pair ({o},{d})")
         else:
             error = SolverError(f"predecessor walk did not terminate for pair ({o},{d})")
+    # each list and index is dropped once used, which keeps the call's peak
+    # memory down
     pair = np.concatenate(walked)
+    del walked
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     links = len(tails)
-    bins = np.concatenate(taken)[order]
+    bins = np.concatenate(taken)
+    del taken
+    bins = bins[order]
+    del order
     if pairs.chunk is not None:
         bins += pairs.chunk[pair] * links
     loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links)

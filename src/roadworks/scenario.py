@@ -15,12 +15,13 @@ the sorted id tuple W; an absent W counts as zero.
 Exact deltas are expensive (one equilibrium solve each), so every table is
 read from a cache of solved subsets, in memory or on disk keyed by network and
 demand fingerprints plus the gap target.  `DeltaBook` is the one subset
-layer: it maps each (network, demand) to its cache, solves what is missing
-on the calling thread in lock-step batches of at most _BATCH_LINKS links,
-caches the rows in order, each as soon as it and every row before it are
-solved, and reads the table back; `compute_deltas` is the same over one
-given cache.  If a subset fails, the rows before it are cached and the
-error is raised.
+layer: it maps each (network, demand) to its cache and, for one table or
+for several (network, demand, subsets) requests at once, solves what their
+caches lack on the calling thread as one stream of lock-step batches of at
+most _BATCH_LINKS links, caches the rows in request order, each as soon as
+it and every row before it are solved, and reads the tables back;
+`compute_deltas` is the same over one given cache.  If a subset fails, the
+rows before it are cached and the error is raised.
 """
 
 from __future__ import annotations
@@ -61,15 +62,20 @@ __all__ = [
 
 Subset = tuple[str, ...]
 Subsets = Iterable[Iterable[str | int]]
+# one table to fill: its cache, then the network, demand and subsets it is of
+Request = tuple["MemoryDeltaCache", Network, DemandMatrix, Subsets]
 
 # Links in all of the networks that one lock-step batch solves; a network
-# with more links is solved alone, as the grids' 16k-link ones are.  Measured
-# on desk's 255 subsets at gap 1e-8 (6-10 links each), CPU time against one
-# subset at a time: 64 links 0.85x, 128 0.6x, 256 0.45-0.55x, 512 or more
-# no faster.  The desk round's peak RSS grows with the bound in allocator
-# steps of 128-256 kB: not at 32 links, by 0.1-0.35 MB at 64-512 in one
-# process, and by 0.4-0.8 MB in perfbench's desk-cli at 256.
-_BATCH_LINKS = 256
+# with more links is solved alone, as the grids' 16k-link ones are.  A batch
+# ends with a tail, its last problems iterating alone, so fewer and wider
+# batches pay, the more so since a batch's AON is one array pass.  CPU time
+# against 256 links, medians of 15 alternating pairs: desk's 255 subsets at
+# gap 1e-8 (6-10 links each, all in one batch) 0.82x at 1,024 and 0.77x at
+# 4,096; Sioux Falls' 4 singles and 6 pairs at 1e-4 (76-78 links each, one
+# batch of 11 from 1,024 on) 0.67-0.70x.  perfbench sf-plan `plan_s` fell to
+# 0.74-0.78x (two runs of 10 pairs), and its peak RSS rose 1.1 MB (2.9%):
+# more networks, trees and walks are alive at once.
+_BATCH_LINKS = 4096
 
 
 def canonical_subset(upgrades: UpgradeSet, subset: Iterable[str | int]) -> Subset:
@@ -277,9 +283,9 @@ class DeltaBook:
     Fingerprints map a network and demand to their cache, in memory or, with
     `cache_dir`, in the file ``deltas_<network>_<demand>.cache`` there, so
     conditions reached twice are cache hits, not fresh solves.  The missing
-    baseline and subsets are solved on the calling thread in lock-step
-    batches, and each row is cached as soon as it and every row before it
-    are solved.
+    baselines and subsets of one `tables` call, or of one table, are solved
+    on the calling thread in lock-step batches, and each row is cached as
+    soon as it and every row before it are solved.
     """
 
     def __init__(self, settings: SolverSettings, cache_dir: str | None = None):
@@ -301,23 +307,41 @@ class DeltaBook:
 
     def deltas(self, net: Network, demand: DemandMatrix, upgrades: UpgradeSet, subsets: Subsets) -> DeltaTable:
         """Delta table of `subsets`, solving only what this network and demand's cache lacks."""
-        return self._fill(self.cache(net, demand), net, demand, upgrades, subsets)
+        return self.tables(upgrades, [(net, demand, subsets)])[0]
 
-    def _fill(
-        self, cache: MemoryDeltaCache, net: Network, demand: DemandMatrix, upgrades: UpgradeSet,
-        subsets: Subsets,
-    ) -> DeltaTable:
-        canonical = {canonical_subset(upgrades, list(s)) for s in subsets}
-        wanted = sorted((S for S in canonical if S), key=lambda s: (len(s), s))
+    def tables(
+        self, upgrades: UpgradeSet, requests: Iterable[tuple[Network, DemandMatrix, Subsets]]
+    ) -> list[DeltaTable]:
+        """`deltas` of each (network, demand, subsets) request, in order.
+
+        Every request's subsets are checked first, then its missing rows
+        are solved in one stream of batches, a row that two requests share
+        through one cache once, and each row is cached as soon as it and
+        every row before it, in request order, are solved.
+        """
+        return self._fill(upgrades, [(self.cache(net, demand), net, demand, subsets)
+                                     for net, demand, subsets in requests])
+
+    def _fill(self, upgrades: UpgradeSet, requests: Sequence[Request]) -> list[DeltaTable]:
+        wanted: list[list[Subset]] = []
+        todo: list[tuple[int, Subset | None]] = []  # (request, subset), None for its cache's baseline
+        queued = set()
+        for k, (cache, _, _, subsets) in enumerate(requests):
+            canonical = {canonical_subset(upgrades, list(s)) for s in subsets}
+            wanted.append(sorted((S for S in canonical if S), key=lambda s: (len(s), s)))
+            cache.refresh()
+            for S in [None] + wanted[-1]:
+                missing = cache.baseline() is None if S is None else cache.get(S) is None
+                if missing and (id(cache), S) not in queued:
+                    queued.add((id(cache), S))
+                    todo.append((k, S))
         settings = self.settings
-        cache.refresh()
-        todo: list[Subset | None] = [None] if cache.baseline() is None else []  # None: the baseline
-        todo += [S for S in wanted if cache.get(S) is None]
-        solves = 0
-        for run, problems in _runs(net, demand, upgrades, todo):
+        solves = [0] * len(requests)
+        for run, problems in _runs(upgrades, requests, todo):
             # each row is cached as soon as it and every row before it are
             # solved, so an interrupted fill keeps every finished row
-            for S, assignment in zip(run, _solve_batch(problems, settings)):
+            for (k, S), assignment in zip(run, _solve_batch(problems, settings)):
+                cache = requests[k][0]
                 gap = assignment.relative_gap
                 if S is None:
                     warn_if_capped(assignment.iterations, gap, settings, "baseline")
@@ -325,22 +349,23 @@ class DeltaBook:
                 else:
                     warn_if_capped(assignment.iterations, gap, settings, f"subset {{{','.join(S)}}}")
                     cache.put(S, cache.baseline()[0] - assignment.vht, gap)
-                solves += 1
-        table = table_from_cache(cache, wanted)
-        table.tap_solves = solves
-        return table
+                solves[k] += 1
+        return [replace(table_from_cache(cache, rows), tap_solves=count)
+                for (cache, *_), rows, count in zip(requests, wanted, solves)]
 
 
-def _runs(net: Network, demand: DemandMatrix, upgrades: UpgradeSet, todo: Sequence[Subset | None]):
-    """`todo` (None for the baseline) in consecutive runs of at most
-    _BATCH_LINKS links in all, a larger network alone, each with its
-    (network, demand) problems.  A run's networks are built only once the
-    run before it is solved.  A subset whose network cannot be built ends
-    the run before it, which is still solved, and then raises."""
-    run: list[Subset | None] = []
+def _runs(upgrades: UpgradeSet, requests: Sequence[Request], todo: Sequence[tuple[int, Subset | None]]):
+    """`todo`, (request, subset) pairs with None for the baseline, in
+    consecutive runs of at most _BATCH_LINKS links in all, a larger network
+    alone, each with its (network, demand) problems built on its request's
+    network and demand.  A run's networks are built only once the run before
+    it is solved.  A subset whose network cannot be built ends the run
+    before it, which is still solved, and then raises."""
+    run: list[tuple[int, Subset | None]] = []
     problems: list[tuple[Network, DemandMatrix]] = []
     links = 0
-    for S in todo:
+    for k, S in todo:
+        _, net, demand, _ = requests[k]
         size = len(net.links) + (0 if S is None else sum(len(u.additions) for u in upgrades.resolve(S)))
         if run and links + size > _BATCH_LINKS:
             yield run, problems
@@ -351,7 +376,7 @@ def _runs(net: Network, demand: DemandMatrix, upgrades: UpgradeSet, todo: Sequen
             if run:
                 yield run, problems
             raise
-        run.append(S)
+        run.append((k, S))
         problems.append((built, demand))
         links += size
     if run:
@@ -377,7 +402,7 @@ def compute_deltas(
     if workers < 1:
         raise DataError("workers must be at least 1")
     cache = MemoryDeltaCache() if cache is None else cache
-    return DeltaBook(settings)._fill(cache, net, demand, upgrades, subsets)
+    return DeltaBook(settings)._fill(upgrades, [(cache, net, demand, subsets)])[0]
 
 
 def table_from_cache(cache: MemoryDeltaCache, wanted: Sequence[Subset] | None = None) -> DeltaTable:

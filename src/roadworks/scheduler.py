@@ -381,13 +381,11 @@ def greedy_schedule(
 def period_singles(
     book: DeltaBook, net: Network, upgrades: UpgradeSet, horizon: PlanningHorizon
 ) -> dict[tuple[str, int], float]:
-    """The independent model's v_it: each upgrade alone on the base network, period-t demand."""
+    """The independent model's v_it: each upgrade alone on the base network,
+    period-t demand, with every period's table filled in one `book.tables` call."""
     singles = [(i,) for i in upgrades.ids]
-    values: dict[tuple[str, int], float] = {}
-    for t in range(1, horizon.T + 1):
-        table = book.deltas(net, horizon.demand_for(t), upgrades, singles)
-        values.update({(i, t): table.singles[i] for i in upgrades.ids})
-    return values
+    tables = book.tables(upgrades, [(net, horizon.demand_for(t), singles) for t in range(1, horizon.T + 1)])
+    return {(i, t): table.singles[i] for t, table in enumerate(tables, start=1) for i in upgrades.ids}
 
 
 def realized_npv(
@@ -416,21 +414,26 @@ def realized_npv(
         book = DeltaBook(settings)
     elif book.settings != settings:
         raise DataError(f"realized_npv: the book solves at {book.settings}, not at {settings}")
-    mprime = horizon.m / 1000.0
+    # every period's network follows from the schedule alone, so all periods
+    # are filled in one `book.tables` call
+    periods, requests = [], []
     current = net
-    npv = 0.0
     for t in range(1, horizon.T + 1):
         batch = tuple(sorted(i for i, period in assignments.items() if period == t))
         if not batch:
             continue
-        table = book.deltas(current, horizon.demand_for(t), upgrades, [batch])
-        npv += present_value(mprime, t, horizon.rate) * table.evaluated_subsets[batch]
-        for i in batch:
-            npv -= upgrades.by_id[i].cost
+        periods.append((t, batch))
+        requests.append((current, horizon.demand_for(t), [batch]))
         # rebuild from the base: re-applying onto `current` would duplicate
         # added links, and a MOD conflict between periods raises here
         built = tuple(sorted(i for i, period in assignments.items() if period <= t))
         current = apply_upgrades(net, upgrades, built)
+    mprime = horizon.m / 1000.0
+    npv = 0.0
+    for (t, batch), table in zip(periods, book.tables(upgrades, requests)):
+        npv += present_value(mprime, t, horizon.rate) * table.evaluated_subsets[batch]
+        for i in batch:
+            npv -= upgrades.by_id[i].cost
     return npv
 
 

@@ -151,18 +151,30 @@ def _trees_for_origins(graph: _BatchGraph, costs: np.ndarray, origins: Sequence[
         at = node if shift is None else frontier + shift[frontier // width]
         first = start[at]
         degree = start[at + 1] - first
+        # the pass's arrays are built in place and each is dropped once used,
+        # which keeps the pass's peak memory down
         ends = np.cumsum(degree)
-        pos = np.arange(ends[-1]) + np.repeat(first - (ends - degree), degree)
+        total = int(ends[-1])
+        ends -= degree
+        first -= ends
+        pos = np.repeat(first, degree)
+        pos += np.arange(total)
+        del at, first, ends
         via = link[pos]
-        target = np.repeat(frontier - node, degree) + head[pos]
-        label = np.repeat(dist[frontier], degree) + costs[via]
+        target = np.repeat(frontier - node, degree)
+        target += head[pos]
+        label = np.repeat(dist[frontier], degree)
+        label += costs[via]
+        del pos, node, degree
         before = dist[target]
         np.minimum.at(dist, target, label)
         after = dist[target]
         tight = label == after
         fell = target[tight & (after < before)]
+        del label, before, after
         pred[fell] = none
         np.minimum.at(pred, target[tight], via[tight])
+        del target, via, tight
         # each fallen pair once: the last of its entries claims its slot
         order = np.arange(fell.size, dtype=np.int32)
         slot[fell] = order

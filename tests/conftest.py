@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -13,6 +14,7 @@ from roadworks import (
     parse_nodes,
     parse_upgrades,
 )
+from roadworks import scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,17 +46,53 @@ def desk():
     return SimpleNamespace(net=net, demand=demand, upgrades=upgrades)
 
 
+# batch bounds, in links, that cut a table's solves three ways
+BATCH_CUTS = {"default": scenario._BATCH_LINKS, "alone": 0, "one batch": math.inf}
+
+
+def _record_batch_sizes(patch):
+    """The sizes of the batches handed to the solver while `patch` (a
+    MonkeyPatch) holds."""
+    sizes, solve = [], scenario._solve_batch
+
+    def recording(problems, settings):
+        sizes.append(len(problems))
+        return solve(problems, settings)
+
+    patch.setattr(scenario, "_solve_batch", recording)
+    return sizes
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    return _record_batch_sizes(monkeypatch)
+
+
+def _by_batch_cut(fill):
+    """`fill()` under each bound of BATCH_CUTS: a map from the cut's name to
+    the result and the sizes of the batches handed to the solver."""
+    results = {}
+    for name, bound in BATCH_CUTS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "_BATCH_LINKS", bound)
+            sizes = _record_batch_sizes(patch)
+            results[name] = fill(), sizes
+    return results
+
+
 @pytest.fixture(scope="session")
-def sioux_tables_by_workers(sioux):
+def by_batch_cut():
+    return _by_batch_cut
+
+
+@pytest.fixture(scope="session")
+def sioux_tables_by_cut(sioux):
     """Sioux Falls deltas of the 4 upgrades and their 6 pairs at gap 1e-4,
-    computed with 1 subset worker and with 2."""
+    with the batch sizes, under each cut of BATCH_CUTS."""
     ids = sioux.upgrades.ids
     subsets = [(i,) for i in ids] + list(combinations(ids, 2))
     settings = SolverSettings(target_gap=1e-4, max_iters=2000)
-    return tuple(
-        compute_deltas(sioux.net, sioux.demand, sioux.upgrades, subsets, settings, workers=w)
-        for w in (1, 2)
-    )
+    return _by_batch_cut(lambda: compute_deltas(sioux.net, sioux.demand, sioux.upgrades, subsets, settings))
 
 
 @pytest.fixture(scope="session")

@@ -162,7 +162,7 @@ def test_criterion_3_braess_bypass_hurts(criterion_line):
     )
 
 
-def test_criterion_4_sioux_falls_convergence(criterion_line, sioux, sioux_tables_by_workers):
+def test_criterion_4_sioux_falls_convergence(criterion_line, sioux, sioux_tables_by_cut):
     t0 = time.perf_counter()
     result = solve_with(sioux.net, sioux.demand, SolverSettings(target_gap=1e-4, max_iters=2000))
     elapsed = time.perf_counter() - t0
@@ -179,8 +179,8 @@ def test_criterion_4_sioux_falls_convergence(criterion_line, sioux, sioux_tables
         excess[s] += q
     worst_node = max(abs(excess[v]) for v in range(1, sioux.net.node_count + 1))
 
-    one, two = sioux_tables_by_workers
-    identical = one == two
+    (batched, _), (alone, _), (whole, _) = sioux_tables_by_cut.values()
+    identical = batched == alone == whole
 
     criterion_line(
         result.relative_gap <= 1e-4
@@ -190,7 +190,7 @@ def test_criterion_4_sioux_falls_convergence(criterion_line, sioux, sioux_tables
         and identical
         and elapsed < 10.0,
         f"gap {result.relative_gap:.2e} in {result.iterations} iterations, Beckmann "
-        f"monotone, worst node imbalance {worst_node:.1e}, delta tables on workers 1 vs 2 "
+        f"monotone, worst node imbalance {worst_node:.1e}, delta tables batched vs alone "
         f"{'bit-identical' if identical else 'DIFFER'}, {elapsed:.1f}s (< 10s)",
     )
 

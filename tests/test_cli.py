@@ -481,6 +481,22 @@ def test_schedule_independent(data_dir, capsys):
     assert "npv_kd " in text
 
 
+def test_schedule_independent_without_growth_solves_each_row_once(data_dir, tmp_path, capsys, batch_sizes):
+    cache_dir = tmp_path / "caches"
+    args = desk_args(data_dir, "schedule", "--gap", "1e-6", "--budgets", "900,900,1700", "--rate", "0.05",
+                     "--independent", "--cache-dir", str(cache_dir))
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    # every period has the base demand, so its three tables are one cache's
+    # rows: the baseline and 8 singles, each solved once, in one batch
+    assert batch_sizes == [9]
+    (cache,) = cache_dir.glob("*.cache")
+    rows = [line.split()[0] for line in cache.read_text().splitlines()[4:]]
+    assert rows == ["BASELINE", "C-A1", "C-A2", "C-A3", "C-B1", "C-B2", "C-B3", "C-X1", "C-X2"]
+    assert main(args) == 0
+    assert (capsys.readouterr().out, batch_sizes) == (first, [9])
+
+
 def test_schedule_single_period_matches_select(data_dir, tmp_path, capsys):
     rc, lines = select_pipeline(data_dir, tmp_path, capsys, 2400.0)
     assert rc == 0

@@ -373,6 +373,29 @@ def test_capped_and_empty_problems_share_a_batch(desk, sioux):
         assert _in_batches(problems, settings, size) == alone, size
 
 
+@pytest.fixture(scope="module")
+def mixed_pool(desk, sioux):
+    """Problems of three shapes, each with its solve alone: desk and Sioux
+    Falls subsets, and a 7x7 grid with 9 zones whose first thru node
+    differs from both, at a cap that some of them reach."""
+    settings = SolverSettings(target_gap=1e-6, max_iters=40)
+    grid = grid_net(side=7, zone_lines=(0, 3, 6))
+    widened = replace(grid, links=(replace(grid.links[0], capacity=3000.0),) + grid.links[1:])
+    problems = _subset_problems(desk, (1, 2))[:6] + _subset_problems(sioux, (1, 2))[:5]
+    problems += [(grid, grid_demand(zones=9)), (widened, grid_demand(zones=9, per_pair=80.0))]
+    return problems, settings, [_fields(solve_with(net, demand, settings)) for net, demand in problems]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shuffled_batches_of_mixed_networks_solve_alike_alone(mixed_pool, seed):
+    problems, settings, alone = mixed_pool
+    assert {fields[4] for fields in alone} >= {40} and len({fields[4] for fields in alone}) > 2
+    rng = random.Random(seed)
+    picks = rng.choices(range(len(problems)), k=rng.randint(2, 2 * len(problems)))
+    batch = equilibrium._solve_batch([problems[i] for i in picks], settings)
+    assert [_fields(a) for a in batch] == [alone[i] for i in picks]
+
+
 def test_a_failing_problem_ends_the_batch_after_the_problems_before_it(desk):
     settings = SolverSettings(target_gap=1e-8, max_iters=1000)
     choked = replace(desk.net, links=(replace(desk.net.links[0], capacity=1e-80),) + desk.net.links[1:])

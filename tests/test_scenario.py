@@ -330,19 +330,21 @@ def test_table_from_cache_skips_unreachable_coefficients():
     assert table.evaluated_subsets == {("a",): 10.0, ("a", "b"): 25.0}
 
 
-def test_workers_do_not_change_results(desk):
+def test_desk_tables_do_not_depend_on_the_batch_cut(desk, by_batch_cut):
     settings = SolverSettings(target_gap=1e-7)
     subsets = [("C-A1",), ("C-A2",), ("C-B1",), ("C-X1",), ("C-A1", "C-B1")]
-    serial = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=1)
-    parallel = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, workers=4)
-    assert serial.coefficients == parallel.coefficients
-    assert serial.evaluated_subsets == parallel.evaluated_subsets
+    cuts = by_batch_cut(lambda: compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings))
+    (default, sizes), (alone, alone_sizes), (whole, whole_sizes) = cuts.values()
+    assert (sum(sizes), alone_sizes, whole_sizes) == (6, [1] * 6, [6])
+    assert len(default.evaluated_subsets) == 5
+    assert default == alone == whole
 
 
-def test_sioux_falls_delta_tables_do_not_depend_on_workers(sioux_tables_by_workers):
-    one, two = sioux_tables_by_workers
-    assert len(one.evaluated_subsets) == 10
-    assert one == two
+def test_sioux_falls_delta_tables_do_not_depend_on_the_batch_cut(sioux_tables_by_cut):
+    (default, sizes), (alone, alone_sizes), (whole, whole_sizes) = sioux_tables_by_cut.values()
+    assert (sum(sizes), alone_sizes, whole_sizes) == (11, [1] * 11, [11])
+    assert len(default.evaluated_subsets) == 10
+    assert default == alone == whole
 
 
 def test_subsets_are_solved_on_the_calling_thread(desk, monkeypatch):
@@ -361,6 +363,24 @@ def test_subsets_are_solved_on_the_calling_thread(desk, monkeypatch):
     assert set(threads) == {threading.get_ident()}
 
 
+def _failing_problem(number):
+    """A `_solve_batch` whose `number`-th problem handed to it (from 1) fails."""
+    solve, handed = roadworks.scenario._solve_batch, []
+
+    def failing(problems, settings):
+        problems = list(problems)
+        for i, (net, demand) in enumerate(problems):
+            handed.append(net)
+            if len(handed) == number:
+                # a capacity that makes its first latencies overflow, so it
+                # fails inside the batch while the others iterate on
+                choked = (replace(net.links[0], capacity=1e-80),) + net.links[1:]
+                problems[i] = (replace(net, links=choked), demand)
+        return solve(problems, settings)
+
+    return failing
+
+
 def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch):
     settings = SolverSettings(target_gap=1e-6)
     subsets = [("C-A1",), ("C-B1",), ("C-X1",), ("C-X2",), ("C-A1", "C-B1")]
@@ -368,21 +388,9 @@ def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch
     expected = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings, cache=whole)
 
     solve = roadworks.scenario._solve_batch
-    handed = []
-
-    def failing_third_subset(problems, settings):
-        problems = list(problems)
-        for i, (net, demand) in enumerate(problems):
-            handed.append(net)
-            if len(handed) == 4:  # the baseline, then the third subset
-                # a capacity that makes its first latencies overflow, so it
-                # fails inside the batch while the others iterate on
-                choked = (replace(net.links[0], capacity=1e-80),) + net.links[1:]
-                problems[i] = (replace(net, links=choked), demand)
-        return solve(problems, settings)
-
     path = str(tmp_path / "cut.cache")
-    monkeypatch.setattr(roadworks.scenario, "_solve_batch", failing_third_subset)
+    # the baseline, then the third subset
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", _failing_problem(4))
     with pytest.raises(SolverError, match="non-finite latency on link 1->3"), np.errstate(over="ignore"):
         compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, settings,
                        cache=FileDeltaCache.open(path, desk.net, desk.demand, settings))
@@ -395,6 +403,43 @@ def test_an_interrupted_fill_keeps_its_finished_rows(desk, tmp_path, monkeypatch
     assert rerun.tap_solves == len(subsets) - 2
     assert replace(rerun, tap_solves=0) == replace(expected, tap_solves=0)
     assert Path(path).read_bytes() == Path(whole.path).read_bytes()
+
+    # across the requests of one `tables` call, all in one batch: the third
+    # request's first subset fails, and every row before it is kept
+    requests = [
+        (desk.net, desk.demand, subsets[:3]),
+        (desk.net, desk.demand.scaled({1}, 1.1), subsets[3:]),
+        (desk.net, desk.demand.scaled({1}, 1.2), subsets),
+    ]
+    expected = DeltaBook(settings, cache_dir=str(tmp_path / "whole")).tables(desk.upgrades, requests)
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", _failing_problem(4 + 3 + 2))
+    cut = DeltaBook(settings, cache_dir=str(tmp_path / "cut"))
+    with pytest.raises(SolverError, match="non-finite latency on link 1->3"), np.errstate(over="ignore"):
+        cut.tables(desk.upgrades, requests)
+    monkeypatch.setattr(roadworks.scenario, "_solve_batch", solve)
+
+    def files(name):
+        return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+    kept, full = files("cut"), files("whole")
+    assert set(kept) == set(full) and len(kept) == 3
+    third = cut.cache(desk.net, requests[2][1]).path
+    for name in full:
+        # the third request's file holds its header and baseline
+        lines = 5 if name == Path(third).name else None
+        assert kept[name] == b"".join(full[name].splitlines(keepends=True)[:lines])
+    rerun = DeltaBook(settings, cache_dir=str(tmp_path / "cut")).tables(desk.upgrades, requests)
+    assert [table.tap_solves for table in rerun] == [0, 0, len(subsets)]
+    assert [replace(table, tap_solves=0) for table in rerun] == [replace(table, tap_solves=0) for table in expected]
+    assert files("cut") == full
+
+
+def test_tables_check_every_request_before_solving(desk):
+    book = DeltaBook(SolverSettings(target_gap=1e-6))
+    requests = [(desk.net, desk.demand, [("C-A1",)]), (desk.net, desk.demand.scaled({1}, 1.1), [("nope",)])]
+    with pytest.raises(DataError, match="unknown upgrade id 'nope'"):
+        book.tables(desk.upgrades, requests)
+    assert book.cache(desk.net, desk.demand).baseline() is None
 
 
 def test_a_subset_that_cannot_be_built_keeps_the_rows_before_it(desk, tmp_path):

@@ -390,6 +390,40 @@ def test_period_singles_reads_every_period_from_the_book(desk):
     assert [table.tap_solves for table in again] == [0, 0]
 
 
+def _realized_period_by_period(book, net, upgrades, horizon, assignments):
+    """realized_npv with one `book.deltas` call per period, in period order."""
+    current, npv = net, 0.0
+    for t in range(1, horizon.T + 1):
+        batch = tuple(sorted(i for i, period in assignments.items() if period == t))
+        if batch:
+            table = book.deltas(current, horizon.demand_for(t), upgrades, [batch])
+            npv += present_value(horizon.m / 1000.0, t, horizon.rate) * table.evaluated_subsets[batch]
+            for i in batch:
+                npv -= upgrades.by_id[i].cost
+            current = apply_upgrades(net, upgrades, tuple(sorted(i for i, p in assignments.items() if p <= t)))
+    return npv
+
+
+def test_realized_npv_and_period_singles_fill_every_period_in_one_batch(desk, batch_sizes):
+    settings = SolverSettings(target_gap=1e-8)
+    horizon = desk_horizon(desk, [1600.0, 900.0, 1700.0], rate=0.05, growth=(GrowthRule((1,), 1.08),))
+    schedule = {"C-A1": 1, "C-B1": 1, "C-A2": 2, "C-X1": 3}
+    ids = desk.upgrades.ids
+    expected_npv = _realized_period_by_period(DeltaBook(settings), desk.net, desk.upgrades, horizon, schedule)
+    book = DeltaBook(settings)
+    expected_values = {}
+    for t in (1, 2, 3):
+        table = book.deltas(desk.net, horizon.demand_for(t), desk.upgrades, [(i,) for i in ids])
+        expected_values.update({(i, t): table.singles[i] for i in ids})
+
+    batch_sizes.clear()  # the expected values' solves above
+    assert repr(realized_npv(desk.net, desk.upgrades, horizon, schedule, settings)) == repr(expected_npv)
+    assert batch_sizes == [6]  # three baselines and three period batches
+    values = period_singles(DeltaBook(settings), desk.net, desk.upgrades, horizon)
+    assert batch_sizes == [6, 3 * (1 + len(ids))]
+    assert repr(values) == repr(expected_values)
+
+
 def test_format_schedule_table(desk):
     ups = UpgradeSet((dummy_upgrade("a", 10), dummy_upgrade("b", 20)))
     horizon = paper_horizon([15, 25])

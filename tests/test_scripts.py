@@ -1,5 +1,5 @@
 """The scripts: the full-scale driver, run end to end on the desk fixtures, and
-the argument checks of the benchmark-pair runner."""
+the argument checks and seed order of the benchmark-pair runner."""
 
 import importlib.util
 import os
@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "reproduce_fullscale.py"
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("reproduce_fullscale", SCRIPT)
+def load_script(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
@@ -219,7 +219,9 @@ BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
     (["--base", "HEAD", "--workload", "desk", "--pairs", "2"], 1, "usage error: argument --workload: invalid choice"),
     (["--base", "no-such-revision", "--workload", "desk-cli", "--pairs", "2"], 2,
      "error: unknown revision 'no-such-revision'"),
-], ids=["no-flags", "zero-pairs", "word-pairs", "unknown-workload", "unknown-revision"])
+    (["--base", "HEAD", "--workload", "desk-cli", "--pairs", "2", "--first-seed", "0"], 1,
+     "usage error: argument --first-seed: must be at least 1, not 0"),
+], ids=["no-flags", "zero-pairs", "word-pairs", "unknown-workload", "unknown-revision", "zero-first-seed"])
 def test_bench_pairs_checks_its_arguments_before_any_run(argv, code, message):
     # each case stops before a copy is made or perfbench runs
     run = subprocess.run([sys.executable, str(BENCH_PAIRS), *argv], capture_output=True, text=True, timeout=60)
@@ -228,9 +230,7 @@ def test_bench_pairs_checks_its_arguments_before_any_run(argv, code, message):
 
 
 def test_bench_pairs_summary_reads_the_claim_rule_off_fixed_numbers():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_script(BENCH_PAIRS)
     assert bench.quartiles([5.0]) == (5.0, 5.0, 5.0)
     assert bench.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
     base = {m: [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0] for m in bench.METRICS}
@@ -257,3 +257,27 @@ def test_bench_pairs_summary_reads_the_claim_rule_off_fixed_numbers():
         "peak_rss_mb: base 14.5 [12.25, 16.75], change 15.5 [13.25, 17.75], base IQR 4.5, "
         "change lower in 0/10 pairs, median change/base 1.069, gain false",
     ]
+
+
+def test_bench_pairs_runs_its_seeds_from_the_first_seed_on(monkeypatch, capsys):
+    bench = load_script(BENCH_PAIRS)
+    runs = []
+
+    def run(side, workload, seed):
+        runs.append((os.path.basename(side), seed))
+        return {"correct": True, "failed": 0, "metrics": {m: {"value": float(seed)} for m in bench.METRICS}}
+
+    monkeypatch.setattr(bench, "_git", lambda *args: subprocess.CompletedProcess(args, 0))
+    monkeypatch.setattr(bench, "_copy_base", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "_copy_tree", lambda dest: None)
+    monkeypatch.setattr(bench, "_run", run)
+    assert bench.main(["--base", "HEAD", "--workload", "sf-plan", "--pairs", "3", "--first-seed", "12"]) == 0
+    # the base first on odd seeds
+    assert runs == [("change", 12), ("base", 12), ("base", 13), ("change", 13), ("change", 14), ("base", 14)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "pair 1, seed 12 (change first)", "pair 2, seed 13 (base first)", "pair 3, seed 14 (change first)"]
+    assert lines[-1] == "every run correct with 0 failed operations: true"
+    runs.clear()
+    assert bench.main(["--base", "HEAD", "--workload", "sf-plan", "--pairs", "2"]) == 0
+    assert [seed for _, seed in runs] == [1, 1, 2, 2]
