@@ -14,6 +14,9 @@ quartiles, the base's interquartile range, the pairs the change won (lower;
 a tie counts for neither), the median change/base ratio and whether a gain
 may be claimed: the change won at least nine tenths of the pairs and its
 median is below the base's by more than the base's interquartile range.
+`--workload all` runs every workload for each seed, names the workload in
+each pair's line and prints one such summary block per workload, headed by
+its name, so one command shows a claim and every no-regression row.
 Last it says whether every run was correct with no failed operation.  The
 copies are removed at the end.  Usage errors exit 1, an unknown revision or
 a failed run 2.
@@ -49,7 +52,7 @@ def count(text):
 def build_parser():
     ap = UsageParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS + ("all",), help="a workload, or all of them")
     ap.add_argument("--pairs", required=True, type=count, help="number of pairs, one seed each")
     ap.add_argument("--first-seed", type=count, default=1, help="seed of the first pair (default 1)")
     return ap
@@ -124,23 +127,30 @@ def run(argv):
         sides = {"base": os.path.join(work, "base"), "change": os.path.join(work, "change")}
         _copy_base(args.base, sides["base"])
         _copy_tree(sides["change"])
-        values = {name: {m: [] for m in METRICS} for name in sides}
+        workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+        values = {w: {name: {m: [] for m in METRICS} for name in sides} for w in workloads}
         healthy = True
         for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("base", "change") if seed % 2 else ("change", "base")
-            result = {name: _run(sides[name], args.workload, seed) for name in order}
-            cells = []
-            for m in METRICS:
-                base, change = (result[name]["metrics"][m]["value"] for name in ("base", "change"))
-                values["base"][m].append(base)
-                values["change"][m].append(change)
-                cells.append(f"{m} {base:.4g} -> {change:.4g}")
-            status = "  ".join(f"{name} correct {str(r['correct']).lower()} failed {r['failed']}"
-                               for name, r in result.items())
-            healthy &= all(r["correct"] and r["failed"] == 0 for r in result.values())
-            print(f"pair {seed - args.first_seed + 1}, seed {seed} ({order[0]} first): "
-                  f"{', '.join(cells)}; {status}", flush=True)
-        print("\n".join(summarize(values["base"], values["change"])))
+            for workload in workloads:
+                result = {name: _run(sides[name], workload, seed) for name in order}
+                cells = []
+                for m in METRICS:
+                    base, change = (result[name]["metrics"][m]["value"] for name in ("base", "change"))
+                    values[workload]["base"][m].append(base)
+                    values[workload]["change"][m].append(change)
+                    cells.append(f"{m} {base:.4g} -> {change:.4g}")
+                status = "  ".join(f"{name} correct {str(r['correct']).lower()} failed {r['failed']}"
+                                   for name, r in result.items())
+                healthy &= all(r["correct"] and r["failed"] == 0 for r in result.values())
+                label = f"pair {seed - args.first_seed + 1}, seed {seed}"
+                if len(workloads) > 1:
+                    label += f", {workload}"
+                print(f"{label} ({order[0]} first): {', '.join(cells)}; {status}", flush=True)
+        for workload in workloads:
+            if len(workloads) > 1:
+                print(f"{workload}:")
+            print("\n".join(summarize(values[workload]["base"], values[workload]["change"])))
         print(f"every run correct with 0 failed operations: {str(healthy).lower()}")
         return 0
     finally:

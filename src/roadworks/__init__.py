@@ -5,6 +5,7 @@ from .errors import DataError, ParseError, RoadworksError, SolverError
 from .network import (
     DemandMatrix,
     Link,
+    LinkColumns,
     LinkModification,
     Network,
     Upgrade,

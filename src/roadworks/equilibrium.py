@@ -225,17 +225,16 @@ class _LinkArrays:
     with the inner product for that network's link count."""
 
     def __init__(self, nets: Sequence[Network]):
-        links = nets[0].links if len(nets) == 1 else [l for net in nets for l in net.links]
-        self.t = np.array([l.free_flow_time for l in links], dtype=float)
-        self.cap = np.array([l.capacity for l in links], dtype=float)
-        self.alpha = np.array([l.alpha for l in links], dtype=float)
-        self.beta = np.array([l.beta for l in links], dtype=float)
+        self.t, self.cap, self.alpha, self.beta = (
+            np.concatenate([getattr(net.columns, name) for net in nets])
+            for name in ("free_flow_time", "capacity", "alpha", "beta")
+        )
         # the leading factors of `slopes` and `beckmann`, in their order of
         # evaluation, so the results stay the same to the bit
         self.slope_scale = self.t * self.alpha * self.beta
         self.t_alpha = self.t * self.alpha
         self.beck_scale = (self.beta + 1.0) * np.power(self.cap, self.beta)
-        counts = [len(net.links) for net in nets]
+        counts = [net.link_count for net in nets]
         self.single = len(counts) == 1
         # the network of each link, for `spread`
         self.owner = None if self.single else np.repeat(np.arange(len(counts)), counts)
@@ -274,43 +273,46 @@ class _LinkArrays:
 
 
 class _Problem:
-    """One (network, demand) solve: what its AON loading reads, and its histories."""
+    """One (network, demand) solve: what its AON loading reads, and its histories.
+    Its trips are the demand's CSR of the entries with flow, one row per
+    origin."""
 
     def __init__(self, net: Network, demand: DemandMatrix, index: int = 0):
         _check_demand(net, demand)
         self.net = net
+        self.demand = demand
         self.index = index
-        self.by_origin = demand.by_origin
-        # whether any trip leaves its zone; intrazonal trips load no link
-        self.travels = any(dest != origin for origin, dests in self.by_origin for dest, _ in dests)
-        self.from_nodes = [l.from_node for l in net.links]
-        self.tails = np.array(self.from_nodes, dtype=np.int64)
+        self.trips = demand._trips
+        self.travels = demand._travels
+        self.tails = net.columns.from_node
+        self.from_nodes = self.tails.tolist()
         self.beckmann: list[float] = []
         self.gaps: list[float] = []
         self.steps: list[float] = []
 
 
 def _check_demand(net: Network, demand: DemandMatrix) -> None:
-    for (r, s), _ in demand.entries.items():
-        if r > net.zone_count or s > net.zone_count:
-            raise DataError(
-                f"demand pair ({r},{s}) lies outside the zone range 1..{net.zone_count}"
-            )
+    if demand._top_node > net.zone_count:
+        rows, dest, _ = demand._in_order()
+        k = int(np.argmax((rows > net.zone_count) | (dest > net.zone_count)))
+        raise DataError(f"demand pair ({rows[k]},{dest[k]}) lies outside the zone range 1..{net.zone_count}")
 
 
-def _load_chunk(problem, costs, chunk):
-    """AON-load every origin in `chunk` under the cost array `costs` with
-    the per-origin kernel, walking each O-D pair's path in Python; returns a
-    dense flow vector."""
+def _load_chunk(problem, costs, rows: range):
+    """AON-load the origins of the problem's trip rows `rows` under the
+    cost array `costs` with the per-origin kernel, walking each O-D pair's
+    path in Python; returns a dense flow vector."""
     net = problem.net
     cost_list = costs.tolist()
     adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
-    flows = [0.0] * len(net.links)
+    flows = [0.0] * net.link_count
     from_nodes = problem.from_nodes
     limit = net.node_count + 1
-    for origin, dests in chunk:
+    origins, start, trips = problem.demand._trip_lists
+    for i in rows:
+        origin = origins[i]
         dist, pred = _bellman_ford(n, adj, cost_list, origin, first_thru)
-        for dest, q in dests:
+        for dest, q in trips[start[i] : start[i + 1]]:
             if not math.isfinite(dist[dest]):
                 raise SolverError(f"no path for demanded O-D pair ({origin},{dest})")
             v = dest
@@ -330,33 +332,34 @@ class _Pairs:
 
     One tree row per origin of the call and one pair per O-D pair that
     leaves its zone (intrazonal trips load no link and always have a path),
-    in problem order and each problem in its `by_origin` order.  A pair is
-    kept as its destination's place in the trees (row times the graph's
-    width plus the node) and its trips, 16 bytes, plus its chunk when the
-    call holds more than one."""
+    in problem order and each problem in its trips' order.  A pair is kept
+    as its destination's place in the trees (row times the graph's width
+    plus the node) and its trips, 16 bytes, plus its chunk when the call
+    holds more than one."""
 
-    def __init__(self, graph: _BatchGraph, tails: np.ndarray, parts: Sequence[list]):
+    def __init__(self, graph: _BatchGraph, tails: np.ndarray, call: "_Call", problems: Sequence[_Problem]):
         self.graph = graph
         self.tails = tails
-        rows = [len(part) for part in parts]
-        self.row_ends = [0, *accumulate(rows)]
-        self.origins = np.array([o for part in parts for o, _ in part], dtype=np.int64)
-        self.owners = np.repeat(np.arange(len(parts)), rows)
-        trips = [dests for part in parts for _, dests in part]
-        row = np.repeat(np.arange(len(trips), dtype=np.int64), [len(dests) for dests in trips])
-        dest = np.array([d for dests in trips for d, _ in dests], dtype=np.int64)
+        self.row_ends = call.row_ends
+        rows = np.diff(self.row_ends)
+        spans = [(problem.trips, a, b) for problem, (a, b) in zip(problems, call.ranges)]
+        self.origins = np.concatenate([t.origins[a:b] for t, a, b in spans])
+        self.owners = np.repeat(np.arange(len(spans)), rows)
+        counts = np.concatenate([np.diff(t.start[a : b + 1]) for t, a, b in spans])
+        row = np.repeat(np.arange(len(counts)), counts)
+        dest = np.concatenate([t.dest[t.start[a] : t.start[b]] for t, a, b in spans])
         keep = dest != self.origins[row]
         row = row[keep]
         self.at = row * graph.width + dest[keep]
-        self.q = np.array([q for dests in trips for _, q in dests], dtype=float)[keep]
-        ends = [0, *accumulate(np.bincount(row, minlength=len(trips)).tolist())]
+        self.q = np.concatenate([t.q[t.start[a] : t.start[b]] for t, a, b in spans])[keep]
+        ends = [0, *accumulate(np.bincount(row, minlength=len(counts)).tolist())]
         self.pair_ends = [ends[end] for end in self.row_ends]
-        self.chunks = -(-max(rows) // _CHUNK)
+        self.chunks = -(-int(rows.max()) // _CHUNK)
         self.chunk = None
         if self.chunks > 1:
             # each pair's chunk in the call: its origin's place in its
-            # problem's part, by _CHUNK
-            place = np.arange(len(trips)) - np.repeat(self.row_ends[:-1], rows)
+            # problem's rows of the call, by _CHUNK
+            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
             self.chunk = (place // _CHUNK)[row]
 
 
@@ -428,17 +431,19 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
 
 class _Call:
     """One AON loading call of a batch: chunks `first` up to `end` of every
-    problem, their origins ``first * _CHUNK`` up to ``end * _CHUNK`` in
-    `by_origin` order.  It takes the array path (`_load_trees`) once its
-    origins times links reach _ARRAY_TREES_MIN_WORK, or _ARRAY_BATCH_MIN_WORK
-    when it holds origins of two or more problems; otherwise each problem's
-    chunks go through the per-origin kernel in turn (`_load_chunk`)."""
+    problem, its trip rows (origins) ``first * _CHUNK`` up to ``end *
+    _CHUNK``, kept as one (start, end) range of rows per problem.  It takes
+    the array path (`_load_trees`) once its origins times links reach
+    _ARRAY_TREES_MIN_WORK, or _ARRAY_BATCH_MIN_WORK when it holds origins of
+    two or more problems; otherwise each problem's chunks go through the
+    per-origin kernel in turn (`_load_chunk`)."""
 
     def __init__(self, problems: Sequence[_Problem], first: int, end: int):
-        self.parts = [problem.by_origin[first * _CHUNK : end * _CHUNK] for problem in problems]
-        rows = [len(part) for part in self.parts]
+        sizes = [len(problem.trips.origins) for problem in problems]
+        self.ranges = [(min(first * _CHUNK, size), min(end * _CHUNK, size)) for size in sizes]
+        rows = [b - a for a, b in self.ranges]
         self.row_ends = [0, *accumulate(rows)]
-        work = sum(count * len(problem.net.links) for count, problem in zip(rows, problems))
+        work = sum(count * problem.net.link_count for count, problem in zip(rows, problems))
         batched = len(rows) - rows.count(0) > 1
         self.array = work >= (_ARRAY_BATCH_MIN_WORK if batched else _ARRAY_TREES_MIN_WORK)
         self.pairs = None  # built on the first array-path load
@@ -457,16 +462,18 @@ class _Loader:
     def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
         self.problems = problems
         self.slices = slices
-        chunks = -(-max(len(problem.by_origin) for problem in problems) // _CHUNK)
+        chunks = -(-max(len(problem.trips.origins) for problem in problems) // _CHUNK)
         cuts = [0]
         if chunks > 1:
             width = max(problem.net.node_count for problem in problems) + 1
-            sizes = [0] * chunks
+            sizes = np.zeros(chunks, dtype=np.int64)
             for problem in problems:
-                for i, (_, dests) in enumerate(problem.by_origin):
-                    sizes[i // _CHUNK] += (1 + len(dests)) * width
+                rows = len(problem.trips.origins)
+                edges = np.append(np.arange(0, rows, _CHUNK), rows)
+                # each chunk's origins and O-D pairs
+                sizes[: len(edges) - 1] += (np.diff(edges) + np.diff(problem.trips.start[edges])) * width
             cells = 0
-            for c, size in enumerate(sizes):
+            for c, size in enumerate(sizes.tolist()):
                 if c > cuts[-1] and cells + size > _CALL_MAX_CELLS:
                     cuts.append(c)
                     cells = 0
@@ -507,24 +514,24 @@ class _Loader:
                 if self.graph is None:
                     self.graph = _BatchGraph([problem.net for problem in self.problems])
                     self.tails = np.concatenate([problem.tails for problem in self.problems])
-                call.pairs = _Pairs(self.graph, self.tails, call.parts)
+                call.pairs = _Pairs(self.graph, self.tails, call, self.problems)
             try:
                 return _load_trees(call.pairs, costs, stop)
             except Exception as exc:  # no one pair's fault: the first problem loaded takes it
-                return None, next(k for k in range(stop) if call.parts[k]), exc
+                return None, next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
         if len(self.problems) == 1:  # its chunk flows are the whole vector
-            problem, part = self.problems[0], call.parts[0]
+            problem, (a, b) = self.problems[0], call.ranges[0]
             try:
-                loads = [_load_chunk(problem, costs, part[i : i + _CHUNK]) for i in range(0, len(part), _CHUNK)]
+                loads = [_load_chunk(problem, costs, range(i, min(i + _CHUNK, b))) for i in range(a, b, _CHUNK)]
                 return loads, 1, None
             except Exception as exc:
                 return None, 0, exc
-        loads = np.zeros((-(-max(map(len, call.parts)) // _CHUNK), len(costs)))
+        loads = np.zeros((-(-max(b - a for a, b in call.ranges) // _CHUNK), len(costs)))
         for k in range(stop):
-            s, part = self.slices[k], call.parts[k]
+            s, (a, b) = self.slices[k], call.ranges[k]
             try:
-                for i in range(0, len(part), _CHUNK):
-                    loads[i // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], part[i : i + _CHUNK])
+                for i in range(a, b, _CHUNK):
+                    loads[(i - a) // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], range(i, min(i + _CHUNK, b)))
             except Exception as exc:
                 return loads, k, exc
         return loads, stop, None
@@ -690,7 +697,7 @@ def _solve_batch(
         if problem.travels:
             live.append(problem)
         else:
-            zeros = np.zeros(len(net.links), dtype=float)
+            zeros = np.zeros(net.link_count, dtype=float)
             finished[index] = Assignment(
                 flows=zeros,
                 latencies=_LinkArrays([net]).latencies(zeros),
@@ -733,8 +740,7 @@ def _solve_batch(
         aon_flows, failed, exc = loader(lat, stop)
         if exc is None and stop < len(live):
             s = arrays.slices[stop]
-            link = live[stop].net.links[int(np.argmax(~np.isfinite(lat[s])))]
-            exc = SolverError(f"non-finite latency on link {link.from_node}->{link.to_node}")
+            exc = SolverError(f"non-finite latency on link {live[stop].net._name(int(np.argmax(~np.isfinite(lat[s]))))}")
         going = []
         for k, (problem, s) in enumerate(zip(live, arrays.slices)):
             try:
@@ -806,8 +812,12 @@ def format_flow_file(net: Network, assignment: Assignment) -> str:
         f"~ vht {assignment.vht:.6f} relative_gap {assignment.relative_gap:.12e} "
         f"iterations {assignment.iterations}"
     ]
-    for link, volume, cost in zip(net.links, assignment.flows, assignment.latencies):
-        lines.append(f"{link.from_node} {link.to_node} {volume:.9f} {cost:.9f}")
+    c = net.columns
+    lines += [
+        f"{u} {v} {volume:.9f} {cost:.9f}"
+        for u, v, volume, cost in zip(c.from_node.tolist(), c.to_node.tolist(),
+                                      assignment.flows.tolist(), assignment.latencies.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,16 @@ and whitespace-separated data rows terminated by ``;``.  Link rows carry
 link_type``; the B column is the BPR alpha and the power column the BPR beta.
 Trip files hold ``Origin r`` blocks of ``dest : flow;`` entries.
 
+A `Network` holds its links as read-only numpy columns (`LinkColumns`: node
+ids as int64, capacity, length, free-flow time, alpha and beta as float64),
+and a `DemandMatrix` its entries as CSR arrays sorted by origin and then
+destination (`origins`, `start`, `dest`, `q`).  The parsers fill these
+directly, a slab of rows at a time, checking each slab's numbers in bulk, and
+keep no `Link` or other object per link or entry.  `Network.links`,
+`Network.adjacency`, `DemandMatrix.entries` and `DemandMatrix.by_origin` are
+views built from the arrays on first use, for callers that want Python
+objects.
+
 Upgrade files use a small line grammar of our own::
 
     # comment
@@ -23,9 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +45,7 @@ from .errors import DataError, ParseError
 
 __all__ = [
     "Link",
+    "LinkColumns",
     "Network",
     "DemandMatrix",
     "LinkModification",
@@ -71,54 +84,145 @@ class Link:
             raise DataError(f"link {self.from_node}->{self.to_node}: negative BPR parameter")
 
 
-@dataclass(frozen=True)
+class LinkColumns(NamedTuple):
+    """A network's links as numpy columns, one entry per link in file order:
+    node ids as int64, the rest as float64."""
+
+    from_node: np.ndarray
+    to_node: np.ndarray
+    capacity: np.ndarray
+    length: np.ndarray
+    free_flow_time: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+_COLUMN_TYPES = (np.int64, np.int64) + (np.float64,) * 5
+
+
+def _readonly(values: np.ndarray) -> np.ndarray:
+    """`values`, made read-only in place; an array that no one else holds."""
+    values.setflags(write=False)
+    return values
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Network:
     """Immutable directed network. Nodes are dense 1-based ids; zone centroids
     are ids 1..zone_count, and ids below first_thru_node never act as
-    intermediate nodes on a path."""
+    intermediate nodes on a path.
+
+    The links are held as `columns`.  A `links` sequence of `Link`, when
+    given, builds them and takes their place, so ``Network(..., links=...)``
+    and ``dataclasses.replace(net, links=...)`` work as on a tuple of links;
+    the `links` attribute is a view built from the columns on first use."""
 
     node_count: int
-    links: tuple[Link, ...]
     zone_count: int
-    first_thru_node: int = 1
-    coordinates: Mapping[int, tuple[float, float]] | None = None
+    first_thru_node: int
+    coordinates: Mapping[int, tuple[float, float]] | None
+    columns: LinkColumns = field(repr=False)
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        node_count: int,
+        links: Iterable[Link] | None = None,
+        zone_count: int | None = None,
+        first_thru_node: int = 1,
+        coordinates: Mapping[int, tuple[float, float]] | None = None,
+        columns: LinkColumns | None = None,
+    ):
+        if zone_count is None:
+            raise TypeError("Network() missing required argument: 'zone_count'")
+        if links is not None:
+            links = tuple(links)
+            lists = [[getattr(l, name) for l in links] for name in LinkColumns._fields]
+        elif columns is not None:
+            lists = [np.asarray(c).tolist() for c in columns]
+        else:
+            raise TypeError("Network() needs links or columns")
+        if len(set(map(len, lists))) > 1:
+            raise DataError("link columns differ in length")
+        tails, heads, capacity, _, fftime, alpha, beta = lists
+        low, high = min(tails + heads, default=1), max(tails + heads, default=1)
+        bad = _bad_link(tails, heads, capacity, fftime, alpha, beta, low, high)
+        if bad is not None:
+            raise DataError(bad[1])
+        columns = LinkColumns._make([_readonly(np.array(c, dtype=t)) for c, t in zip(lists, _COLUMN_TYPES)])
+        self.__dict__.update(node_count=node_count, zone_count=zone_count, first_thru_node=first_thru_node,
+                             coordinates=coordinates, columns=columns)
+        self._check(low, high)
+
+    @classmethod
+    def _of(cls, node_count: int, zone_count: int, first_thru_node: int,
+            coordinates: Mapping[int, tuple[float, float]] | None, columns: LinkColumns) -> "Network":
+        """A network of read-only columns whose values the caller has checked
+        (and its counts and node ids, unless it calls `_check`)."""
+        net = cls.__new__(cls)
+        net.__dict__.update(node_count=node_count, zone_count=zone_count, first_thru_node=first_thru_node,
+                            coordinates=coordinates, columns=columns)
+        return net
+
+    def _check(self, low: int, high: int) -> None:
+        """Check the counts, and that every link's nodes lie in 1..node_count
+        given the lowest and the highest node id of the links (1 for none)."""
         if self.node_count < 1:
             raise DataError("network must have at least one node")
         if not 0 <= self.zone_count <= self.node_count:
             raise DataError("zone count must lie within the node range")
         if self.first_thru_node < 1:
             raise DataError("first_thru_node must be >= 1")
-        for link in self.links:
-            if not (1 <= link.from_node <= self.node_count and 1 <= link.to_node <= self.node_count):
-                raise DataError(
-                    f"link {link.from_node}->{link.to_node} references a node outside 1..{self.node_count}"
-                )
+        n = self.node_count
+        if not (low >= 1 and high <= n):
+            tails, heads = self.columns.from_node, self.columns.to_node
+            k = int(np.argmax((tails < 1) | (tails > n) | (heads < 1) | (heads > n)))
+            raise DataError(f"link {self._name(k)} references a node outside 1..{n}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (self.node_count, self.zone_count, self.first_thru_node, self.coordinates) == (
+            other.node_count, other.zone_count, other.first_thru_node, other.coordinates
+        ) and all(map(np.array_equal, self.columns, other.columns))
 
     @property
     def nodes(self) -> range:
         return range(1, self.node_count + 1)
 
+    @property
+    def link_count(self) -> int:
+        return len(self.columns.from_node)
+
+    def _name(self, k: int) -> str:
+        """Link k as ``from->to``."""
+        return f"{self.columns.from_node[k]}->{self.columns.to_node[k]}"
+
+    @cached_property
+    def links(self) -> tuple[Link, ...]:
+        """The links as `Link` objects, in file order."""
+        c = self.columns
+        return tuple(map(Link, c.from_node.tolist(), c.to_node.tolist(), c.capacity.tolist(),
+                         c.free_flow_time.tolist(), c.alpha.tolist(), c.beta.tolist(), c.length.tolist()))
+
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """adjacency[u] lists (to_node, link_index) in file order; index 0 unused."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count + 1)]
-        for idx, link in enumerate(self.links):
-            out[link.from_node].append((link.to_node, idx))
-        return tuple(tuple(entries) for entries in out)
+        c = self.columns
+        for idx, u, v in zip(range(self.link_count), c.from_node.tolist(), c.to_node.tolist()):
+            out[u].append((v, idx))
+        return tuple([tuple(entries) for entries in out])
 
     @cached_property
     def out_links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR layout of ``adjacency``: ``(start, link, head)`` int arrays; the
         out-links of node u are ``link[start[u]:start[u + 1]]``, in file order,
         and ``head`` holds their to-nodes."""
-        tails = np.array([l.from_node for l in self.links], dtype=np.int64)
+        tails = self.columns.from_node
         link = np.argsort(tails, kind="stable")
         start = np.zeros(self.node_count + 2, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=self.node_count + 1), out=start[1:])
-        head = np.array([l.to_node for l in self.links], dtype=np.int64)[link]
-        return start, link, head
+        return start, link, self.columns.to_node[link]
 
     @cached_property
     def _fingerprint(self) -> str:
@@ -131,78 +235,235 @@ class Network:
         return h.hexdigest()[:16]
 
     @cached_property
-    def _parallel_index(self) -> dict[tuple[int, int, int], int]:
-        seen: dict[tuple[int, int], int] = {}
-        table: dict[tuple[int, int, int], int] = {}
-        for idx, link in enumerate(self.links):
-            pair = (link.from_node, link.to_node)
-            rank = seen.get(pair, 0)
-            seen[pair] = rank + 1
-            table[(link.from_node, link.to_node, rank)] = idx
-        return table
+    def _pair_index(self) -> tuple[list[int], dict[int, int]]:
+        """Each link's (from, to) pair as one int, and the first link of
+        each pair, for `find_link`."""
+        width = self.node_count + 1
+        keys = [u * width + v for u, v in zip(self.columns.from_node.tolist(), self.columns.to_node.tolist())]
+        return keys, dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
     def find_link(self, from_node: int, to_node: int, parallel_index: int = 0) -> int | None:
         """Index of the parallel_index-th link from->to (file order), or None."""
-        return self._parallel_index.get((from_node, to_node, parallel_index))
+        n = self.node_count
+        if not (1 <= from_node <= n and 1 <= to_node <= n and parallel_index >= 0):
+            return None
+        keys, first = self._pair_index
+        key = from_node * (n + 1) + to_node
+        k = first.get(key)
+        try:
+            for _ in range(parallel_index if k is not None else 0):
+                k = keys.index(key, k + 1)
+        except ValueError:
+            return None
+        return k
 
     def with_coordinates(self, coordinates: Mapping[int, tuple[float, float]]) -> "Network":
-        return replace(self, coordinates=dict(coordinates))
+        return Network._of(self.node_count, self.zone_count, self.first_thru_node, dict(coordinates), self.columns)
 
 
-@dataclass(frozen=True)
+_ZERO = 0.0
+
+
+def _bad_link(
+    tails: list, heads: list, capacity: list, fftime: list, alpha: list, beta: list, low: int, high: int
+) -> tuple[int, str] | None:
+    """The first link, given as lists of its fields and the lowest and
+    highest of its node ids, whose values `Link` rejects or whose node ids
+    do not fit in 64 bits, and what is wrong with it; None when there is
+    none."""
+    # each list is checked in one pass; NaN fails every comparison
+    if not tails or (
+        all(map(_ZERO.__lt__, capacity)) and all(map(_ZERO.__le__, fftime))
+        and all(map(_ZERO.__le__, alpha)) and all(map(_ZERO.__le__, beta))
+        and _INT64_MIN <= low and high <= _INT64_MAX
+    ):
+        return None
+    for k, (u, v, q, t, a, b) in enumerate(zip(tails, heads, capacity, fftime, alpha, beta)):
+        if not q > 0:
+            return k, f"link {u}->{v}: capacity must be positive"
+        if not t >= 0:
+            return k, f"link {u}->{v}: negative free-flow time"
+        if not (a >= 0 and b >= 0):
+            return k, f"link {u}->{v}: negative BPR parameter"
+        if not (_INT64_MIN <= u <= _INT64_MAX and _INT64_MIN <= v <= _INT64_MAX):
+            return k, f"link {u}->{v}: node id out of range"
+    raise AssertionError("a link fails a check")
+
+
+def _csr(rows: np.ndarray, dest: np.ndarray, q: np.ndarray) -> tuple:
+    """``(origins, start, dest, q, order)``: CSR arrays of the entries
+    (rows[i], dest[i]): q[i], sorted by origin and then destination, and the
+    CSR position of each entry in the order given, or None when that order
+    is sorted already."""
+    order = None
+    if not _strictly_sorted(rows, dest):
+        perm = np.lexsort((dest, rows))
+        rows, dest, q = rows[perm], dest[perm], q[perm]
+        order = np.empty_like(perm)
+        order[perm] = np.arange(len(perm))
+    n = len(rows)
+    edges = np.empty(n + 1, dtype=bool)  # where a run of one origin starts or ends
+    edges[0] = edges[n] = True
+    np.not_equal(rows[1:], rows[:-1], out=edges[1:n])
+    start = edges.nonzero()[0]
+    return rows[start[:-1]], start, dest, q, order
+
+
+class _Trips(NamedTuple):
+    """The entries of a demand that carry flow, as CSR: the trips from
+    ``origins[i]`` go to ``dest[start[i]:start[i + 1]]`` with flows
+    ``q[start[i]:start[i + 1]]``."""
+
+    origins: np.ndarray
+    start: np.ndarray
+    dest: np.ndarray
+    q: np.ndarray
+
+
 class DemandMatrix:
-    """Sparse origin-destination demand; zero entries are not stored."""
+    """Sparse origin-destination demand, held as CSR arrays sorted by origin
+    and then destination: `origins` lists each origin once, and its trips
+    go to ``dest[start[i]:start[i + 1]]`` with flows ``q[start[i]:start[i + 1]]``.
 
-    entries: Mapping[tuple[int, int], float]
+    ``DemandMatrix({(r, s): q, ...})`` builds one from a mapping; zero
+    entries are kept (and fingerprinted) but load nothing.  The mapping's
+    order is remembered: `total` sums in it, and `entries`, a view built on
+    first use, lists in it, as they did when the mapping itself was kept."""
 
-    def __post_init__(self):
-        for (r, s), q in self.entries.items():
+    def __init__(self, entries: Mapping[tuple[int, int], float]):
+        try:
+            rows, dest = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T.copy()
+        except OverflowError:
+            raise DataError("demand node ids must fit in 64 bits") from None
+        q = np.fromiter(entries.values(), dtype=float, count=len(rows))
+        # one reduction per check, the entries looked at only when one fails;
+        # written `not x >= 0`, so NaN fails
+        if len(q) and not (rows.min() >= 1 and dest.min() >= 1 and q.min() >= 0):
+            i = int(np.argmax((rows < 1) | (dest < 1) | ~(q >= 0)))
+            r, s = int(rows[i]), int(dest[i])
             if r < 1 or s < 1:
                 raise DataError(f"demand entry ({r},{s}) has a non-positive node id")
-            if not q >= 0:
-                raise DataError(f"demand entry ({r},{s}) is {'negative' if q < 0 else 'not a finite number'}")
-        if self.total == math.inf:  # an infinite entry, or finite ones whose sum overflows
-            for (r, s), q in self.entries.items():
-                if q == math.inf:
-                    raise DataError(f"demand entry ({r},{s}) is not a finite number")
+            raise DataError(f"demand entry ({r},{s}) is {'negative' if q[i] < 0 else 'not a finite number'}")
+        total = float(sum(entries.values()))
+        if total == math.inf:  # an infinite entry, or finite ones whose sum overflows
+            hit = q == math.inf
+            if hit.any():
+                i = int(np.argmax(hit))
+                raise DataError(f"demand entry ({rows[i]},{dest[i]}) is not a finite number")
+        self._set(*_csr(rows, dest, q), total)
+
+    @classmethod
+    def _of(cls, origins: np.ndarray, start: np.ndarray, dest: np.ndarray, q: np.ndarray,
+            order: np.ndarray | None, total: float) -> "DemandMatrix":
+        """The matrix of these CSR arrays (and `order`, as `_csr` gives
+        them), whose entries the caller has checked as `DemandMatrix`
+        checks them; `total` sums their flows in the order given.  The
+        arrays become its own."""
+        matrix = cls.__new__(cls)
+        matrix._set(origins, start, dest, q, order, total)
+        return matrix
+
+    def _set(self, origins, start, dest, q, order, total) -> None:
+        self.origins, self.start, self.dest, self.q = map(_readonly, (origins, start, dest, q))
+        # the CSR position of each entry in the order given, or None when
+        # that order is sorted
+        self._order = order
+        self.total = total
+
+    def __eq__(self, other):
+        if not isinstance(other, DemandMatrix):
+            return NotImplemented
+        return all(map(np.array_equal, (self.origins, self.start, self.dest, self.q),
+                       (other.origins, other.start, other.dest, other.q)))
+
+    def __repr__(self) -> str:
+        return f"DemandMatrix(<{len(self.q)} entries from {len(self.origins)} origins>)"
 
     @cached_property
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
+    def _rows(self) -> np.ndarray:
+        """The origin of each CSR entry."""
+        return np.repeat(self.origins, np.diff(self.start))
+
+    def _in_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(origin, destination, flow) arrays of the entries in the order given."""
+        if self._order is None:
+            return self._rows, self.dest, self.q
+        return self._rows[self._order], self.dest[self._order], self.q[self._order]
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int], float]:
+        """Read-only ``{(r, s): q}`` view, in the order given."""
+        rows, dest, q = self._in_order()
+        return MappingProxyType(dict(zip(zip(rows.tolist(), dest.tolist()), q.tolist())))
+
+    @cached_property
+    def _trips(self) -> _Trips:
+        """The entries with flow, which are what loads a network."""
+        keep = self.q > 0
+        if keep.all():
+            return _Trips(self.origins, self.start, self.dest, self.q)
+        counts = np.diff(np.cumsum(keep)[self.start[1:] - 1], prepend=0)
+        start = np.zeros(np.count_nonzero(counts) + 1, dtype=np.int64)
+        np.cumsum(counts[counts > 0], out=start[1:])
+        return _Trips(self.origins[counts > 0], start, self.dest[keep], self.q[keep])
+
+    @cached_property
+    def _trip_lists(self) -> tuple[list[int], list[int], list[tuple[int, float]]]:
+        """`_trips` as lists, for the per-origin loading walk: the origins,
+        the CSR starts, and each trip as a (destination, flow) pair."""
+        t = self._trips
+        return t.origins.tolist(), t.start.tolist(), list(zip(t.dest.tolist(), t.q.tolist()))
+
+    @cached_property
+    def _travels(self) -> bool:
+        """Whether any trip with flow leaves its zone; intrazonal trips load no link."""
+        t = self._trips
+        return bool((t.dest != np.repeat(t.origins, np.diff(t.start))).any())
 
     @cached_property
     def by_origin(self) -> tuple[tuple[int, tuple[tuple[int, float], ...]], ...]:
         """((origin, ((dest, flow), ...)), ...) sorted by origin then destination,
         with zero-flow entries dropped."""
-        grouped: dict[int, list[tuple[int, float]]] = {}
-        for (r, s), q in self.entries.items():
-            if q > 0:
-                grouped.setdefault(r, []).append((s, q))
-        return tuple(
-            (r, tuple(sorted(dests))) for r, dests in sorted(grouped.items())
-        )
+        origins, start, dest, q = self._trips
+        pairs = list(zip(dest.tolist(), q.tolist()))
+        bounds = start.tolist()
+        return tuple((r, tuple(pairs[a:b])) for r, a, b in zip(origins.tolist(), bounds, bounds[1:]))
+
+    @cached_property
+    def _top_node(self) -> int:
+        """The largest origin or destination id, 0 when there is no entry."""
+        return max(int(self.origins[-1]), int(self.dest.max())) if len(self.q) else 0
 
     @cached_property
     def _fingerprint(self) -> str:
         """Stable 16-hex digest of the entries."""
         h = hashlib.sha256()
-        for (r, s), q in sorted(self.entries.items()):
-            h.update(f"{r},{s}:{q!r};".encode())
+        rows, dest, q = self._rows, self.dest, self.q
+        for lo in range(0, len(q), _SLAB):
+            part = slice(lo, lo + _SLAB)
+            entries = zip(rows[part].tolist(), dest[part].tolist(), q[part].tolist())
+            h.update("".join([f"{r},{s}:{flow!r};" for r, s, flow in entries]).encode())
         return h.hexdigest()[:16]
 
     def scaled(self, zones: frozenset[int] | set[int], factor: float) -> "DemandMatrix":
         """Multiply every entry whose origin or destination lies in `zones`."""
         if not 0 <= factor < math.inf:
             raise DataError("demand scale factor must be non-negative and finite")
-        out = {}
-        for (r, s), q in self.entries.items():
-            if r in zones or s in zones:
-                q = q * factor
-                if q == math.inf:
-                    raise DataError(f"demand entry ({r},{s}) scaled by {factor!r} overflows")
-            if q != 0:
-                out[(r, s)] = q
-        return DemandMatrix(out)
+        rows, dest, q = self._in_order()
+        marked = np.zeros(self._top_node + 1, dtype=bool)
+        marked[[z for z in zones if 0 < z <= self._top_node]] = True
+        hit = marked[rows] | marked[dest]
+        q = q.copy()
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            q[hit] *= factor
+        over = q == math.inf
+        if over.any():
+            i = int(np.argmax(over))
+            raise DataError(f"demand entry ({rows[i]},{dest[i]}) scaled by {factor!r} overflows")
+        keep = q != 0
+        q = q[keep]
+        total = float(np.add.accumulate(q)[-1]) if len(q) else 0.0  # `sum`'s order
+        return DemandMatrix._of(*_csr(rows[keep], dest[keep], q), total)
 
 
 @dataclass(frozen=True)
@@ -233,7 +494,7 @@ class Upgrade:
     modifications: tuple[LinkModification, ...] = ()
 
     def __post_init__(self):
-        if not self.id or re.search(r"[\s,]", self.id):
+        if not self.id or "," in self.id or self.id.split() != [self.id]:  # no whitespace
             raise DataError(f"upgrade id {self.id!r} must be non-empty with no whitespace or commas")
         if self.id == "BASELINE" or self.id.startswith("#"):
             # delta caches read these as the baseline row and as comments
@@ -244,6 +505,12 @@ class Upgrade:
             raise DataError(f"upgrade {self.id}: unknown kind {self.kind!r}")
         if not self.additions and not self.modifications:
             raise DataError(f"upgrade {self.id}: no link edits")
+
+    @cached_property
+    def _added(self) -> LinkColumns:
+        """The additions as link columns."""
+        return LinkColumns(*(np.array([getattr(link, name) for link in self.additions], dtype=t)
+                             for name, t in zip(LinkColumns._fields, _COLUMN_TYPES)))
 
 
 @dataclass(frozen=True)
@@ -292,28 +559,29 @@ class UpgradeSet:
 # TNTP parsing
 
 
-_METADATA_RE = re.compile(r"^<([^<>]+)>\s*(.*?)\s*$")
-
-
 def _strip_comment(line: str) -> str:
     pos = line.find("~")
     return line if pos < 0 else line[:pos]
 
 
-def _read_metadata(lines: Sequence[str]) -> tuple[dict[str, str], int]:
-    """Parse the metadata block; returns (tags, index of first data line)."""
+def _read_metadata(lines: Iterable[str]) -> tuple[dict[str, str], int]:
+    """Parse the metadata block; returns (tags, the number of lines it
+    takes), the lines taken from `lines`."""
     tags: dict[str, str] = {}
     for i, raw in enumerate(lines):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        m = _METADATA_RE.match(line)
-        if not m:
+        # ``<TAG> value``: a tag of one or more characters other than '<'
+        # and '>', then the value with its outer whitespace stripped
+        close = line.find(">")
+        key = line[1:close]
+        if line[0] != "<" or close < 2 or "<" in key:
             raise ParseError(f"expected metadata tag, got {line!r}", line=i + 1)
-        key = m.group(1).strip().upper()
+        key = key.strip().upper()
         if key == "END OF METADATA":
             return tags, i + 1
-        tags[key] = m.group(2)
+        tags[key] = line[close + 1 :].strip()
     raise ParseError("missing <END OF METADATA>")
 
 
@@ -327,9 +595,102 @@ def _meta(tags: dict[str, str], key: str, kind: type = int) -> int | float | Non
         raise ParseError(f"metadata <{key}> is not a number: {tags[key]!r}")
 
 
+# Data lines converted at a time: bounds the tokens and strings held at once.
+_SLAB = 4096
+
+# Characters of a file split into lines at a time.
+_TEXT_SLAB = 1 << 20
+
+# The int64 range, as Python ints.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, as `str.splitlines` gives them, split a slab of
+    text at a time; a slab ends just after a newline, which ends a line."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _TEXT_SLAB)
+        end = len(text) if end < 0 else end + 1
+        yield from text[pos:end].splitlines()
+        pos = end
+
+
+def _data_slabs(lines: Iterator[str], start: int) -> Iterator[tuple[list[int], list[str]]]:
+    """The non-blank lines left in `lines`, the first being line start + 1,
+    with comments and outer whitespace stripped, and their line numbers;
+    _SLAB lines at a time."""
+    while True:
+        numbers, rows, taken = [], [], 0
+        for taken, line in enumerate(islice(lines, _SLAB), 1):
+            line = line.partition("~")[0].strip()
+            if line:
+                numbers.append(start + taken)
+                rows.append(line)
+        if not taken:
+            return
+        yield numbers, rows
+        start += taken
+
+
+def _first_bad_number(rows: Sequence[str]) -> tuple[int, str]:
+    """The first of `rows` (well-formed link rows) with a field that is no
+    number, as `Link`'s fields are read (two ints, then five floats), and
+    the error it raises."""
+    for k, row in enumerate(rows):
+        fields = row[:-1].split()
+        try:
+            [int(f) for f in fields[:2]]
+            [float(f) for f in fields[2:7]]
+        except ValueError as exc:
+            return k, str(exc)
+    raise AssertionError("every field is a number")
+
+
+def _link_rows(rows: Sequence[str], numbers: Sequence[int]) -> tuple[LinkColumns, int, int]:
+    """The columns of link rows and their lowest and highest node id, or a
+    ParseError for the first bad row.
+
+    A row is checked for its closing ';', its field count (10 before the
+    ';'), its numbers, and then as `_bad_link` checks it, in that order.
+    Each check runs on the rows before the last failure, so the failure
+    kept is the first row's, and its first check's."""
+    # one split of all the rows, each closing ';' made a "~" token, which no
+    # row holds once its comment is stripped: the rows are well formed when
+    # every 11th token is one
+    flat = ("\n".join(rows) + "\n").replace(";\n", " ~ ").split()
+    cut = len(rows)
+    if len(flat) != 11 * cut or flat[10::11].count("~") != cut:
+        cut, problem = next(
+            (k, "link row not terminated by ';'" if row[-1] != ";" else f"expected 10 link fields, got {count}")
+            for k, row in enumerate(rows)
+            if row[-1] != ";" or (count := len(row[:-1].split())) != 10
+        )
+    columns = [flat[k : 11 * cut : 11] for k in range(7)]
+    del flat
+    try:
+        lists = [list(map(int, columns[k])) for k in (0, 1)] + [list(map(float, columns[k])) for k in range(2, 7)]
+    except ValueError:
+        cut, error = _first_bad_number(rows[:cut])
+        problem = f"non-numeric link field: {error}"
+        lists = [list(map(int, columns[k][:cut])) for k in (0, 1)] + [list(map(float, columns[k][:cut])) for k in range(2, 7)]
+    tails, heads, capacity, _, fftime, alpha, beta = lists
+    low = min(min(tails, default=1), min(heads, default=1))
+    high = max(max(tails, default=1), max(heads, default=1))
+    bad = _bad_link(tails, heads, capacity, fftime, alpha, beta, low, high)
+    if bad is not None:
+        cut, problem = bad
+    if cut < len(rows):
+        raise ParseError(problem, line=numbers[cut])
+    # one read-only array per type, whose rows are the columns
+    nodes, values = _readonly(np.array(lists[:2], dtype=np.int64)), _readonly(np.array(lists[2:], dtype=float))
+    columns = LinkColumns(nodes[0], nodes[1], values[0], values[1], values[2], values[3], values[4])
+    return columns, low, high
+
+
 def parse_network(text: str) -> Network:
-    """Parse a TNTP link file into a Network."""
-    lines = text.splitlines()
+    """Parse a TNTP link file into a Network, a slab of rows at a time."""
+    lines = _lines(text)
     tags, start = _read_metadata(lines)
     zone_count = _meta(tags, "NUMBER OF ZONES")
     if zone_count is None:
@@ -340,112 +701,264 @@ def parse_network(text: str) -> Network:
     if first_thru is None:
         first_thru = 1
 
-    links: list[Link] = []
-    last_line = start
-    for i in range(start, len(lines)):
-        line = _strip_comment(lines[i]).strip()
-        if not line:
-            continue
-        last_line = i + 1
-        fields = line.split()
-        if fields[-1] == ";":
-            fields = fields[:-1]
-        elif fields[-1].endswith(";"):
-            fields[-1] = fields[-1][:-1]
-        else:
-            raise ParseError("link row not terminated by ';'", line=i + 1)
-        if len(fields) != 10:
-            raise ParseError(f"expected 10 link fields, got {len(fields)}", line=i + 1)
-        try:
-            init, term = int(fields[0]), int(fields[1])
-            capacity, length, fftime = (float(f) for f in fields[2:5])
-            alpha, beta = float(fields[5]), float(fields[6])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric link field: {exc}", line=i + 1)
-        try:
-            links.append(
-                Link(
-                    from_node=init,
-                    to_node=term,
-                    capacity=capacity,
-                    free_flow_time=fftime,
-                    alpha=alpha,
-                    beta=beta,
-                    length=length,
-                )
-            )
-        except DataError as exc:
-            raise ParseError(str(exc), line=i + 1)
-
-    if declared_links is not None and declared_links != len(links):
+    slabs, last_line = [], start
+    for numbers, rows in _data_slabs(lines, start):
+        if rows:
+            slabs.append(_link_rows(rows, numbers))
+            last_line = numbers[-1]
+    parts = [columns for columns, _, _ in slabs]
+    if len(parts) == 1:
+        columns = parts[0]
+    elif parts:
+        columns = LinkColumns._make([_readonly(np.concatenate(c)) for c in zip(*parts)])
+    else:
+        columns = LinkColumns._make([_readonly(np.zeros(0, dtype=t)) for t in _COLUMN_TYPES])
+    count = len(columns.from_node)
+    if declared_links is not None and declared_links != count:
         raise ParseError(
-            f"<NUMBER OF LINKS> declares {declared_links} but file holds {len(links)}",
+            f"<NUMBER OF LINKS> declares {declared_links} but file holds {count}",
             line=last_line,
         )
+    low = min((low for _, low, _ in slabs), default=1)
+    high = max((high for _, _, high in slabs), default=1)
     node_count = declared_nodes
     if node_count is None:
-        node_count = max((max(l.from_node, l.to_node) for l in links), default=zone_count)
+        node_count = high if count else zone_count
+    net = Network._of(node_count, zone_count, first_thru, None, columns)
     try:
-        return Network(
-            node_count=node_count,
-            links=tuple(links),
-            zone_count=zone_count,
-            first_thru_node=first_thru,
-        )
+        net._check(low, high)
     except DataError as exc:
         raise ParseError(str(exc))
+    return net
 
 
 _TRIP_ENTRY_RE = re.compile(r"(\d+)\s*:\s*([-+0-9.eE]+)\s*;")
 _ORIGIN_RE = re.compile(r"origin\s+(\d+)", re.IGNORECASE)
 
 
+def _strictly_sorted(rows: np.ndarray, dest: np.ndarray) -> bool:
+    """Whether the (rows[i], dest[i]) pairs strictly increase."""
+    if len(rows) < 2:
+        return True
+    later, same = rows[1:] > rows[:-1], rows[1:] == rows[:-1]
+    return bool((later | (same & (dest[1:] > dest[:-1]))).all())
+
+
+def _first_repeat(origin: np.ndarray, dest: np.ndarray, q: np.ndarray) -> int | None:
+    """The first entry whose pair an earlier entry with flow already holds,
+    or None.  An entry of zero flow is never kept, so it holds no pair."""
+    if _strictly_sorted(origin, dest):
+        return None
+    order = np.lexsort((dest, origin))  # stable: file order within a pair
+    o, d, flowing = origin[order], dest[order], q[order] != 0
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (o[1:] != o[:-1]) | (d[1:] != d[:-1])
+    before = np.cumsum(flowing) - flowing  # entries with flow before each
+    seen = before - before[np.flatnonzero(new)][np.cumsum(new) - 1] > 0
+    return int(order[seen].min()) if seen.any() else None
+
+
+def _first_non_float(strings: Sequence[str]) -> int:
+    for k, text in enumerate(strings):
+        try:
+            float(text)
+        except ValueError:
+            return k
+    return len(strings)
+
+
+class _TripEntries:
+    """A trip file's entries, taken a line at a time and converted to
+    arrays a slab at a time, so that the entries' strings are held for one
+    slab only."""
+
+    def __init__(self, zone_count: int | None):
+        self.zone_count = zone_count
+        # no id above it fits (the zone count, if any, bounds it)
+        self.top = _INT64_MAX if zone_count is None else min(zone_count, _INT64_MAX)
+        # each entry line's number, origin and entry count
+        self.numbers: list[int] = []
+        self.line_origins: list[int] = []
+        self.counts: list[int] = []
+        # the entries not yet converted: origins, and destinations and
+        # flows as strings
+        self.origins: list[int] = []
+        self.dests: list[str] = []
+        self.flows: list[str] = []
+        self.done = 0  # entries converted
+        # of the entries converted: the lowest node id, whether any flow is
+        # zero, and the flows' sum in file order, as `sum` makes it
+        self.low, self.zeros, self.total = 1, False, 0
+        # the converted entries' destination and flow arrays
+        self.columns: tuple[list[np.ndarray], ...] = ([], [])
+        self.error: ParseError | None = None  # the first entry that failed a check of its own
+
+    def beyond(self, kind: str, node: int) -> str:
+        if self.zone_count is None:
+            return f"{kind} {node} is out of range"
+        return f"{kind} {node} exceeds zone count {self.zone_count}"
+
+    def add(self, number: int, origin: int, dests: list[str], flows: list[str]) -> None:
+        self.numbers.append(number)
+        self.line_origins.append(origin)
+        self.counts.append(len(dests))
+        self.origins += [origin] * len(dests)
+        self.dests += dests
+        self.flows += flows
+        if len(self.flows) >= _SLAB:
+            self.convert()
+
+    def line_of(self, entry: int) -> int:
+        """The line number of entry `entry`, counting from 0."""
+        return self.numbers[int(np.searchsorted(np.cumsum(self.counts), entry, side="right"))]
+
+    def convert(self) -> None:
+        """Convert the entries still held as strings, up to the first that
+        fails a check of its own.  Each check runs on the entries before
+        the last failure, in the order non-numeric flow, destination range,
+        sign, finiteness, so the failure kept is the first in file order."""
+        origins, dests, flows = self.origins, self.dests, self.flows
+        cut, problem = len(flows), None
+        try:
+            q = list(map(float, flows))
+        except ValueError:
+            cut = _first_non_float(flows)
+            problem = f"non-numeric flow {flows[cut]!r}"
+            q = list(map(float, flows[:cut]))
+        d = list(map(int, dests[:cut]))
+        if d and max(d) > self.top:
+            cut = next(k for k, node in enumerate(d) if node > self.top)
+            problem = self.beyond("destination", d[cut])
+            del d[cut:], q[cut:]
+        # each list is checked in one pass; the entry pattern admits no NaN
+        if not (all(map(_ZERO.__le__, q)) and all(map(math.inf.__gt__, q))):
+            cut, flow = next((k, flow) for k, flow in enumerate(q) if not 0 <= flow < math.inf)
+            if flow < 0:
+                problem = f"negative demand for pair ({origins[cut]},{d[cut]})"
+            else:
+                problem = f"demand {flows[cut]} for pair ({origins[cut]},{d[cut]}) is not finite"
+            del d[cut:], q[cut:]
+        if problem is not None:
+            self.error = ParseError(problem, line=self.line_of(self.done + cut))
+        del origins[cut:]
+        if origins:
+            self.low = min(self.low, min(origins), min(d))
+            self.zeros = self.zeros or 0.0 in q
+            self.total = sum(q, self.total)
+        self.columns[0].append(np.array(d, dtype=np.int64))
+        self.columns[1].append(np.array(q, dtype=float))
+        self.done += cut
+        origins.clear()
+        dests.clear()
+        flows.clear()
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The converted entries' destinations and flows, each column joined
+        and then let go before the next."""
+        out = []
+        for column, dtype in zip(self.columns, (np.int64, float)):
+            out.append(column[0] if len(column) == 1 else np.concatenate(column) if column else np.zeros(0, dtype))
+            column.clear()
+        return tuple(out)
+
+    def origins_of(self, count: int) -> np.ndarray:
+        """The origin of each of the first `count` entries."""
+        return np.repeat(np.array(self.line_origins, dtype=np.int64), self.counts)[:count]
+
+    def runs(self, dest: np.ndarray) -> tuple[list[int], list[int]] | None:
+        """CSR origins and starts of the entries, every one converted, read
+        off their lines when the entries come sorted: no line's origin falls
+        and the destinations rise within each origin.  None otherwise."""
+        origins, starts, at = [], [], 0
+        for origin, count in zip(self.line_origins, self.counts):
+            if not origins or origin != origins[-1]:
+                if origins and origin < origins[-1]:
+                    return None
+                origins.append(origin)
+                starts.append(at)
+            at += count
+        starts.append(at)
+        if len(dest) > 1:
+            rising = dest[1:] > dest[:-1]
+            rising[np.array(starts[1:-1], dtype=np.int64) - 1] = True  # each origin's first may be lower
+            if not rising.all():
+                return None
+        return origins, starts
+
+
+def _read_trips(entries: _TripEntries, slabs: Iterable[tuple[list[int], list[str]]]) -> ParseError | None:
+    """Give `entries` each trip line of `slabs` (data slabs of a trip file)
+    until a line fails a check of its own, whose error it returns, or one
+    of the entries fails one; None when no line fails."""
+    origin = None
+    for numbers, rows in slabs:
+        for number, line in zip(numbers, rows):
+            m = _ORIGIN_RE.match(line)
+            if m:
+                origin = int(m.group(1))
+                if origin > entries.top:
+                    return ParseError(entries.beyond("origin", origin), line=number)
+                rest = line[m.end():].strip()
+                if not rest:
+                    continue
+            else:
+                rest = line
+            if origin is None:
+                return ParseError("trip entry before any 'Origin' line", line=number)
+            parts = _TRIP_ENTRY_RE.split(rest)  # text, dest, flow, text, ..., text
+            if "".join(parts[::3]).strip():
+                return ParseError(f"unparseable trip entries: {rest!r}", line=number)
+            entries.add(number, origin, parts[1::3], parts[2::3])
+            if entries.error is not None:
+                return None
+    return None
+
+
 def parse_demand(text: str) -> DemandMatrix:
-    """Parse a TNTP trip file into a DemandMatrix."""
-    lines = text.splitlines()
+    """Parse a TNTP trip file into a DemandMatrix.
+
+    One regex call per line splits it into its entries, whose numbers are
+    converted and checked as arrays a slab at a time.  The first bad line
+    or entry in file order raises: a line's own checks (its origin's range,
+    an entry before any origin, text that is no entry) come before its
+    entries', and each entry's run in the order non-numeric flow,
+    destination range, sign, finiteness and repeated pair."""
+    lines = _lines(text)
     tags, start = _read_metadata(lines)
     zone_count = _meta(tags, "NUMBER OF ZONES")
     declared_total = _meta(tags, "TOTAL OD FLOW", float)
 
-    entries: dict[tuple[int, int], float] = {}
-    origin: int | None = None
-    for i in range(start, len(lines)):
-        line = _strip_comment(lines[i]).strip()
-        if not line:
-            continue
-        m = _ORIGIN_RE.match(line)
-        if m:
-            origin = int(m.group(1))
-            if zone_count is not None and origin > zone_count:
-                raise ParseError(f"origin {origin} exceeds zone count {zone_count}", line=i + 1)
-            rest = line[m.end():].strip()
-        else:
-            rest = line
-        if not rest:
-            continue
-        if origin is None:
-            raise ParseError("trip entry before any 'Origin' line", line=i + 1)
-        matches = list(_TRIP_ENTRY_RE.finditer(rest))
-        if re.sub(r"\s", "", rest) != re.sub(r"\s", "", "".join(m.group(0) for m in matches)):
-            raise ParseError(f"unparseable trip entries: {rest!r}", line=i + 1)
-        for em in matches:
-            dest = int(em.group(1))
-            try:
-                flow = float(em.group(2))
-            except ValueError:
-                raise ParseError(f"non-numeric flow {em.group(2)!r}", line=i + 1)
-            if zone_count is not None and dest > zone_count:
-                raise ParseError(f"destination {dest} exceeds zone count {zone_count}", line=i + 1)
-            if flow < 0:
-                raise ParseError(f"negative demand for pair ({origin},{dest})", line=i + 1)
-            if flow == math.inf:
-                raise ParseError(f"demand {em.group(2)} for pair ({origin},{dest}) is not finite", line=i + 1)
-            if (origin, dest) in entries:
-                raise ParseError(f"duplicate entry for pair ({origin},{dest})", line=i + 1)
-            if flow != 0:
-                entries[(origin, dest)] = flow
-
-    matrix = DemandMatrix(entries)
+    entries = _TripEntries(zone_count)
+    error = _read_trips(entries, _data_slabs(lines, start))
+    if entries.flows:
+        entries.convert()
+    dest, q = entries.arrays()
+    total = float(entries.total)
+    # sorted entries with flow, as trip files mostly hold, give their CSR
+    # straight from their lines
+    clean = entries.error is None and error is None and not entries.zeros and entries.low >= 1
+    runs = entries.runs(dest) if clean else None
+    if runs is not None:
+        origins, starts = runs
+        matrix = DemandMatrix._of(np.array(origins, dtype=np.int64), np.array(starts, dtype=np.int64),
+                                  dest, q, None, total)
+    else:
+        origin = entries.origins_of(len(q))
+        repeat = _first_repeat(origin, dest, q)
+        if repeat is not None:
+            raise ParseError(f"duplicate entry for pair ({origin[repeat]},{dest[repeat]})",
+                             line=entries.line_of(repeat))
+        if entries.error is not None:
+            raise entries.error
+        if error is not None:
+            raise error
+        if entries.zeros:  # a zero entry is not kept
+            flowing = q != 0
+            origin, dest, q = origin[flowing], dest[flowing], q[flowing]
+        if entries.low < 1 and ((origin < 1) | (dest < 1)).any():  # an id `DemandMatrix` rejects
+            i = int(np.argmax((origin < 1) | (dest < 1)))
+            raise DataError(f"demand entry ({origin[i]},{dest[i]}) has a non-positive node id")
+        matrix = DemandMatrix._of(*_csr(origin, dest, q), total)
     if declared_total is not None:
         if abs(matrix.total - declared_total) > 1e-6 * max(1.0, abs(declared_total)):
             raise ParseError(
@@ -602,7 +1115,8 @@ def apply_upgrades(
     appended after the existing links in candidate-list order.
     """
     chosen = upgrades.resolve(selected)
-    new_links = list(net.links)
+    c = net.columns
+    capacity, free_flow_time = c.capacity, c.free_flow_time
     claimed: dict[int, str] = {}
     for up in chosen:
         for mod in up.modifications:
@@ -613,21 +1127,29 @@ def apply_upgrades(
                 raise DataError(
                     f"upgrades {claimed[idx]} and {up.id} both modify link {mod.selector()}"
                 )
+            if not mod.capacity > 0:
+                raise DataError(f"link {net._name(idx)}: capacity must be positive")
+            if mod.free_flow_time is not None and not mod.free_flow_time >= 0:
+                raise DataError(f"link {net._name(idx)}: negative free-flow time")
+            if not claimed:
+                capacity, free_flow_time = capacity.copy(), free_flow_time.copy()
             claimed[idx] = up.id
-            base = new_links[idx]
-            new_links[idx] = replace(
-                base,
-                capacity=mod.capacity,
-                free_flow_time=base.free_flow_time if mod.free_flow_time is None else mod.free_flow_time,
-            )
+            capacity[idx] = mod.capacity
+            if mod.free_flow_time is not None:
+                free_flow_time[idx] = mod.free_flow_time
     for up in chosen:
         for link in up.additions:
             if not (1 <= link.from_node <= net.node_count and 1 <= link.to_node <= net.node_count):
                 raise DataError(
                     f"upgrade {up.id}: ADD references node outside 1..{net.node_count}"
                 )
-            new_links.append(link)
-    return replace(net, links=tuple(new_links))
+    columns = c
+    if claimed:
+        columns = c._replace(capacity=_readonly(capacity), free_flow_time=_readonly(free_flow_time))
+    added = [up._added for up in chosen if up.additions]
+    if added:
+        columns = LinkColumns._make([_readonly(np.concatenate(parts)) for parts in zip(columns, *added)])
+    return Network._of(net.node_count, net.zone_count, net.first_thru_node, net.coordinates, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +1162,19 @@ def write_network(net: Network) -> str:
         f"<NUMBER OF ZONES> {net.zone_count}",
         f"<NUMBER OF NODES> {net.node_count}",
         f"<FIRST THRU NODE> {net.first_thru_node}",
-        f"<NUMBER OF LINKS> {len(net.links)}",
+        f"<NUMBER OF LINKS> {net.link_count}",
         "<END OF METADATA>",
         "",
         "~ init term capacity length fftime b power speed toll type ;",
     ]
-    for link in net.links:
-        out.append(
-            f"{link.from_node}\t{link.to_node}\t{link.capacity!r}\t{link.length!r}\t"
-            f"{link.free_flow_time!r}\t{link.alpha!r}\t{link.beta!r}\t0\t0\t1\t;"
+    c = net.columns
+    out += [
+        f"{u}\t{v}\t{capacity!r}\t{length!r}\t{fftime!r}\t{alpha!r}\t{beta!r}\t0\t0\t1\t;"
+        for u, v, capacity, length, fftime, alpha, beta in zip(
+            c.from_node.tolist(), c.to_node.tolist(), c.capacity.tolist(), c.length.tolist(),
+            c.free_flow_time.tolist(), c.alpha.tolist(), c.beta.tolist(),
         )
+    ]
     return "\n".join(out) + "\n"
 
 

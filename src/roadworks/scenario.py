@@ -366,7 +366,7 @@ def _runs(upgrades: UpgradeSet, requests: Sequence[Request], todo: Sequence[tupl
     links = 0
     for k, S in todo:
         _, net, demand, _ = requests[k]
-        size = len(net.links) + (0 if S is None else sum(len(u.additions) for u in upgrades.resolve(S)))
+        size = net.link_count + (0 if S is None else sum(len(u.additions) for u in upgrades.resolve(S)))
         if run and links + size > _BATCH_LINKS:
             yield run, problems
             run, problems, links = [], [], 0
@@ -475,7 +475,22 @@ def error_report(
     up to it has a coefficient.
     """
     ref = reference if reference is not None else table
-    gold = {S: d for S, d in ref.evaluated_subsets.items() if len(S) >= 3}
+    gold = sorted((S, d) for S, d in ref.evaluated_subsets.items() if len(S) >= 3 and d != 0.0)
+    if gold and min(orders, default=1) < 1:
+        raise DataError("estimate order must be at least 1")
+    # each subset's coefficients summed once, as `estimate_delta` sums them:
+    # sums[size] is its order-k estimate for every k with min(k, |S|) = size
+    top_order = max(orders, default=0)
+    partial_sums = []
+    for S, _ in gold:
+        total, sums = 0.0, [0.0]
+        S = tuple(sorted(S))
+        for size in range(1, min(top_order, len(S)) + 1):
+            for W in combinations(S, size):
+                total += table.coefficients.get(W, 0.0)
+            sums.append(total)
+        partial_sums.append(sums)
+    negatives = sum(1 for _, exact in gold if exact < 0)
     sizes = [len(W) for W in table.coefficients]
     n = sizes.count(1)
     rows = []
@@ -489,16 +504,7 @@ def error_report(
         else:
             label = f"{'all' if full else 'some'} subsets size <= {top}"
         computations = sum(1 for size in sizes if size <= k)
-        errors = []
-        negatives = 0
-        for S in sorted(gold):
-            exact = gold[S]
-            if exact == 0.0:
-                continue
-            if exact < 0:
-                negatives += 1
-            estimate = estimate_delta(table, S, k)
-            errors.append(abs(estimate - exact) / abs(exact))
+        errors = [abs(sums[min(k, len(S))] - exact) / abs(exact) for (S, exact), sums in zip(gold, partial_sums)]
         mean_pct = 100.0 * sum(errors) / len(errors) if errors else 0.0
         rows.append(
             ErrorReportRow(

@@ -68,13 +68,12 @@ def _checked_costs(net: Network, link_costs: Sequence[float]) -> np.ndarray:
     """`link_costs` as a float array, one finite non-negative cost per link of
     `net`; otherwise a DataError naming the first bad link."""
     costs = np.array(link_costs, dtype=float)
-    if len(costs) != len(net.links):
-        raise DataError(f"got {len(costs)} costs for {len(net.links)} links")
+    if len(costs) != net.link_count:
+        raise DataError(f"got {len(costs)} costs for {net.link_count} links")
     bad = ~(np.isfinite(costs) & (costs >= 0))
     if bad.any():
         i = int(np.argmax(bad))
-        link = net.links[i]
-        raise DataError(f"link {link.from_node}->{link.to_node} has invalid cost {float(costs[i])}")
+        raise DataError(f"link {net._name(i)} has invalid cost {float(costs[i])}")
     return costs
 
 
@@ -102,7 +101,7 @@ class _BatchGraph:
                 degrees[j, : net.node_count + 1] = np.diff(start)
                 links.append(link + offset)
                 heads.append(head)
-                offset += len(net.links)
+                offset += net.link_count
             start = np.zeros(degrees.size + 1, dtype=np.int64)
             np.cumsum(degrees.ravel(), out=start[1:])
             self.out_links = start, np.concatenate(links), np.concatenate(heads)

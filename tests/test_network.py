@@ -85,6 +85,78 @@ def test_parse_network_bad_row_reports_line():
     assert err.value.line == 6
 
 
+_NET_HEAD = (
+    "<NUMBER OF ZONES> 2\n<NUMBER OF NODES> 3\n<FIRST THRU NODE> 1\n<NUMBER OF LINKS> 2\n"
+    "<END OF METADATA>\n~ a comment\n\n1 2 100 1 1 0.15 4 0 0 1 ;\n"
+)
+
+
+@pytest.mark.parametrize("rows, message, line", [
+    ("2 3 100 1 1 0.15 4 0 0 1", "link row not terminated by ';'", 9),
+    ("2 3 100 1 1 0.15 4 0 0 ;", "expected 10 link fields, got 9", 9),
+    ("2 3 100 1 1 0.15 4 0 0 1 7;", "expected 10 link fields, got 11", 9),
+    ("2 3 oops 1 1 0.15 4 0 0 1 ;", "non-numeric link field: could not convert string to float: 'oops'", 9),
+    ("2.5 3 100 1 1 0.15 4 0 0 1 ;", "non-numeric link field: invalid literal for int() with base 10: '2.5'", 9),
+    ("2 3 100 1 1 0.15 x 0 0 1 ;", "non-numeric link field: could not convert string to float: 'x'", 9),
+    ("2 3 100 1; 1 0.15 4 0 0 1 ;", "non-numeric link field: could not convert string to float: '1;'", 9),
+    ("2 3 0 1 1 0.15 4 0 0 1 ;", "link 2->3: capacity must be positive", 9),
+    ("2 3 nan 1 1 0.15 4 0 0 1 ;", "link 2->3: capacity must be positive", 9),
+    ("2 3 100 1 -1 0.15 4 0 0 1 ;", "link 2->3: negative free-flow time", 9),
+    ("2 3 100 1 1 -0.15 4 0 0 1 ;", "link 2->3: negative BPR parameter", 9),
+    ("2 3 100 1 1 0.15 -4 0 0 1 ;", "link 2->3: negative BPR parameter", 9),
+    ("2 4 100 1 1 0.15 4 0 0 1 ;   ~ node 4 > 3", "link 2->4 references a node outside 1..3", None),
+    ("0 2 100 1 1 0.15 4 0 0 1;", "link 0->2 references a node outside 1..3", None),
+    ("2 3 100 1 1 0.15 4 0 0 1;\n\n2 3 100 1 1 0.15 4 0 0 1 ;\n~ end",
+     "<NUMBER OF LINKS> declares 2 but file holds 3", 11),
+    # the first bad row wins, whatever its check
+    ("2 3 0 1 1 0.15 4 0 0 1 ;\n2 3 100", "link 2->3: capacity must be positive", 9),
+    ("2 3 100\n2 3 0 1 1 0.15 4 0 0 1 ;", "link row not terminated by ';'", 9),
+], ids=["unterminated", "too-few-fields", "too-many-fields", "non-numeric-float", "non-numeric-int",
+        "non-numeric-late", "stray-semicolon", "zero-capacity", "nan-capacity", "negative-fftime",
+        "negative-alpha", "negative-beta", "node-above-range", "node-zero", "link-count",
+        "value-before-structure", "structure-before-value"])
+def test_parse_network_error_messages_and_lines(rows, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_network(_NET_HEAD + rows + "\n")
+    assert (str(err.value), err.value.line) == (message if line is None else f"line {line}: {message}", line)
+
+
+_TRIPS_HEAD = "<NUMBER OF ZONES> 3\n<TOTAL OD FLOW> {total}\n<END OF METADATA>\n~ comment\n\nOrigin 1\n  2 : 5.0;  3 : 1.0;\n"
+
+
+@pytest.mark.parametrize("rest, total, message, line", [
+    ("Origin 2\n  1 : 5.0; junk", "6", "unparseable trip entries: '1 : 5.0; junk'", 9),
+    ("Origin 2\n  1 : 1.2.3;", "6", "non-numeric flow '1.2.3'", 9),
+    ("Origin 2\n  3 : 1.0; 1 : -5.0;", "6", "negative demand for pair (2,1)", 9),
+    ("Origin 2\n  1 : 1e309;", "6", "demand 1e309 for pair (2,1) is not finite", 9),
+    ("Origin 1\n  3 : 4.0;", "6", "duplicate entry for pair (1,3)", 9),
+    ("Origin 2\n 1 : 5.0;\n 1 : 0;", "6", "duplicate entry for pair (2,1)", 10),
+    ("Origin 4\n  1 : 5.0;", "6", "origin 4 exceeds zone count 3", 8),
+    ("Origin 2 1 : 1.0; 4 : 5.0;", "6", "destination 4 exceeds zone count 3", 8),
+    ("", "7.5", "<TOTAL OD FLOW> declares 7.5 but entries sum to 6.0", None),
+    # a line's own checks come before those of its entries
+    ("Origin 2\n  1 : -5.0; junk", "6", "unparseable trip entries: '1 : -5.0; junk'", 9),
+    ("Origin 4 junk", "6", "origin 4 exceeds zone count 3", 8),
+    ("Origin 2\n  1 : -5.0;\n  junk", "6", "negative demand for pair (2,1)", 9),
+], ids=["unparseable", "non-numeric", "negative", "infinite", "duplicate", "duplicate-zero",
+        "origin-range", "destination-range", "total", "unparseable-first", "origin-first", "earlier-line-first"])
+def test_parse_demand_error_messages_and_lines(rest, total, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_demand(_TRIPS_HEAD.format(total=total) + rest + "\n")
+    assert (str(err.value), err.value.line) == (message if line is None else f"line {line}: {message}", line)
+
+
+def test_parse_demand_entry_before_any_origin():
+    with pytest.raises(ParseError) as err:
+        parse_demand("<NUMBER OF ZONES> 3\n<END OF METADATA>\n\n  2 : 5.0;\nOrigin 1\n")
+    assert (str(err.value), err.value.line) == ("line 4: trip entry before any 'Origin' line", 4)
+
+
+def test_a_zero_trip_is_not_kept_so_a_later_entry_for_its_pair_is_no_duplicate():
+    dem = parse_demand(_TRIPS_HEAD.format(total=11) + "Origin 2\n 1 : 0;\n 1 : 5.0;\n")
+    assert dict(dem.entries) == {(1, 2): 5.0, (1, 3): 1.0, (2, 1): 5.0}
+
+
 def test_link_count_mismatch():
     text = (
         "<NUMBER OF ZONES> 2\n<NUMBER OF NODES> 2\n<FIRST THRU NODE> 1\n"
@@ -139,11 +211,21 @@ def test_fingerprints_differ(desk, sioux):
     assert demand_fingerprint(desk.demand) != demand_fingerprint(sioux.demand)
 
 
-def test_fingerprints_are_stable_and_computed_once(sioux):
+def test_fingerprints_are_stable_and_computed_once(sioux, desk):
     # delta-cache headers written before memoisation carry these digests
     net, demand = replace(sioux.net), DemandMatrix(dict(sioux.demand.entries))
     assert network_fingerprint(net) == "fdf87fc1a78723de"
     assert demand_fingerprint(demand) == "ac1dc8d82654c65d"
+    assert network_fingerprint(replace(desk.net)) == "3984c4dca0af5589"
+    built = apply_upgrades(sioux.net, sioux.upgrades, ["SF-A", "SF-D"])  # two MODs, two ADDs
+    assert network_fingerprint(built) == "570e9db93d18aa0b"
+    links = (
+        Link(1, 2, 1000.0, 1.0, 0.15, 4.0),
+        Link(2, 3, 500.5, 2.25, 0.15, 4.0, length=1.5),
+        Link(3, 1, 1e-3, 0.0, 0.0, 1.0),
+    )
+    assert network_fingerprint(Network(node_count=3, links=links, zone_count=2, first_thru_node=2)) == "677606734400f460"
+    assert demand_fingerprint(sioux.demand.scaled({1, 2, 3}, 1.03)) == "d76af8fe2962a924"
     # a recomputed digest would be a new string object
     assert network_fingerprint(net) is network_fingerprint(net)
     assert demand_fingerprint(demand) is demand_fingerprint(demand)

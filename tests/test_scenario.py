@@ -109,6 +109,22 @@ def test_error_report_structure(desk_table):
     assert "individual only" in text and "computations" in text
 
 
+def test_error_report_rows_equal_a_per_order_estimate(desk):
+    ids = desk.upgrades.ids
+    subsets = [S for r in range(1, len(ids) + 1) for S in combinations(ids, r)]
+    table = compute_deltas(desk.net, desk.demand, desk.upgrades, subsets, SolverSettings(target_gap=1e-8, max_iters=1000))
+    lean = restricted(table, pairs=[("C-A1", "C-B1"), ("C-A3", "C-B3")])
+    for t, ref in ((table, None), (lean, table)):
+        orders = [3, 1, 8, 2, 5, 3]
+        rows = error_report(t, orders, reference=ref)
+        gold = {S: d for S, d in (ref or t).evaluated_subsets.items() if len(S) >= 3 and d != 0.0}
+        for k, row in zip(orders, rows):
+            errors = [abs(estimate_delta(t, S, k) - gold[S]) / abs(gold[S]) for S in sorted(gold)]
+            assert row.mean_error_pct == 100.0 * sum(errors) / len(errors)
+            assert row.count_over_10pct == sum(1 for e in errors if e > 0.10)
+            assert (row.order, row.subset_count) == (k, len(gold))
+
+
 def test_restricted_pairs(desk_table):
     keep = [("C-A1", "C-A2"), ("C-B1", "C-B2")]
     lean = restricted(desk_table, pairs=keep)

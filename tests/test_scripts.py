@@ -281,3 +281,36 @@ def test_bench_pairs_runs_its_seeds_from_the_first_seed_on(monkeypatch, capsys):
     runs.clear()
     assert bench.main(["--base", "HEAD", "--workload", "sf-plan", "--pairs", "2"]) == 0
     assert [seed for _, seed in runs] == [1, 1, 2, 2]
+
+
+def test_bench_pairs_runs_every_workload_for_each_seed(monkeypatch, capsys):
+    bench = load_script(BENCH_PAIRS)
+    runs = []
+
+    def run(side, workload, seed):
+        runs.append((os.path.basename(side), workload, seed))
+        # the change is lower on desk-cli alone
+        value = float(seed) - (0.5 if workload == "desk-cli" and side.endswith("change") else 0.0)
+        return {"correct": True, "failed": 0, "metrics": {m: {"value": value} for m in bench.METRICS}}
+
+    monkeypatch.setattr(bench, "_git", lambda *args: subprocess.CompletedProcess(args, 0))
+    monkeypatch.setattr(bench, "_copy_base", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "_copy_tree", lambda dest: None)
+    monkeypatch.setattr(bench, "_run", run)
+    assert bench.main(["--base", "HEAD", "--workload", "all", "--pairs", "2"]) == 0
+    # each seed runs every workload, the base first on odd seeds
+    assert runs == [(side, workload, seed) for seed in (1, 2) for workload in bench.WORKLOADS
+                    for side in (("base", "change") if seed % 2 else ("change", "base"))]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:6]] == [
+        f"pair {i}, seed {i}, {workload} ({'base' if i % 2 else 'change'} first)"
+        for i in (1, 2) for workload in bench.WORKLOADS]
+    blocks = lines[6:-1]
+    assert len(blocks) == len(bench.WORKLOADS) * (1 + len(bench.METRICS))
+    for k, workload in enumerate(bench.WORKLOADS):
+        header, *rows = blocks[k * (1 + len(bench.METRICS)) : (k + 1) * (1 + len(bench.METRICS))]
+        assert header == f"{workload}:"
+        assert [row.split(":")[0] for row in rows] == list(bench.METRICS)
+        won = "2/2" if workload == "desk-cli" else "0/2"
+        assert all(f"change lower in {won} pairs" in row for row in rows)
+    assert lines[-1] == "every run correct with 0 failed operations: true"
