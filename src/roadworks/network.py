@@ -75,13 +75,21 @@ class Link:
     length: float = 0.0
 
     def __post_init__(self):
-        # written `not x > 0`, so NaN fails each check
-        if not self.capacity > 0:
-            raise DataError(f"link {self.from_node}->{self.to_node}: capacity must be positive")
-        if not self.free_flow_time >= 0:
-            raise DataError(f"link {self.from_node}->{self.to_node}: negative free-flow time")
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise DataError(f"link {self.from_node}->{self.to_node}: negative BPR parameter")
+        problem = _link_problem(self.from_node, self.to_node, self.capacity, self.free_flow_time, self.alpha, self.beta)
+        if problem is not None:
+            raise DataError(problem)
+
+
+def _link_problem(u: int, v: int, capacity: float, free_flow_time: float, alpha: float, beta: float) -> str | None:
+    """What is wrong with the values of link u->v, or None when nothing is."""
+    # written `not x > 0`, so NaN fails each check
+    if not capacity > 0:
+        return f"link {u}->{v}: capacity must be positive"
+    if not free_flow_time >= 0:
+        return f"link {u}->{v}: negative free-flow time"
+    if not (alpha >= 0 and beta >= 0):
+        return f"link {u}->{v}: negative BPR parameter"
+    return None
 
 
 class LinkColumns(NamedTuple):
@@ -185,6 +193,15 @@ class Network:
             other.node_count, other.zone_count, other.first_thru_node, other.coordinates
         ) and all(map(np.array_equal, self.columns, other.columns))
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # adding 0 turns -0.0 into 0.0, so networks equal under `==` hash alike
+        return hash((self.node_count, self.zone_count, self.first_thru_node,
+                     *[(column + 0).tobytes() for column in self.columns]))
+
     @property
     def nodes(self) -> range:
         return range(1, self.node_count + 1)
@@ -279,15 +296,19 @@ def _bad_link(
     ):
         return None
     for k, (u, v, q, t, a, b) in enumerate(zip(tails, heads, capacity, fftime, alpha, beta)):
-        if not q > 0:
-            return k, f"link {u}->{v}: capacity must be positive"
-        if not t >= 0:
-            return k, f"link {u}->{v}: negative free-flow time"
-        if not (a >= 0 and b >= 0):
-            return k, f"link {u}->{v}: negative BPR parameter"
+        problem = _link_problem(u, v, q, t, a, b)
+        if problem is not None:
+            return k, problem
         if not (_INT64_MIN <= u <= _INT64_MAX and _INT64_MIN <= v <= _INT64_MAX):
             return k, f"link {u}->{v}: node id out of range"
     raise AssertionError("a link fails a check")
+
+
+def _sum(q: np.ndarray) -> float:
+    """The built-in `sum` of the flows `q` in the order given, as `float`, so
+    that a total adds up as the sum of a mapping's values does on every
+    Python; a memoryview makes the floats one at a time."""
+    return float(sum(memoryview(q)))
 
 
 def _csr(rows: np.ndarray, dest: np.ndarray, q: np.ndarray) -> tuple:
@@ -302,8 +323,7 @@ def _csr(rows: np.ndarray, dest: np.ndarray, q: np.ndarray) -> tuple:
         order = np.empty_like(perm)
         order[perm] = np.arange(len(perm))
     n = len(rows)
-    edges = np.empty(n + 1, dtype=bool)  # where a run of one origin starts or ends
-    edges[0] = edges[n] = True
+    edges = np.ones(n + 1, dtype=bool)  # where a run of one origin starts or ends
     np.not_equal(rows[1:], rows[:-1], out=edges[1:n])
     start = edges.nonzero()[0]
     return rows[start[:-1]], start, dest, q, order
@@ -462,8 +482,7 @@ class DemandMatrix:
             raise DataError(f"demand entry ({rows[i]},{dest[i]}) scaled by {factor!r} overflows")
         keep = q != 0
         q = q[keep]
-        total = float(np.add.accumulate(q)[-1]) if len(q) else 0.0  # `sum`'s order
-        return DemandMatrix._of(*_csr(rows[keep], dest[keep], q), total)
+        return DemandMatrix._of(*_csr(rows[keep], dest[keep], q), _sum(q))
 
 
 @dataclass(frozen=True)
@@ -776,9 +795,8 @@ class _TripEntries:
         self.zone_count = zone_count
         # no id above it fits (the zone count, if any, bounds it)
         self.top = _INT64_MAX if zone_count is None else min(zone_count, _INT64_MAX)
-        # each entry line's number, origin and entry count
+        # each entry line's number and entry count
         self.numbers: list[int] = []
-        self.line_origins: list[int] = []
         self.counts: list[int] = []
         # the entries not yet converted: origins, and destinations and
         # flows as strings
@@ -786,11 +804,10 @@ class _TripEntries:
         self.dests: list[str] = []
         self.flows: list[str] = []
         self.done = 0  # entries converted
-        # of the entries converted: the lowest node id, whether any flow is
-        # zero, and the flows' sum in file order, as `sum` makes it
-        self.low, self.zeros, self.total = 1, False, 0
-        # the converted entries' destination and flow arrays
-        self.columns: tuple[list[np.ndarray], ...] = ([], [])
+        # of the entries converted: the lowest node id, and whether any flow is zero
+        self.low, self.zeros = 1, False
+        # the converted entries' origin, destination and flow arrays
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
         self.error: ParseError | None = None  # the first entry that failed a check of its own
 
     def beyond(self, kind: str, node: int) -> str:
@@ -800,7 +817,6 @@ class _TripEntries:
 
     def add(self, number: int, origin: int, dests: list[str], flows: list[str]) -> None:
         self.numbers.append(number)
-        self.line_origins.append(origin)
         self.counts.append(len(dests))
         self.origins += [origin] * len(dests)
         self.dests += dests
@@ -844,46 +860,22 @@ class _TripEntries:
         if origins:
             self.low = min(self.low, min(origins), min(d))
             self.zeros = self.zeros or 0.0 in q
-            self.total = sum(q, self.total)
-        self.columns[0].append(np.array(d, dtype=np.int64))
-        self.columns[1].append(np.array(q, dtype=float))
+        self.columns[0].append(np.array(origins, dtype=np.int64))
+        self.columns[1].append(np.array(d, dtype=np.int64))
+        self.columns[2].append(np.array(q, dtype=float))
         self.done += cut
         origins.clear()
         dests.clear()
         flows.clear()
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The converted entries' destinations and flows, each column joined
-        and then let go before the next."""
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The converted entries' origins, destinations and flows, each
+        column joined and then let go before the next."""
         out = []
-        for column, dtype in zip(self.columns, (np.int64, float)):
+        for column, dtype in zip(self.columns, (np.int64, np.int64, float)):
             out.append(column[0] if len(column) == 1 else np.concatenate(column) if column else np.zeros(0, dtype))
             column.clear()
         return tuple(out)
-
-    def origins_of(self, count: int) -> np.ndarray:
-        """The origin of each of the first `count` entries."""
-        return np.repeat(np.array(self.line_origins, dtype=np.int64), self.counts)[:count]
-
-    def runs(self, dest: np.ndarray) -> tuple[list[int], list[int]] | None:
-        """CSR origins and starts of the entries, every one converted, read
-        off their lines when the entries come sorted: no line's origin falls
-        and the destinations rise within each origin.  None otherwise."""
-        origins, starts, at = [], [], 0
-        for origin, count in zip(self.line_origins, self.counts):
-            if not origins or origin != origins[-1]:
-                if origins and origin < origins[-1]:
-                    return None
-                origins.append(origin)
-                starts.append(at)
-            at += count
-        starts.append(at)
-        if len(dest) > 1:
-            rising = dest[1:] > dest[:-1]
-            rising[np.array(starts[1:-1], dtype=np.int64) - 1] = True  # each origin's first may be lower
-            if not rising.all():
-                return None
-        return origins, starts
 
 
 def _read_trips(entries: _TripEntries, slabs: Iterable[tuple[list[int], list[str]]]) -> ParseError | None:
@@ -932,33 +924,22 @@ def parse_demand(text: str) -> DemandMatrix:
     error = _read_trips(entries, _data_slabs(lines, start))
     if entries.flows:
         entries.convert()
-    dest, q = entries.arrays()
-    total = float(entries.total)
-    # sorted entries with flow, as trip files mostly hold, give their CSR
-    # straight from their lines
-    clean = entries.error is None and error is None and not entries.zeros and entries.low >= 1
-    runs = entries.runs(dest) if clean else None
-    if runs is not None:
-        origins, starts = runs
-        matrix = DemandMatrix._of(np.array(origins, dtype=np.int64), np.array(starts, dtype=np.int64),
-                                  dest, q, None, total)
-    else:
-        origin = entries.origins_of(len(q))
-        repeat = _first_repeat(origin, dest, q)
-        if repeat is not None:
-            raise ParseError(f"duplicate entry for pair ({origin[repeat]},{dest[repeat]})",
-                             line=entries.line_of(repeat))
-        if entries.error is not None:
-            raise entries.error
-        if error is not None:
-            raise error
-        if entries.zeros:  # a zero entry is not kept
-            flowing = q != 0
-            origin, dest, q = origin[flowing], dest[flowing], q[flowing]
-        if entries.low < 1 and ((origin < 1) | (dest < 1)).any():  # an id `DemandMatrix` rejects
-            i = int(np.argmax((origin < 1) | (dest < 1)))
-            raise DataError(f"demand entry ({origin[i]},{dest[i]}) has a non-positive node id")
-        matrix = DemandMatrix._of(*_csr(origin, dest, q), total)
+    origin, dest, q = entries.arrays()
+    repeat = _first_repeat(origin, dest, q)
+    if repeat is not None:
+        raise ParseError(f"duplicate entry for pair ({origin[repeat]},{dest[repeat]})",
+                         line=entries.line_of(repeat))
+    if entries.error is not None:
+        raise entries.error
+    if error is not None:
+        raise error
+    if entries.zeros:  # a zero entry is not kept
+        flowing = q != 0
+        origin, dest, q = origin[flowing], dest[flowing], q[flowing]
+    if entries.low < 1 and ((origin < 1) | (dest < 1)).any():  # an id `DemandMatrix` rejects
+        i = int(np.argmax((origin < 1) | (dest < 1)))
+        raise DataError(f"demand entry ({origin[i]},{dest[i]}) has a non-positive node id")
+    matrix = DemandMatrix._of(*_csr(origin, dest, q), _sum(q))
     if declared_total is not None:
         if abs(matrix.total - declared_total) > 1e-6 * max(1.0, abs(declared_total)):
             raise ParseError(
@@ -1127,10 +1108,12 @@ def apply_upgrades(
                 raise DataError(
                     f"upgrades {claimed[idx]} and {up.id} both modify link {mod.selector()}"
                 )
-            if not mod.capacity > 0:
-                raise DataError(f"link {net._name(idx)}: capacity must be positive")
-            if mod.free_flow_time is not None and not mod.free_flow_time >= 0:
-                raise DataError(f"link {net._name(idx)}: negative free-flow time")
+            # the link's own values, but for the ones the MOD sets
+            fftime = c.free_flow_time.item(idx) if mod.free_flow_time is None else mod.free_flow_time
+            problem = _link_problem(c.from_node.item(idx), c.to_node.item(idx), mod.capacity, fftime,
+                                    c.alpha.item(idx), c.beta.item(idx))
+            if problem is not None:
+                raise DataError(problem)
             if not claimed:
                 capacity, free_flow_time = capacity.copy(), free_flow_time.copy()
             claimed[idx] = up.id

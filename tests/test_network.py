@@ -10,9 +10,11 @@ from roadworks import (
     DataError,
     DemandMatrix,
     Link,
+    LinkModification,
     Network,
     ParseError,
     Upgrade,
+    UpgradeSet,
     apply_upgrades,
     demand_fingerprint,
     network_fingerprint,
@@ -231,6 +233,26 @@ def test_fingerprints_are_stable_and_computed_once(sioux, desk):
     assert demand_fingerprint(demand) is demand_fingerprint(demand)
 
 
+def test_totals_add_up_as_sum_adds_the_flows_in_order():
+    # more entries than one slab of the parser, with flows whose sum depends
+    # on how the additions are made: a compensated sum, or one slab at a
+    # time, would give another total
+    rng = random.Random(5)
+    flows = [rng.choice([1e16, 0.1, 3.3, 7e-5]) * rng.random() for _ in range(3 * 2500)]
+    given = iter(flows)
+    lines = ["<NUMBER OF ZONES> 2500", "<END OF METADATA>"]
+    for r in (3, 1, 2):  # origins out of order, so the entries are sorted
+        lines.append(f"Origin {r}")
+        lines += [f" {s} : {next(given)!r};" for s in range(1, 2501)]
+    text = "\n".join(lines) + "\n"
+    dem = parse_demand(text)
+    assert list(dem.entries.values()) == flows
+    assert dem.total == float(sum(flows))
+    out = dem.scaled({1}, 1.03)
+    assert out.total == float(sum(out.entries.values()))
+    assert DemandMatrix(dict(dem.entries)).total == dem.total
+
+
 def test_scaled_touches_origin_or_destination():
     dem = DemandMatrix({(1, 2): 10.0, (2, 1): 20.0, (3, 4): 30.0})
     out = dem.scaled({1}, 2.0)
@@ -304,6 +326,25 @@ def test_apply_new_road(desk):
     assert len(out.links) == len(desk.net.links) + 2
     added = [l for l in out.links if (l.from_node, l.to_node) == (3, 5)]
     assert added and added[0].capacity == 600.0
+
+
+def test_apply_checks_a_modified_link_as_link_does(desk):
+    for mod, message in [
+        (LinkModification(1, 3, capacity=0.0), "link 1->3: capacity must be positive"),
+        (LinkModification(1, 3, capacity=5.0, free_flow_time=-1.0), "link 1->3: negative free-flow time"),
+    ]:
+        ups = UpgradeSet((Upgrade("U", 1.0, "capacity-upgrade", modifications=(mod,)),))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            apply_upgrades(desk.net, ups, ["U"])
+
+
+def test_equal_networks_hash_alike(desk):
+    assert hash(replace(desk.net)) == hash(desk.net)
+    assert len({desk.net, replace(desk.net), apply_upgrades(desk.net, desk.upgrades, ["C-A1"])}) == 2
+    zero, negative_zero = (
+        Network(node_count=2, links=(Link(1, 2, 10.0, t, 0.15, 4.0),), zone_count=2) for t in (0.0, -0.0)
+    )
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
 
 
 def test_apply_unknown_id(desk):
