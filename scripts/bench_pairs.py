@@ -14,6 +14,11 @@ quartiles, the base's interquartile range, the pairs the change won (lower;
 a tie counts for neither), the median change/base ratio and whether a gain
 may be claimed: the change won at least nine tenths of the pairs and its
 median is below the base's by more than the base's interquartile range.
+Each line ends with a no-regression verdict against the metric's bound in
+BENCHMARK.json's `end_to_end` list, the only thing read from that file:
+`worse` when the change's median exceeds the base's by more than the bound,
+`unresolved` when the base's interquartile range over its median exceeds the
+bound and not every change run is lower than every base run, else `held`.
 `--workload all` runs every workload for each seed, names the workload in
 each pair's line and prints one such summary block per workload, headed by
 its name, so one command shows a claim and every no-regression row.
@@ -38,7 +43,10 @@ from roadworks.cli import UsageParser, run_command  # noqa: E402
 from roadworks.errors import DataError  # noqa: E402
 
 WORKLOADS = ("sf-plan", "grid-solve", "desk-cli")
-METRICS = ("setup_s", "solve_s", "plan_s", "replan_s", "peak_rss_mb")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    # every end-to-end metric is better lower; a bound is a fraction of the base's median
+    BOUNDS = {m["name"]: m["bound"] for m in json.load(_fh)["end_to_end"]}
+METRICS = tuple(BOUNDS)
 SECONDS = "30"
 
 
@@ -99,6 +107,17 @@ def quartiles(values):
     return first, median, third
 
 
+def verdict(base, change, bound):
+    """'worse', 'unresolved' or 'held': the change's runs of one metric against
+    the base's, under a bound on the rise of the median as a fraction of it."""
+    b1, b2, b3 = quartiles(base)
+    if statistics.median(change) > b2 * (1 + bound):
+        return "worse"
+    if b3 - b1 > bound * b2 and not max(change) < min(base):
+        return "unresolved"
+    return "held"
+
+
 def summarize(base, change):
     """One line per metric of METRICS; `base` and `change` map each metric to
     its values, one per pair, in pair order.  Every metric is better lower."""
@@ -113,7 +132,8 @@ def summarize(base, change):
         lines.append(
             f"{m}: base {b2:.4g} [{b1:.4g}, {b3:.4g}], change {c2:.4g} [{c1:.4g}, {c3:.4g}], "
             f"base IQR {b3 - b1:.4g}, change lower in {won}/{len(pairs)} pairs, "
-            f"median change/base {ratio:.3f}, gain {str(gain).lower()}"
+            f"median change/base {ratio:.3f}, gain {str(gain).lower()}, "
+            f"verdict {verdict(base[m], change[m], BOUNDS[m])} (bound {BOUNDS[m]:g})"
         )
     return lines
 

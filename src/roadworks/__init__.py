@@ -19,11 +19,10 @@ from .network import (
     parse_upgrades,
     write_network,
 )
-from .shortest_path import ShortestPathTree, shortest_paths
+from .shortest_path import ShortestPathTree, all_or_nothing, shortest_paths
 from .equilibrium import (
     Assignment,
     SolverSettings,
-    all_or_nothing,
     bpr_integral,
     bpr_latency,
     format_flow_file,

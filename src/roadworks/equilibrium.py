@@ -40,36 +40,25 @@ One loop solves any number of (network, demand) problems in lock-step
 (`_solve_batch`; `solve_with` is that loop with one problem).  Each
 elementwise step runs once over the active problems' links end to end, while
 inner products, sums, the branches of the direction weights and of the line
-search, and the histories stay per problem.  AON loading runs in calls
-over every problem still iterating (`_Loader`), each call holding whole
-chunks of origins: as many as keep its origins and O-D pairs times the node
-count within _CALL_MAX_CELLS, so a batch of small networks loads in one
-call and a large network chunk by chunk.  A call takes the array path, one
-array Bellman-Ford over all its origins and one numpy walk over all its O-D
-pairs, once its origins times links reach _ARRAY_TREES_MIN_WORK, or
-_ARRAY_BATCH_MIN_WORK when it holds origins of two or more problems; below
-that each problem's origins go through the per-origin kernel and its
-Python walk.  A problem leaves the batch when it converges or reaches its
-iteration cap.  Subset tables batch their missing subsets this way, so that
-many small solves share the cost of each numpy call.
+search, and the histories stay per problem.  Each iteration's AON point comes
+from one loader over every problem still iterating (`shortest_path._Loader`,
+which owns the trees, the loading and the choice of their path).  A problem
+leaves the batch when it converges or reaches its iteration cap.  Subset
+tables batch their missing subsets this way, so that many small solves share
+the cost of each numpy call.
 
 Determinism contract: solves run on one thread, and the same inputs give
 bit-identical flows, alone or in any batch: elementwise results do not
-depend on where a link sits in the batch, and each problem's reductions run
-over its own slice.  Each problem's origins are loaded in chunks of _CHUNK
-in a fixed order and the chunk flows are summed in that order.  Both AON
-paths build the same trees, and both add each link's loads in the same
-order: pair by pair, each pair from its destination up, within a chunk, and
-then chunk by chunk.  So the flows do not depend on which path ran, nor on
-the batch around a problem.  Inner products of link vectors never call
-BLAS from _BLAS_FREE_MIN_LINKS links on, where OpenBLAS would split them
-over threads, so flows do not depend on the BLAS thread count.
+depend on where a link sits in the batch, each problem's reductions run
+over its own slice, and its AON flows depend neither on the loading path nor
+on the batch around it (`shortest_path`).  Inner products of link vectors
+never call BLAS from _BLAS_FREE_MIN_LINKS links on, where OpenBLAS would
+split them over threads, so flows do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -78,56 +67,19 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .network import DemandMatrix, Link, Network
-from .shortest_path import _BatchGraph, _bellman_ford, _checked_costs, _trees_for_origins
+from .shortest_path import _Loader, _Problem
 
 __all__ = [
     "Assignment",
     "SolverSettings",
     "bpr_latency",
     "bpr_integral",
-    "all_or_nothing",
     "relative_gap",
     "vht",
     "solve_with",
     "write_flow_file",
     "format_flow_file",
 ]
-
-# Origins per loading chunk.  It fixes the order in which a problem's flows
-# are summed, chunk by chunk, on both AON paths, so any other value changes
-# the flows in their last bits.
-_CHUNK = 16
-
-# Origins times links of one loading call (`_Call`) over one network from
-# which it takes the array path instead of the per-origin kernel.  The
-# kernel costs about the same per origin and link wherever it runs; the
-# array path pays about 60 us per Bellman-Ford pass and takes a pass per
-# link of the deepest tree, so a deep network with few origins loses.  On
-# square grids (trees and loading, 25 zones) the two break even at 7k-15k
-# for 16 origins and at 16k-32k for 1 to 8.  Timed alternately, array /
-# kernel, one call: a 15x15 grid with 9 zones (7,560) 1.6x, with 25 zones
-# (21,000) 0.65x, a 21x21 grid with 25 zones (42,000) 0.57x.
-_ARRAY_TREES_MIN_WORK = 16384
-
-# The same for a call that holds origins of two or more networks.  A subset
-# table batches at most scenario._BATCH_LINKS links, so such networks are
-# small and shallow (8 passes on Sioux Falls), and one pass over all of
-# them pays for itself sooner.  Timed alternately, one call: Sioux Falls
-# 0.7-0.8x for 2 problems (3,648), 0.34-0.5x for 3 to 10; desk breaks even
-# at about 40 problems (240).  Desk has one origin, so even its whole table
-# in one batch (the baseline and 255 subsets, 2,048) stays on the kernel,
-# where that table runs faster than with every call forced onto the array
-# path (1.09x there, median of 15 alternating pairs at gap 1e-8).
-_ARRAY_BATCH_MIN_WORK = 3072
-
-# Bound on one loading call, in origins plus O-D pairs, times the widest
-# network's node count plus one (`_Loader`).  The array path's trees take
-# 20 bytes per origin and node, and its walk one entry per pair and pass,
-# at most one pass per node; a call of one chunk may exceed the bound.  A
-# batch of three Sioux Falls problems counts 43k and loads in one call; the
-# 64x64 perfbench grid counts 1.6M for one chunk of 16 origins, so it loads
-# chunk by chunk, and so does any larger network.
-_CALL_MAX_CELLS = 1 << 20
 
 # Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
 # splits ddot over threads above about 10k elements, so the sum would depend
@@ -272,282 +224,16 @@ class _LinkArrays:
         return [float(terms[s].sum()) for s in self.slices]
 
 
-class _Problem:
-    """One (network, demand) solve: what its AON loading reads, and its histories.
-    Its trips are the demand's CSR of the entries with flow, one row per
-    origin."""
+class _Solve(_Problem):
+    """One problem of a batch: what its AON loading reads, its place in the
+    batch and its histories."""
 
-    def __init__(self, net: Network, demand: DemandMatrix, index: int = 0):
-        _check_demand(net, demand)
-        self.net = net
-        self.demand = demand
+    def __init__(self, net: Network, demand: DemandMatrix, index: int):
+        super().__init__(net, demand)
         self.index = index
-        self.trips = demand._trips
-        self.travels = demand._travels
-        self.tails = net.columns.from_node
-        self.from_nodes = self.tails.tolist()
         self.beckmann: list[float] = []
         self.gaps: list[float] = []
         self.steps: list[float] = []
-
-
-def _check_demand(net: Network, demand: DemandMatrix) -> None:
-    if demand._top_node > net.zone_count:
-        rows, dest, _ = demand._in_order()
-        k = int(np.argmax((rows > net.zone_count) | (dest > net.zone_count)))
-        raise DataError(f"demand pair ({rows[k]},{dest[k]}) lies outside the zone range 1..{net.zone_count}")
-
-
-def _load_chunk(problem, costs, rows: range):
-    """AON-load the origins of the problem's trip rows `rows` under the
-    cost array `costs` with the per-origin kernel, walking each O-D pair's
-    path in Python; returns a dense flow vector."""
-    net = problem.net
-    cost_list = costs.tolist()
-    adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
-    flows = [0.0] * net.link_count
-    from_nodes = problem.from_nodes
-    limit = net.node_count + 1
-    origins, start, trips = problem.demand._trip_lists
-    for i in rows:
-        origin = origins[i]
-        dist, pred = _bellman_ford(n, adj, cost_list, origin, first_thru)
-        for dest, q in trips[start[i] : start[i + 1]]:
-            if not math.isfinite(dist[dest]):
-                raise SolverError(f"no path for demanded O-D pair ({origin},{dest})")
-            v = dest
-            steps = 0
-            while v != origin:
-                a = pred[v]
-                flows[a] += q
-                v = from_nodes[a]
-                steps += 1
-                if steps >= limit:
-                    raise SolverError(f"predecessor walk did not terminate for pair ({origin},{dest})")
-    return np.array(flows, dtype=float)
-
-
-class _Pairs:
-    """One loading call's O-D pairs as arrays, for `_load_trees`.
-
-    One tree row per origin of the call and one pair per O-D pair that
-    leaves its zone (intrazonal trips load no link and always have a path),
-    in problem order and each problem in its trips' order.  A pair is kept
-    as its destination's place in the trees (row times the graph's width
-    plus the node) and its trips, 16 bytes, plus its chunk when the call
-    holds more than one."""
-
-    def __init__(self, graph: _BatchGraph, tails: np.ndarray, call: "_Call", problems: Sequence[_Problem]):
-        self.graph = graph
-        self.tails = tails
-        self.row_ends = call.row_ends
-        rows = np.diff(self.row_ends)
-        spans = [(problem.trips, a, b) for problem, (a, b) in zip(problems, call.ranges)]
-        self.origins = np.concatenate([t.origins[a:b] for t, a, b in spans])
-        self.owners = np.repeat(np.arange(len(spans)), rows)
-        counts = np.concatenate([np.diff(t.start[a : b + 1]) for t, a, b in spans])
-        row = np.repeat(np.arange(len(counts)), counts)
-        dest = np.concatenate([t.dest[t.start[a] : t.start[b]] for t, a, b in spans])
-        keep = dest != self.origins[row]
-        row = row[keep]
-        self.at = row * graph.width + dest[keep]
-        self.q = np.concatenate([t.q[t.start[a] : t.start[b]] for t, a, b in spans])[keep]
-        ends = [0, *accumulate(np.bincount(row, minlength=len(counts)).tolist())]
-        self.pair_ends = [ends[end] for end in self.row_ends]
-        self.chunks = -(-int(rows.max()) // _CHUNK)
-        self.chunk = None
-        if self.chunks > 1:
-            # each pair's chunk in the call: its origin's place in its
-            # problem's rows of the call, by _CHUNK
-            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
-            self.chunk = (place // _CHUNK)[row]
-
-
-def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
-    """The array path of AON loading: the flows of one call's chunks of the
-    first `stop` problems under `costs`, one row per chunk over all of the
-    problems' links (zeros elsewhere).
-
-    Trees for every row come from one `_trees_for_origins` call, then every
-    O-D pair walks up its tree together with the others, one link per pass.
-    A stable sort by pair puts the (pair, link) entries in the per-origin
-    walk's order, and bincount adds their weights one by one in input order
-    into (chunk, link) bins, so each link's load in a chunk is summed in the
-    Python walk's order.  Returns ``(loads, failed, error)``: `failed` is
-    the first problem, in order, with a demanded pair that has no path or
-    whose walk does not end, and `error` names that pair; they are `stop`
-    and None when there is none.
-    """
-    rows, end = pairs.row_ends[stop], pairs.pair_ends[stop]
-    width = pairs.graph.width
-    dist, pred = _trees_for_origins(pairs.graph, costs, pairs.origins[:rows], pairs.owners[:rows])
-    at = pairs.at[:end]  # each pair's destination in the trees
-    missing = ~np.isfinite(dist.ravel()[at])
-    pred = pred.ravel()
-    pair = np.flatnonzero(~missing)
-    row = at[pair] // width
-    base, goal = row * width, pairs.origins[row]
-    walked, taken = [pair], [pred[at[pair]]]
-    stuck = pair[:0]
-    tails = pairs.tails
-    for _ in range(width - 1):
-        node = tails[taken[-1]]
-        going = node != goal
-        if not going.any():
-            break
-        pair, base, goal = pair[going], base[going], goal[going]
-        walked.append(pair)
-        taken.append(pred[base + node[going]])
-    else:
-        # a walk that ends takes at most node_count links; these took more
-        stuck = walked[-1]
-    failed, error = stop, None
-    if stuck.size or missing.any():
-        bad = missing.copy()
-        bad[stuck] = True
-        i = int(np.argmax(bad))
-        failed = bisect_right(pairs.pair_ends, i) - 1
-        o, d = pairs.origins[at[i] // width], at[i] % width
-        if missing[i]:
-            error = SolverError(f"no path for demanded O-D pair ({o},{d})")
-        else:
-            error = SolverError(f"predecessor walk did not terminate for pair ({o},{d})")
-    # each list and index is dropped once used, which keeps the call's peak
-    # memory down
-    pair = np.concatenate(walked)
-    del walked
-    order = np.argsort(pair, kind="stable")
-    pair = pair[order]
-    links = len(tails)
-    bins = np.concatenate(taken)
-    del taken
-    bins = bins[order]
-    del order
-    if pairs.chunk is not None:
-        bins += pairs.chunk[pair] * links
-    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links)
-    return loads.reshape(pairs.chunks, links), failed, error
-
-
-class _Call:
-    """One AON loading call of a batch: chunks `first` up to `end` of every
-    problem, its trip rows (origins) ``first * _CHUNK`` up to ``end *
-    _CHUNK``, kept as one (start, end) range of rows per problem.  It takes
-    the array path (`_load_trees`) once its origins times links reach
-    _ARRAY_TREES_MIN_WORK, or _ARRAY_BATCH_MIN_WORK when it holds origins of
-    two or more problems; otherwise each problem's chunks go through the
-    per-origin kernel in turn (`_load_chunk`)."""
-
-    def __init__(self, problems: Sequence[_Problem], first: int, end: int):
-        sizes = [len(problem.trips.origins) for problem in problems]
-        self.ranges = [(min(first * _CHUNK, size), min(end * _CHUNK, size)) for size in sizes]
-        rows = [b - a for a, b in self.ranges]
-        self.row_ends = [0, *accumulate(rows)]
-        work = sum(count * problem.net.link_count for count, problem in zip(rows, problems))
-        batched = len(rows) - rows.count(0) > 1
-        self.array = work >= (_ARRAY_BATCH_MIN_WORK if batched else _ARRAY_TREES_MIN_WORK)
-        self.pairs = None  # built on the first array-path load
-
-
-class _Loader:
-    """AON loading of a batch's problems in calls (`_Call`) of whole chunk
-    indices, each chunk's flows added in chunk order, as the per-origin
-    kernel of one problem alone adds them.  A call takes as many chunk
-    indices as keep its origins and O-D pairs times the widest network's
-    nodes within _CALL_MAX_CELLS, and at least one: that bounds the array
-    path's trees and its walk, which takes at most one entry per pair and
-    node.  A lone large network thus loads chunk by chunk, while a batch of
-    small networks loads in one call."""
-
-    def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
-        self.problems = problems
-        self.slices = slices
-        chunks = -(-max(len(problem.trips.origins) for problem in problems) // _CHUNK)
-        cuts = [0]
-        if chunks > 1:
-            width = max(problem.net.node_count for problem in problems) + 1
-            sizes = np.zeros(chunks, dtype=np.int64)
-            for problem in problems:
-                rows = len(problem.trips.origins)
-                edges = np.append(np.arange(0, rows, _CHUNK), rows)
-                # each chunk's origins and O-D pairs
-                sizes[: len(edges) - 1] += (np.diff(edges) + np.diff(problem.trips.start[edges])) * width
-            cells = 0
-            for c, size in enumerate(sizes.tolist()):
-                if c > cuts[-1] and cells + size > _CALL_MAX_CELLS:
-                    cuts.append(c)
-                    cells = 0
-                cells += size
-        cuts.append(chunks)
-        self.calls = [_Call(problems, first, end) for first, end in zip(cuts, cuts[1:])]
-        self.graph = self.tails = None  # built on the first array-path load
-
-    def __call__(self, costs: np.ndarray, stop: int):
-        """AON flows under `costs`, the problems' link vector, for the
-        problems before `stop` (the rest of the vector is to be ignored).
-        Returns ``(flows, failed, error)``: `failed` is the first problem, in
-        order, whose loading raised or failed, and `error` what it raised;
-        they are `stop` and None when there is none."""
-        flows, failed, error = None, stop, None
-        for call in self.calls:
-            if not call.row_ends[failed]:  # no origins this far out before `failed`
-                break
-            loads, k, exc = self._load(call, costs, failed)
-            if exc is not None:
-                failed, error = k, exc
-            if loads is None:
-                break
-            for load in loads:
-                if flows is None:
-                    flows = load
-                else:
-                    flows += load
-        return (np.zeros(len(costs)) if flows is None else flows), failed, error
-
-    def _load(self, call: _Call, costs: np.ndarray, stop: int):
-        """The flows of `call` for the problems before `stop`, one vector
-        over all the problems' links per chunk, in chunk order, or None when
-        an error left nothing loaded; then `failed` and `error` as in
-        `__call__`."""
-        if call.array:
-            if call.pairs is None:
-                if self.graph is None:
-                    self.graph = _BatchGraph([problem.net for problem in self.problems])
-                    self.tails = np.concatenate([problem.tails for problem in self.problems])
-                call.pairs = _Pairs(self.graph, self.tails, call, self.problems)
-            try:
-                return _load_trees(call.pairs, costs, stop)
-            except Exception as exc:  # no one pair's fault: the first problem loaded takes it
-                return None, next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
-        if len(self.problems) == 1:  # its chunk flows are the whole vector
-            problem, (a, b) = self.problems[0], call.ranges[0]
-            try:
-                loads = [_load_chunk(problem, costs, range(i, min(i + _CHUNK, b))) for i in range(a, b, _CHUNK)]
-                return loads, 1, None
-            except Exception as exc:
-                return None, 0, exc
-        loads = np.zeros((-(-max(b - a for a, b in call.ranges) // _CHUNK), len(costs)))
-        for k in range(stop):
-            s, (a, b) = self.slices[k], call.ranges[k]
-            try:
-                for i in range(a, b, _CHUNK):
-                    loads[(i - a) // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], range(i, min(i + _CHUNK, b)))
-            except Exception as exc:
-                return loads, k, exc
-        return loads, stop, None
-
-
-def all_or_nothing(
-    net: Network,
-    demand: DemandMatrix,
-    link_costs: Sequence[float],
-) -> np.ndarray:
-    """Load all demand onto shortest paths under fixed link costs."""
-    costs = _checked_costs(net, link_costs)
-    flows, _, error = _Loader([_Problem(net, demand)], [slice(0, len(costs))])(costs, 1)
-    if error is not None:
-        raise error
-    return flows
 
 
 def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) -> list[float]:
@@ -690,11 +376,11 @@ def _solve_batch(
     live = []
     for index, (net, demand) in enumerate(problems):
         try:
-            problem = _Problem(net, demand, index)
+            problem = _Solve(net, demand, index)
         except Exception as exc:
             cut, error = index, exc
             break
-        if problem.travels:
+        if demand._travels:
             live.append(problem)
         else:
             zeros = np.zeros(net.link_count, dtype=float)

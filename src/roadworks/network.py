@@ -89,6 +89,8 @@ def _link_problem(u: int, v: int, capacity: float, free_flow_time: float, alpha:
         return f"link {u}->{v}: negative free-flow time"
     if not (alpha >= 0 and beta >= 0):
         return f"link {u}->{v}: negative BPR parameter"
+    if math.inf in (free_flow_time, alpha, beta):
+        return f"link {u}->{v}: infinite free-flow time or BPR parameter"
     return None
 
 
@@ -288,12 +290,13 @@ def _bad_link(
     highest of its node ids, whose values `Link` rejects or whose node ids
     do not fit in 64 bits, and what is wrong with it; None when there is
     none."""
-    # each list is checked in one pass; NaN fails every comparison
-    if not tails or (
-        all(map(_ZERO.__lt__, capacity)) and all(map(_ZERO.__le__, fftime))
-        and all(map(_ZERO.__le__, alpha)) and all(map(_ZERO.__le__, beta))
-        and _INT64_MIN <= low and high <= _INT64_MAX
-    ):
+    # each list is checked in one pass.  NaN fails every comparison; `sqrt`
+    # raises on a negative, and `isfinite` fails on inf and NaN
+    try:
+        finite = all(map(math.isfinite, map(math.sqrt, fftime + alpha + beta)))
+    except ValueError:
+        finite = False
+    if not tails or (finite and all(map(_ZERO.__lt__, capacity)) and _INT64_MIN <= low and high <= _INT64_MAX):
         return None
     for k, (u, v, q, t, a, b) in enumerate(zip(tails, heads, capacity, fftime, alpha, beta)):
         problem = _link_problem(u, v, q, t, a, b)
@@ -426,13 +429,6 @@ class DemandMatrix:
         start = np.zeros(np.count_nonzero(counts) + 1, dtype=np.int64)
         np.cumsum(counts[counts > 0], out=start[1:])
         return _Trips(self.origins[counts > 0], start, self.dest[keep], self.q[keep])
-
-    @cached_property
-    def _trip_lists(self) -> tuple[list[int], list[int], list[tuple[int, float]]]:
-        """`_trips` as lists, for the per-origin loading walk: the origins,
-        the CSR starts, and each trip as a (destination, flow) pair."""
-        t = self._trips
-        return t.origins.tolist(), t.start.tolist(), list(zip(t.dest.tolist(), t.q.tolist()))
 
     @cached_property
     def _travels(self) -> bool:
@@ -967,6 +963,8 @@ def parse_nodes(text: str) -> dict[int, tuple[float, float]]:
             x, y = float(fields[1]), float(fields[2])
         except ValueError as exc:
             raise ParseError(f"non-numeric node field: {exc}", line=i + 1)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"node {node} has a non-finite coordinate", line=i + 1)
         coords[node] = (x, y)
     return coords
 
@@ -1072,6 +1070,8 @@ def parse_upgrades(text: str, network: Network | None = None) -> UpgradeSet:
                 raise ParseError("MOD capacity must be positive", line=i + 1)
             if fftime is not None and not fftime >= 0:
                 raise ParseError("MOD free-flow time must be non-negative", line=i + 1)
+            if fftime == math.inf:
+                raise ParseError("MOD free-flow time must be finite", line=i + 1)
             mod = LinkModification(from_node=u, to_node=v, capacity=capacity,
                                    free_flow_time=fftime, parallel_index=par)
             if network is not None and network.find_link(u, v, par) is None:

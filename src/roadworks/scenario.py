@@ -30,7 +30,7 @@ import os
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Mapping, Sequence
 
 from .equilibrium import SolverSettings, _solve_batch
@@ -218,12 +218,12 @@ class FileDeltaCache(MemoryDeltaCache):
                 if fields[0] in ("network", "demand") and len(fields) == 2:
                     header[fields[0]] = fields[1]
                 elif fields[0] == "target_gap" and len(fields) == 2:
-                    header[fields[0]] = float(fields[1])
+                    header[fields[0]] = _finite(fields[1])
                 elif fields[0] == "BASELINE" and len(fields) == 3:
-                    self._baseline = (float(fields[1]), float(fields[2]))
+                    self._baseline = (_finite(fields[1]), _finite(fields[2]))
                 elif len(fields) == 3:
                     subset = tuple(fields[0].split(","))
-                    self._rows[subset] = (float(fields[1]), float(fields[2]))
+                    self._rows[subset] = (_finite(fields[1]), _finite(fields[2]))
                 else:
                     raise DataError(f"cache {self.path}, line {number}: unrecognized line {line!r}")
             except ValueError:
@@ -248,6 +248,14 @@ class FileDeltaCache(MemoryDeltaCache):
             if caught_up:
                 self._end = fh.tell()
                 self._lines += text.count("\n")
+
+
+def _finite(text: str) -> float:
+    """`text` as a finite float; ValueError for anything else, NaN and inf included."""
+    number = float(text)
+    if not isfinite(number):
+        raise ValueError(text)
+    return number
 
 
 def _coefficients(evaluated: Mapping[Subset, float]) -> dict[Subset, float]:

@@ -1,39 +1,83 @@
-"""Single-source shortest paths over the road network.
+"""Shortest-path trees and all-or-nothing (AON) loading over the road network.
 
-One algorithm, label-correcting Bellman-Ford, in two forms.  The per-origin
-kernel ``_bellman_ford`` keeps a FIFO queue of nodes whose label fell.  The
-array path ``_trees_for_origins`` runs numpy Bellman-Ford in passes over many
-origins at once, along a CSR layout of the out-links, and the origins may
-belong to different networks: a ``_BatchGraph`` lays a batch's networks side
-by side, their links numbered as in the batch's link vector.  The
-equilibrium solver loads a batch's origins in calls of whole chunks, and a
-call takes the array path once its origins times links reach
-``_ARRAY_TREES_MIN_WORK``, or ``_ARRAY_BATCH_MIN_WORK`` over two or more
-networks (see ``equilibrium``); it loads those trees in numpy as well.
-Below that the kernel, with its Python loading walk, is faster.
+Trees come from one algorithm, label-correcting Bellman-Ford, in two forms.
+The per-origin kernel ``_bellman_ford`` keeps a FIFO queue of nodes whose
+label fell.  The array path ``_trees_for_origins`` runs numpy Bellman-Ford in
+passes over many origins at once, along a CSR layout of the out-links, and
+the origins may belong to different networks: a ``_BatchGraph`` lays a
+batch's networks side by side, their links numbered as in the batch's link
+vector.
 
-Both forms honor the centroid rule: node ids below ``first_thru_node`` are
-never expanded as intermediate nodes (the source itself is always expanded).
-Labels are the same IEEE sums and exact minima in both, and ties between
-equal-cost paths are broken toward the lower link index, so both return the
-same labels and predecessor tree.
+AON loading puts each O-D pair's trips on its path in its origin's tree.  It
+runs in calls (`_Loader`, `_Call`) over one or more (network, demand)
+problems, each call holding whole chunks of _CHUNK origins of each problem,
+so that a batch of small networks loads in one call and a large network chunk
+by chunk.
+
+Path rule: a call whose origins times links, over all its problems, reach
+_ARRAY_MIN_WORK takes the array path, its trees from one
+``_trees_for_origins`` and one numpy walk over all its O-D pairs
+(`_load_trees`).  A smaller call loads each problem's origins through the
+kernel and a Python walk per O-D pair (`_load_chunk`), which is faster there.
+
+Both paths follow the same rules, so the choice never changes a result:
+
+- Centroids: node ids below ``first_thru_node`` are never expanded as
+  intermediate nodes (the source itself is always expanded).
+- Ties: labels are the same IEEE sums and exact minima, and ties between
+  equal-cost paths go to the lower link index, so both build the same labels
+  and predecessor tree.
+- Summation order: within a chunk each link's load adds pair by pair, in the
+  demand's order, each pair from its destination up; a problem's chunk flows
+  then add in chunk order.  So a problem's flows depend neither on the path
+  nor on the calls and the batch around it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .network import Network
+from .errors import DataError, SolverError
+from .network import DemandMatrix, Network
 
-__all__ = ["ShortestPathTree", "shortest_paths"]
+__all__ = ["ShortestPathTree", "shortest_paths", "all_or_nothing"]
 
 _INF = math.inf
+
+# Origins per loading chunk.  It fixes the order in which a problem's flows
+# are summed, chunk by chunk, on both paths, so any other value changes the
+# flows in their last bits.
+_CHUNK = 16
+
+# Origins times links of one loading call, over all its problems, from which
+# it takes the array path.  The kernel costs about the same per origin and
+# link anywhere; the array path pays about 60 us per Bellman-Ford pass.
+# Timed alternately, array / kernel, one call: Sioux Falls 1.07x for 1
+# problem (1,824), 0.7-0.8x for 2 (3,648), 0.34-0.5x for 3 to 10.  The kernel
+# stays for what falls below: desk's lone baseline (6), which desk-cli
+# `solve_s` times, solved in 0.144 ms on it against 0.534 ms on the array
+# path, and desk's subset tables (up to 2,048) cost 1.5-1.65x on the array
+# path.  A deep network with few origins loses above it: a 15x15 grid with 9
+# zones (7,560) loads in 1.4-1.6x the kernel's time.  Counting passes instead,
+# as origins times links against K times the node count, cannot keep these
+# choices: desk's table needs K > 292, the 64x64 grid's second chunk K < 36.
+_ARRAY_MIN_WORK = 3072
+
+# Bound on one loading call, in origins plus O-D pairs, times the widest
+# network's node count plus one (`_Loader`).  The array path's trees take
+# 20 bytes per origin and node, and its walk one entry per pair and pass,
+# at most one pass per node; a call of one chunk may exceed the bound.  A
+# batch of three Sioux Falls problems counts 43k and loads in one call; the
+# 64x64 perfbench grid counts 1.6M for one chunk of 16 origins, so it loads
+# chunk by chunk, and so does any larger network.
+_CALL_MAX_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -215,3 +259,262 @@ def _bellman_ford(n, adj, costs, source, first_thru):
             elif nd == dv and a < pred[v]:
                 pred[v] = a
     return dist, pred
+
+
+class _Problem:
+    """What AON loading reads of one (network, demand) problem.  Its trips
+    are the demand's CSR of the entries with flow, one row per origin; a
+    demand with a node beyond the network's zones is a DataError."""
+
+    def __init__(self, net: Network, demand: DemandMatrix):
+        if demand._top_node > net.zone_count:
+            rows, dest, _ = demand._in_order()
+            k = int(np.argmax((rows > net.zone_count) | (dest > net.zone_count)))
+            raise DataError(f"demand pair ({rows[k]},{dest[k]}) lies outside the zone range 1..{net.zone_count}")
+        self.net = net
+        self.demand = demand
+        self.trips = demand._trips
+        self.from_nodes = net.columns.from_node.tolist()
+
+
+def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> np.ndarray:
+    """AON-load the origins of the problem's trip rows `rows` under the
+    cost array `costs` with the per-origin kernel, walking each O-D pair's
+    path in Python; returns a dense flow vector."""
+    net = problem.net
+    cost_list = costs.tolist()
+    adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
+    flows = [0.0] * net.link_count
+    from_nodes = problem.from_nodes
+    limit = net.node_count + 1
+    # `by_origin` holds the rows of `trips`, as (destination, flow) pairs
+    for origin, trips in problem.demand.by_origin[rows.start : rows.stop]:
+        dist, pred = _bellman_ford(n, adj, cost_list, origin, first_thru)
+        for dest, q in trips:
+            if not math.isfinite(dist[dest]):
+                raise SolverError(f"no path for demanded O-D pair ({origin},{dest})")
+            v = dest
+            steps = 0
+            while v != origin:
+                a = pred[v]
+                flows[a] += q
+                v = from_nodes[a]
+                steps += 1
+                if steps >= limit:
+                    raise SolverError(f"predecessor walk did not terminate for pair ({origin},{dest})")
+    return np.array(flows, dtype=float)
+
+
+class _Pairs:
+    """One loading call's O-D pairs as arrays, for `_load_trees`.
+
+    One tree row per origin of the call and one pair per O-D pair that
+    leaves its zone (intrazonal trips load no link and always have a path),
+    in problem order and each problem in its trips' order.  A pair is kept
+    as its destination's place in the trees (row times the graph's width
+    plus the node) and its trips, 16 bytes, plus its chunk when the call
+    holds more than one."""
+
+    def __init__(self, graph: _BatchGraph, tails: np.ndarray, call: "_Call", problems: Sequence[_Problem]):
+        self.graph = graph
+        self.tails = tails
+        self.row_ends = call.row_ends
+        rows = np.diff(self.row_ends)
+        spans = [(problem.trips, a, b) for problem, (a, b) in zip(problems, call.ranges)]
+        self.origins = np.concatenate([t.origins[a:b] for t, a, b in spans])
+        self.owners = np.repeat(np.arange(len(spans)), rows)
+        counts = np.concatenate([np.diff(t.start[a : b + 1]) for t, a, b in spans])
+        row = np.repeat(np.arange(len(counts)), counts)
+        dest = np.concatenate([t.dest[t.start[a] : t.start[b]] for t, a, b in spans])
+        keep = dest != self.origins[row]
+        row = row[keep]
+        self.at = row * graph.width + dest[keep]
+        self.q = np.concatenate([t.q[t.start[a] : t.start[b]] for t, a, b in spans])[keep]
+        ends = [0, *accumulate(np.bincount(row, minlength=len(counts)).tolist())]
+        self.pair_ends = [ends[end] for end in self.row_ends]
+        self.chunks = -(-int(rows.max()) // _CHUNK)
+        self.chunk = None
+        if self.chunks > 1:
+            # each pair's chunk in the call: its origin's place in its
+            # problem's rows of the call, by _CHUNK
+            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
+            self.chunk = (place // _CHUNK)[row]
+
+
+def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
+    """The array path of AON loading: the flows of one call's chunks of the
+    first `stop` problems under `costs`, one row per chunk over all of the
+    problems' links (zeros elsewhere).
+
+    Trees for every row come from one `_trees_for_origins` call, then every
+    O-D pair walks up its tree together with the others, one link per pass.
+    A stable sort by pair puts the (pair, link) entries in the per-origin
+    walk's order, and bincount adds their weights one by one in input order
+    into (chunk, link) bins, so each link's load in a chunk is summed in the
+    Python walk's order.  Returns ``(loads, failed, error)``: `failed` is
+    the first problem, in order, with a demanded pair that has no path or
+    whose walk does not end, and `error` names that pair; they are `stop`
+    and None when there is none.
+    """
+    rows, end = pairs.row_ends[stop], pairs.pair_ends[stop]
+    width = pairs.graph.width
+    dist, pred = _trees_for_origins(pairs.graph, costs, pairs.origins[:rows], pairs.owners[:rows])
+    at = pairs.at[:end]  # each pair's destination in the trees
+    missing = ~np.isfinite(dist.ravel()[at])
+    pred = pred.ravel()
+    pair = np.flatnonzero(~missing)
+    row = at[pair] // width
+    base, goal = row * width, pairs.origins[row]
+    walked, taken = [pair], [pred[at[pair]]]
+    stuck = pair[:0]
+    tails = pairs.tails
+    for _ in range(width - 1):
+        node = tails[taken[-1]]
+        going = node != goal
+        if not going.any():
+            break
+        pair, base, goal = pair[going], base[going], goal[going]
+        walked.append(pair)
+        taken.append(pred[base + node[going]])
+    else:
+        # a walk that ends takes at most node_count links; these took more
+        stuck = walked[-1]
+    failed, error = stop, None
+    if stuck.size or missing.any():
+        bad = missing.copy()
+        bad[stuck] = True
+        i = int(np.argmax(bad))
+        failed = bisect_right(pairs.pair_ends, i) - 1
+        o, d = pairs.origins[at[i] // width], at[i] % width
+        if missing[i]:
+            error = SolverError(f"no path for demanded O-D pair ({o},{d})")
+        else:
+            error = SolverError(f"predecessor walk did not terminate for pair ({o},{d})")
+    # each list and index is dropped once used, which keeps the call's peak
+    # memory down
+    pair = np.concatenate(walked)
+    del walked
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    links = len(tails)
+    bins = np.concatenate(taken)
+    del taken
+    bins = bins[order]
+    del order
+    if pairs.chunk is not None:
+        bins += pairs.chunk[pair] * links
+    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links)
+    return loads.reshape(pairs.chunks, links), failed, error
+
+
+class _Call:
+    """One AON loading call of a batch: chunks `first` up to `end` of every
+    problem, its trip rows (origins) ``first * _CHUNK`` up to ``end *
+    _CHUNK``, kept as one (start, end) range of rows per problem, and its
+    path by the rule above."""
+
+    def __init__(self, problems: Sequence[_Problem], first: int, end: int):
+        sizes = [len(problem.trips.origins) for problem in problems]
+        self.ranges = [(min(first * _CHUNK, size), min(end * _CHUNK, size)) for size in sizes]
+        rows = [b - a for a, b in self.ranges]
+        self.row_ends = [0, *accumulate(rows)]
+        work = sum(count * problem.net.link_count for count, problem in zip(rows, problems))
+        self.array = work >= _ARRAY_MIN_WORK
+        self.pairs = None  # built on the first array-path load
+
+
+class _Loader:
+    """AON loading of a batch's problems in calls (`_Call`) of whole chunk
+    indices, cut by _CALL_MAX_CELLS; each chunk's flows add in chunk order."""
+
+    def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
+        self.problems = problems
+        self.slices = slices
+        chunks = -(-max(len(problem.trips.origins) for problem in problems) // _CHUNK)
+        cuts = [0]
+        if chunks > 1:
+            width = max(problem.net.node_count for problem in problems) + 1
+            sizes = np.zeros(chunks, dtype=np.int64)
+            for problem in problems:
+                rows = len(problem.trips.origins)
+                edges = np.append(np.arange(0, rows, _CHUNK), rows)
+                # each chunk's origins and O-D pairs
+                sizes[: len(edges) - 1] += (np.diff(edges) + np.diff(problem.trips.start[edges])) * width
+            cells = 0
+            for c, size in enumerate(sizes.tolist()):
+                if c > cuts[-1] and cells + size > _CALL_MAX_CELLS:
+                    cuts.append(c)
+                    cells = 0
+                cells += size
+        cuts.append(chunks)
+        self.calls = [_Call(problems, first, end) for first, end in zip(cuts, cuts[1:])]
+        self.graph = self.tails = None  # built on the first array-path load
+
+    def __call__(self, costs: np.ndarray, stop: int):
+        """AON flows under `costs`, the problems' link vector, for the
+        problems before `stop` (the rest of the vector is to be ignored).
+        Returns ``(flows, failed, error)``: `failed` is the first problem, in
+        order, whose loading raised or failed, and `error` what it raised;
+        they are `stop` and None when there is none."""
+        flows, failed, error = None, stop, None
+        for call in self.calls:
+            if not call.row_ends[failed]:  # no origins this far out before `failed`
+                break
+            loads, k, exc = self._load(call, costs, failed)
+            if exc is not None:
+                failed, error = k, exc
+            if loads is None:
+                break
+            for load in loads:
+                if flows is None:
+                    flows = load
+                else:
+                    flows += load
+        return (np.zeros(len(costs)) if flows is None else flows), failed, error
+
+    def _load(self, call: _Call, costs: np.ndarray, stop: int):
+        """The flows of `call` for the problems before `stop`, one vector
+        over all the problems' links per chunk, in chunk order, or None when
+        an error left nothing loaded; then `failed` and `error` as in
+        `__call__`."""
+        if call.array:
+            if call.pairs is None:
+                if self.graph is None:
+                    self.graph = _BatchGraph([problem.net for problem in self.problems])
+                    self.tails = np.concatenate([problem.net.columns.from_node for problem in self.problems])
+                call.pairs = _Pairs(self.graph, self.tails, call, self.problems)
+            try:
+                return _load_trees(call.pairs, costs, stop)
+            except Exception as exc:  # no one pair's fault: the first problem loaded takes it
+                return None, next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
+        # a lone problem's chunk flows are the whole vector, with no slice to
+        # fill: the batch loop below cost desk's lone solve 6-8% more
+        if len(self.problems) == 1:
+            problem, (a, b) = self.problems[0], call.ranges[0]
+            try:
+                loads = [_load_chunk(problem, costs, range(i, min(i + _CHUNK, b))) for i in range(a, b, _CHUNK)]
+                return loads, 1, None
+            except Exception as exc:
+                return None, 0, exc
+        loads = np.zeros((-(-max(b - a for a, b in call.ranges) // _CHUNK), len(costs)))
+        for k in range(stop):
+            s, (a, b) = self.slices[k], call.ranges[k]
+            try:
+                for i in range(a, b, _CHUNK):
+                    loads[(i - a) // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], range(i, min(i + _CHUNK, b)))
+            except Exception as exc:
+                return loads, k, exc
+        return loads, stop, None
+
+
+def all_or_nothing(
+    net: Network,
+    demand: DemandMatrix,
+    link_costs: Sequence[float],
+) -> np.ndarray:
+    """Load all demand onto shortest paths under fixed link costs."""
+    costs = _checked_costs(net, link_costs)
+    flows, _, error = _Loader([_Problem(net, demand)], [slice(0, len(costs))])(costs, 1)
+    if error is not None:
+        raise error
+    return flows

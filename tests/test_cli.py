@@ -811,9 +811,9 @@ def _link_row_with(column, value):
     return "\t".join(fields)
 
 
-# NaN in a numeric input, an infinite m or rate, or a rate whose discount
-# overflows: each a data error (exit 2) before any solve, named on one line.
-# (command, flags, file edit, message)
+# NaN in a numeric input, an infinite m, rate or link parameter other than
+# capacity, or a rate whose discount overflows: each a data error (exit 2)
+# before any solve, named on one line.  (command, flags, file edit, message)
 BAD_NUMBERS = {
     "select-budget-nan": ("select", ("--budget", "nan"), None, "budget must be non-negative"),
     "select-m-nan": ("select", ("--budget", "900", "--m", "nan"), None, "must be positive and finite"),
@@ -838,6 +838,18 @@ BAD_NUMBERS = {
     "link-fftime-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(4, "nan")), "negative free-flow time"),
     "link-alpha-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(5, "nan")), "negative BPR parameter"),
     "link-beta-nan": ("solve", (), ("net", LINK_ROW, _link_row_with(6, "nan")), "negative BPR parameter"),
+    "link-fftime-inf": ("solve", (), ("net", LINK_ROW, _link_row_with(4, "inf")),
+                        "line 8: link 1->3: infinite free-flow time or BPR parameter"),
+    "link-alpha-inf": ("solve", (), ("net", LINK_ROW, _link_row_with(5, "inf")),
+                       "line 8: link 1->3: infinite free-flow time or BPR parameter"),
+    "link-beta-inf": ("solve", (), ("net", LINK_ROW, _link_row_with(6, "1e999")),
+                      "line 8: link 1->3: infinite free-flow time or BPR parameter"),
+    "add-fftime-inf": ("deltas", (), ("upgrades", "ADD 3 5 600 2 2", "ADD 3 5 600 2 inf"),
+                       "line 19: link 3->5: infinite free-flow time or BPR parameter"),
+    "add-alpha-inf": ("deltas", (), ("upgrades", "ADD 3 5 600 2 2 0.15", "ADD 3 5 600 2 2 inf"),
+                      "line 19: link 3->5: infinite free-flow time or BPR parameter"),
+    "mod-fftime-inf": ("deltas", (), ("upgrades", "MOD 1 3 CAPACITY=800", "MOD 1 3 CAPACITY=800 FFTIME=inf"),
+                       "line 6: MOD free-flow time must be finite"),
 }
 
 
@@ -863,6 +875,16 @@ def test_nan_and_infinite_numbers_exit_2(data_dir, tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_an_infinite_capacity_solves(data_dir, tmp_path, capsys):
+    net = tmp_path / DESK["net"]
+    net.write_text((data_dir / DESK["net"]).read_text().replace(LINK_ROW, _link_row_with(2, "inf"), 1))
+    argv = desk_args(data_dir, "solve")
+    argv[argv.index("--net") + 1] = str(net)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("vht ") and err == ""
 
 
 @pytest.mark.parametrize("budgets", ["900,,1700", "900,1700,", ""])

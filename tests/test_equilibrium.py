@@ -30,7 +30,7 @@ from roadworks import (
     vht,
     write_flow_file,
 )
-from roadworks import equilibrium, scenario
+from roadworks import equilibrium, scenario, shortest_path
 
 from netfixtures import grid_demand, grid_net, two_link_demand, two_link_net
 from oracles import independent_gap, latency, two_link_flows
@@ -318,8 +318,7 @@ def _in_batches(problems, settings, size):
 
 def _force_path(monkeypatch, threshold):
     """Every AON loading call on the array path (0) or on the kernel (inf)."""
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", threshold)
-    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", threshold)
+    monkeypatch.setattr(shortest_path, "_ARRAY_MIN_WORK", threshold)
 
 
 def _subset_problems(case, sizes):
@@ -475,15 +474,15 @@ def test_errors_on_the_array_path_end_the_batch_after_the_problems_before_it(des
         assert done == alone, message
 
 
-def test_each_loading_call_picks_its_path_by_its_work(desk, sioux, monkeypatch):
+def test_each_loading_call_picks_its_path_by_its_work(desk, sioux, grid, monkeypatch):
     paths = []
-    for name, function in (("array", equilibrium._load_trees), ("kernel", equilibrium._load_chunk)):
+    for name, function in (("array", shortest_path._load_trees), ("kernel", shortest_path._load_chunk)):
 
         def record(*args, name=name, function=function):
             paths.append(name)
             return function(*args)
 
-        monkeypatch.setattr(equilibrium, function.__name__, record)
+        monkeypatch.setattr(shortest_path, function.__name__, record)
 
     def path(problems):
         paths.clear()
@@ -491,32 +490,26 @@ def test_each_loading_call_picks_its_path_by_its_work(desk, sioux, monkeypatch):
         return set(paths)
 
     one, two = _subset_problems(sioux, (1,))[:1], _subset_problems(sioux, (1,))[:2]
-    trees, batch = equilibrium._ARRAY_TREES_MIN_WORK, equilibrium._ARRAY_BATCH_MIN_WORK
-    # a lone network's call is held to one threshold, a batch's to the other
-    work = len(sioux.demand.by_origin) * len(sioux.net.links)
-    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", math.inf)
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work)
-    assert path(one) == {"array"}
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", work + 1)
+    # a call's origins times links, over all its problems, against the one threshold
+    threshold = shortest_path._ARRAY_MIN_WORK
+    for problems in (one, two):
+        work = sum(len(demand.by_origin) * len(net.links) for net, demand in problems)
+        monkeypatch.setattr(shortest_path, "_ARRAY_MIN_WORK", work)
+        assert path(problems) == {"array"}
+        monkeypatch.setattr(shortest_path, "_ARRAY_MIN_WORK", work + 1)
+        assert path(problems) == {"kernel"}
+    # at the measured threshold a lone desk or Sioux Falls problem and desk's
+    # whole table stay on the kernel, while two Sioux Falls problems, every
+    # chunk of a large grid and a deep grid with few origins take the array path
+    monkeypatch.setattr(shortest_path, "_ARRAY_MIN_WORK", threshold)
+    assert path([(desk.net, desk.demand)]) == {"kernel"}
     assert path(one) == {"kernel"}
-    work = sum(len(demand.by_origin) * len(net.links) for net, demand in two)
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", math.inf)
-    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", work)
+    assert path(_subset_problems(desk, range(1, 9))) == {"kernel"}
     assert path(two) == {"array"}
-    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", work + 1)
-    assert path(two) == {"kernel"}
-    # at the measured thresholds a lone Sioux Falls problem, a full desk batch
-    # and a deep grid with few origins stay on the kernel, while two Sioux
-    # Falls problems and a grid with more origins take the array path
-    monkeypatch.setattr(equilibrium, "_ARRAY_TREES_MIN_WORK", trees)
-    monkeypatch.setattr(equilibrium, "_ARRAY_BATCH_MIN_WORK", batch)
-    assert path(one) == {"kernel"}
-    assert path(two) == {"array"}
-    assert path([(desk.net, desk.demand)] * 40) == {"kernel"}
+    assert len(grid[1].by_origin) > shortest_path._CHUNK
+    assert path([grid]) == {"array"}
     deep = grid_net(side=15, zone_lines=(0, 7, 14))
-    assert path([(deep, grid_demand(zones=9))]) == {"kernel"}
-    wide = grid_net(side=15, zone_lines=(0, 3, 7, 11, 14))
-    assert path([(wide, grid_demand(zones=25))]) == {"array"}
+    assert path([(deep, grid_demand(zones=9))]) == {"array"}
 
 
 def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it(desk, monkeypatch):
@@ -529,7 +522,7 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
     # explains falls on the first problem loaded: the first while both
     # iterate, the second once the first has finished
     _force_path(monkeypatch, 0)
-    trees = equilibrium._trees_for_origins
+    trees = shortest_path._trees_for_origins
     for failing_call, kept in ((2, 0), (alone[0][4] + 2, 1)):  # the free-flow load, then one per iteration
         calls = []
 
@@ -539,7 +532,7 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
                 raise MemoryError("out of memory")
             return trees(*args)
 
-        monkeypatch.setattr(equilibrium, "_trees_for_origins", out_of_memory)
+        monkeypatch.setattr(shortest_path, "_trees_for_origins", out_of_memory)
         done = []
         with pytest.raises(MemoryError):
             for a in equilibrium._solve_batch(problems, settings):
@@ -547,9 +540,9 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
         assert done == alone[:kept]
     # on the kernel the problem that raised takes the error, here in its
     # second iteration, and the one before it iterates on to its end
-    monkeypatch.setattr(equilibrium, "_trees_for_origins", trees)
+    monkeypatch.setattr(shortest_path, "_trees_for_origins", trees)
     _force_path(monkeypatch, math.inf)
-    load, loads = equilibrium._load_chunk, []
+    load, loads = shortest_path._load_chunk, []
 
     def overflow(problem, costs, chunk):
         if problem.index == 1:
@@ -558,7 +551,7 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
                 raise FloatingPointError("overflow")
         return load(problem, costs, chunk)
 
-    monkeypatch.setattr(equilibrium, "_load_chunk", overflow)
+    monkeypatch.setattr(shortest_path, "_load_chunk", overflow)
     done = []
     with pytest.raises(FloatingPointError):
         for a in equilibrium._solve_batch(problems, settings):
@@ -618,18 +611,18 @@ def test_many_chunks_load_alike_on_both_paths_and_in_calls_of_any_size(monkeypat
     costs = [1.0 + (i % 11) / 10 for i in range(len(net.links))]
     widened = replace(net, links=(replace(net.links[0], capacity=3000.0),) + net.links[1:])
     settings = SolverSettings(target_gap=1e-12, max_iters=3)
-    trees, rows = equilibrium._trees_for_origins, []
+    trees, rows = shortest_path._trees_for_origins, []
 
     def record(graph, costs, origins, owners):
         rows.append(len(origins))
         return trees(graph, costs, origins, owners)
 
-    monkeypatch.setattr(equilibrium, "_trees_for_origins", record)
+    monkeypatch.setattr(shortest_path, "_trees_for_origins", record)
     runs = {}
     # all four chunks in one array call, one chunk per call, and the kernel
-    for threshold, cells in ((0, equilibrium._CALL_MAX_CELLS), (0, 1), (math.inf, 1)):
+    for threshold, cells in ((0, shortest_path._CALL_MAX_CELLS), (0, 1), (math.inf, 1)):
         _force_path(monkeypatch, threshold)
-        monkeypatch.setattr(equilibrium, "_CALL_MAX_CELLS", cells)
+        monkeypatch.setattr(shortest_path, "_CALL_MAX_CELLS", cells)
         rows.clear()
         aon = all_or_nothing(net, demand, costs)
         runs[threshold, cells] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
@@ -688,8 +681,8 @@ def test_cyclic_predecessors_do_not_loop(tree_path, monkeypatch):
     def cyclic_trees(graph, costs, origins, owners=None):
         return np.zeros((len(origins), 4)), np.array([pred] * len(origins))
 
-    monkeypatch.setattr(equilibrium, "_trees_for_origins", cyclic_trees)
-    monkeypatch.setattr(equilibrium, "_bellman_ford", lambda *args: ([0.0] * 4, list(pred)))
+    monkeypatch.setattr(shortest_path, "_trees_for_origins", cyclic_trees)
+    monkeypatch.setattr(shortest_path, "_bellman_ford", lambda *args: ([0.0] * 4, list(pred)))
     with pytest.raises(SolverError, match=r"did not terminate for pair \(1,3\)"):
         all_or_nothing(net, DemandMatrix({(1, 3): 5.0}), [1.0, 1.0, 1.0])
 

@@ -332,6 +332,7 @@ def test_apply_checks_a_modified_link_as_link_does(desk):
     for mod, message in [
         (LinkModification(1, 3, capacity=0.0), "link 1->3: capacity must be positive"),
         (LinkModification(1, 3, capacity=5.0, free_flow_time=-1.0), "link 1->3: negative free-flow time"),
+        (LinkModification(1, 3, capacity=5.0, free_flow_time=math.inf), "link 1->3: infinite free-flow time or BPR parameter"),
     ]:
         ups = UpgradeSet((Upgrade("U", 1.0, "capacity-upgrade", modifications=(mod,)),))
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -391,6 +392,13 @@ def test_parse_nodes_skips_header():
     text = "Node,X,Y,;\n1,10.5,20.5,;\n2,30,40,;\n"
     coords = parse_nodes(text)
     assert coords == {1: (10.5, 20.5), 2: (30.0, 40.0)}
+
+
+@pytest.mark.parametrize("row", ["2 nan 40 ;", "2 30 inf ;", "2 -inf 40 ;", "2 1e999 40 ;"])
+def test_parse_nodes_rejects_a_non_finite_coordinate(row):
+    with pytest.raises(ParseError) as err:
+        parse_nodes(f"Node X Y ;\n1 10.5 20.5 ;\n{row}\n")
+    assert (str(err.value), err.value.line) == ("line 3: node 2 has a non-finite coordinate", 3)
 
 
 def test_random_network_round_trip():

@@ -216,6 +216,21 @@ def test_file_cache_rejects_other_inputs(tmp_path):
         FileDeltaCache(path, "aaaa", "bbbb", 1e-4)
 
 
+@pytest.mark.parametrize("line, bad", [
+    (4, "target_gap nan"), (5, "BASELINE inf 2e-07"), (5, "BASELINE 5000.0 nan"),
+    (6, "u1 nan 1e-07"), (6, "u1 -inf 1e-07"), (6, "u1 12.5 inf"),
+])
+def test_file_cache_rejects_a_non_finite_number(tmp_path, line, bad):
+    # a NaN or infinite delta would otherwise drive a selection silently
+    rows = ["# roadworks delta cache", "network aaaa", "demand bbbb", "target_gap 1e-06",
+            "BASELINE 5000.0 2e-07", "u1 12.5 1e-07"]
+    rows[line - 1] = bad
+    path = tmp_path / "deltas.cache"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"^cache {path}, line {line}: bad number in '{bad}'$"):
+        FileDeltaCache(str(path), "aaaa", "bbbb", 1e-6)
+
+
 def test_file_cache_rejects_garbage(tmp_path):
     path = tmp_path / "deltas.cache"
     path.write_text("# roadworks delta cache\nnetwork aaaa\ndemand bbbb\ntarget_gap 1e-06\nwhat is this line even\n")

@@ -245,18 +245,29 @@ def test_bench_pairs_summary_reads_the_claim_rule_off_fixed_numbers():
         "replan_s": [1.0] * 9 + [19.0],
         "peak_rss_mb": [v + 1.0 for v in base["peak_rss_mb"]],
     }
+    # the base's IQR is 0.31 of its median, wider than every bound, and some
+    # change run is not lower than every base run
     assert bench.summarize(base, change) == [
         "setup_s: base 14.5 [12.25, 16.75], change 7.5 [5.25, 9.75], base IQR 4.5, "
-        "change lower in 10/10 pairs, median change/base 0.517, gain true",
+        "change lower in 10/10 pairs, median change/base 0.517, gain true, verdict unresolved (bound 0.25)",
         "solve_s: base 14.5 [12.25, 16.75], change 10.5 [8.25, 12.75], base IQR 4.5, "
-        "change lower in 9/10 pairs, median change/base 0.724, gain false",
+        "change lower in 9/10 pairs, median change/base 0.724, gain false, verdict unresolved (bound 0.25)",
         "plan_s: base 14.5 [12.25, 16.75], change 1 [1, 1], base IQR 4.5, "
-        "change lower in 8/10 pairs, median change/base 0.080, gain false",
+        "change lower in 8/10 pairs, median change/base 0.080, gain false, verdict unresolved (bound 0.25)",
         "replan_s: base 14.5 [12.25, 16.75], change 1 [1, 1], base IQR 4.5, "
-        "change lower in 9/10 pairs, median change/base 0.074, gain true",
+        "change lower in 9/10 pairs, median change/base 0.074, gain true, verdict unresolved (bound 0.25)",
         "peak_rss_mb: base 14.5 [12.25, 16.75], change 15.5 [13.25, 17.75], base IQR 4.5, "
-        "change lower in 0/10 pairs, median change/base 1.069, gain false",
+        "change lower in 0/10 pairs, median change/base 1.069, gain false, verdict unresolved (bound 0.1)",
     ]
+    # the verdict reads each metric's bound off BENCHMARK.json
+    assert bench.BOUNDS == {"setup_s": 0.25, "solve_s": 0.25, "plan_s": 0.25, "replan_s": 0.25, "peak_rss_mb": 0.1}
+    steady, wide = [10.0] * 10, base["setup_s"]
+    assert [bench.verdict(steady, [v] * 10, 0.25) for v in (8.0, 12.5, 12.6)] == ["held", "held", "worse"]
+    assert bench.verdict(steady, [10.0] * 9 + [30.0], 0.25) == "held"  # the median rose by 0
+    assert bench.verdict(wide, wide, 0.25) == "unresolved"
+    assert bench.verdict(wide, [9.9] * 10, 0.25) == "held"  # every change run below every base run
+    assert bench.verdict(wide, [20.0] * 10, 0.25) == "worse"  # 20 > 14.5 * 1.25, whatever the spread
+    assert bench.verdict(wide, wide, 0.4) == "held"  # an IQR within the bound
 
 
 def test_bench_pairs_runs_its_seeds_from_the_first_seed_on(monkeypatch, capsys):
