@@ -121,8 +121,8 @@ class SolverSettings:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        if not self.target_gap > 0:
-            raise DataError("target_gap must be positive")
+        if not 0 < self.target_gap < math.inf:
+            raise DataError("target_gap must be positive and finite")
         if self.max_iters < 1:
             raise DataError("max_iters must be at least 1")
 

@@ -277,10 +277,10 @@ class _Problem:
         self.from_nodes = net.columns.from_node.tolist()
 
 
-def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> np.ndarray:
+def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> list[float]:
     """AON-load the origins of the problem's trip rows `rows` under the
     cost array `costs` with the per-origin kernel, walking each O-D pair's
-    path in Python; returns a dense flow vector."""
+    path in Python; returns the flow on each link."""
     net = problem.net
     cost_list = costs.tolist()
     adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
@@ -302,7 +302,7 @@ def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> np.ndarray
                 steps += 1
                 if steps >= limit:
                     raise SolverError(f"predecessor walk did not terminate for pair ({origin},{dest})")
-    return np.array(flows, dtype=float)
+    return flows
 
 
 class _Pairs:
@@ -332,7 +332,7 @@ class _Pairs:
         self.q = np.concatenate([t.q[t.start[a] : t.start[b]] for t, a, b in spans])[keep]
         ends = [0, *accumulate(np.bincount(row, minlength=len(counts)).tolist())]
         self.pair_ends = [ends[end] for end in self.row_ends]
-        self.chunks = -(-int(rows.max()) // _CHUNK)
+        self.chunks = call.chunks
         self.chunk = None
         if self.chunks > 1:
             # each pair's chunk in the call: its origin's place in its
@@ -410,14 +410,15 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
 class _Call:
     """One AON loading call of a batch: chunks `first` up to `end` of every
     problem, its trip rows (origins) ``first * _CHUNK`` up to ``end *
-    _CHUNK``, kept as one (start, end) range of rows per problem, and its
-    path by the rule above."""
+    _CHUNK``, kept as one (start, end) range of rows per problem, the
+    chunks of the problem with the most, and its path by the rule above."""
 
     def __init__(self, problems: Sequence[_Problem], first: int, end: int):
         sizes = [len(problem.trips.origins) for problem in problems]
         self.ranges = [(min(first * _CHUNK, size), min(end * _CHUNK, size)) for size in sizes]
         rows = [b - a for a, b in self.ranges]
         self.row_ends = [0, *accumulate(rows)]
+        self.chunks = -(-max(rows) // _CHUNK)
         work = sum(count * problem.net.link_count for count, problem in zip(rows, problems))
         self.array = work >= _ARRAY_MIN_WORK
         self.pairs = None  # built on the first array-path load
@@ -487,16 +488,7 @@ class _Loader:
                 return _load_trees(call.pairs, costs, stop)
             except Exception as exc:  # no one pair's fault: the first problem loaded takes it
                 return None, next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
-        # a lone problem's chunk flows are the whole vector, with no slice to
-        # fill: the batch loop below cost desk's lone solve 6-8% more
-        if len(self.problems) == 1:
-            problem, (a, b) = self.problems[0], call.ranges[0]
-            try:
-                loads = [_load_chunk(problem, costs, range(i, min(i + _CHUNK, b))) for i in range(a, b, _CHUNK)]
-                return loads, 1, None
-            except Exception as exc:
-                return None, 0, exc
-        loads = np.zeros((-(-max(b - a for a, b in call.ranges) // _CHUNK), len(costs)))
+        loads = np.zeros((call.chunks, len(costs)))
         for k in range(stop):
             s, (a, b) = self.slices[k], call.ranges[k]
             try:

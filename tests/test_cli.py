@@ -775,6 +775,7 @@ def test_config_files_do_not_leak_between_calls(data_dir, tmp_path, capsys):
 NO_CACHE_LEFT = {
     "deltas-max-iters-0": ("deltas", "--cache", "{tmp}/w.cache", "--max-iters", "0"),
     "deltas-gap-0": ("deltas", "--cache", "{tmp}/w.cache", "--gap", "0"),
+    "deltas-gap-inf": ("deltas", "--cache", "{tmp}/w.cache", "--gap", "inf"),
     "deltas-unknown-subset": ("deltas", "--mode", "explicit", "--subset", "C-ZZ", "--cache", "{tmp}/w.cache"),
     "schedule-max-iters-0": ("schedule", "--budgets", "900", "--cache-dir", "{tmp}/d", "--max-iters", "0"),
     "select-missing-cache": ("select", "--budget", "900", "--cache", "{tmp}/missing.cache"),
