@@ -12,8 +12,10 @@ the base first on odd seeds and the change first on even ones, and prints
 each pair's five end-to-end metrics, then per metric each side's median and
 quartiles, the base's interquartile range, the pairs the change won (lower;
 a tie counts for neither), the median change/base ratio and whether a gain
-may be claimed: the change won at least nine tenths of the pairs and its
-median is below the base's by more than the base's interquartile range.
+may be claimed: at least ten pairs ran, the change won at least nine tenths
+of them and its median is below the base's by more than the base's
+interquartile range.  Below ten pairs the line says `gain false` whatever
+the numbers.
 Each line ends with a no-regression verdict against the metric's bound in
 BENCHMARK.json's `end_to_end` list, the only thing read from that file:
 `worse` when the change's median exceeds the base's by more than the bound,
@@ -48,6 +50,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     BOUNDS = {m["name"]: m["bound"] for m in json.load(_fh)["end_to_end"]}
 METRICS = tuple(BOUNDS)
 SECONDS = "30"
+CLAIM_MIN_PAIRS = 10
 
 
 def count(text):
@@ -128,7 +131,7 @@ def summarize(base, change):
         c1, c2, c3 = quartiles(change[m])
         won = sum(c < b for b, c in pairs)
         ratio = statistics.median(c / b if b else float("nan") for b, c in pairs)
-        gain = 10 * won >= 9 * len(pairs) and b2 - c2 > b3 - b1
+        gain = len(pairs) >= CLAIM_MIN_PAIRS and 10 * won >= 9 * len(pairs) and b2 - c2 > b3 - b1
         lines.append(
             f"{m}: base {b2:.4g} [{b1:.4g}, {b3:.4g}], change {c2:.4g} [{c1:.4g}, {c3:.4g}], "
             f"base IQR {b3 - b1:.4g}, change lower in {won}/{len(pairs)} pairs, "

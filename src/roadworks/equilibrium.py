@@ -38,22 +38,23 @@ exact along a feasible direction, so the Beckmann objective never rises.
 
 One loop solves any number of (network, demand) problems in lock-step
 (`_solve_batch`; `solve_with` is that loop with one problem).  Each
-elementwise step runs once over the active problems' links end to end, while
-inner products, sums, the branches of the direction weights and of the line
-search, and the histories stay per problem.  Each iteration's AON point comes
-from one loader over every problem still iterating (`shortest_path._Loader`,
-which owns the trees, the loading and the choice of their path).  A problem
-leaves the batch when it converges or reaches its iteration cap.  Subset
-tables batch their missing subsets this way, so that many small solves share
-the cost of each numpy call.
+elementwise step runs once over the active problems' links end to end, and
+each sum over links is one segmented sum over that link vector, cut at each
+problem's first link; the branches of the direction weights and of the line
+search, and the histories, stay per problem.  Each iteration's AON point
+comes from one loader over every problem still iterating
+(`shortest_path._Loader`, which owns the trees, the loading and the choice
+of their path).  A problem leaves the batch when it converges or reaches its
+iteration cap.  Subset tables batch their missing subsets this way, so that
+many small solves share the cost of each numpy call.
 
 Determinism contract: solves run on one thread, and the same inputs give
 bit-identical flows, alone or in any batch: elementwise results do not
-depend on where a link sits in the batch, each problem's reductions run
-over its own slice, and its AON flows depend neither on the loading path nor
-on the batch around it (`shortest_path`).  Inner products of link vectors
-never call BLAS from _BLAS_FREE_MIN_LINKS links on, where OpenBLAS would
-split them over threads, so flows do not depend on the BLAS thread count.
+depend on where a link sits in the batch, a segment's sum does not depend on
+where the segment sits, and a problem's AON flows depend neither on the
+loading path nor on the batch around it (`shortest_path`).  No solve calls
+BLAS on a link vector, so flows depend neither on the BLAS library nor on
+its thread count.
 """
 
 from __future__ import annotations
@@ -80,12 +81,6 @@ __all__ = [
     "write_flow_file",
     "format_flow_file",
 ]
-
-# Link count from which inner products of link vectors avoid BLAS.  OpenBLAS
-# splits ddot over threads above about 10k elements, so the sum would depend
-# on the BLAS thread count and the idle threads spin.  Below it np.dot is the
-# cheapest call (about 1 us against 3-4 us for einsum).
-_BLAS_FREE_MIN_LINKS = 8192
 
 # Margin that keeps the AON point in the bi-conjugate point with weight at
 # least _CONJUGATE_MARGIN.
@@ -142,39 +137,40 @@ def bpr_integral(link: Link, flow: float) -> float:
     return t * flow + t * a * flow ** (b + 1.0) / ((b + 1.0) * q**b)
 
 
-def _einsum_dot(x: np.ndarray, y: np.ndarray) -> float:
-    return np.einsum("i,i->", x, y)
+def _segment_sums(x: np.ndarray, y: np.ndarray, starts) -> list[float]:
+    """x . y over each segment of the link vectors, the segments cut at
+    `starts`.  np.add.reduceat sums a segment alike wherever it sits in the
+    vectors.  An empty segment would read as one element, not 0: no live
+    problem has zero links, as such a problem fails its first load and
+    leaves the batch before any sum."""
+    return np.add.reduceat(x * y, starts).tolist()
 
 
-def _link_dot(m: int):
-    """The inner product for link vectors of length m; the same m always
-    gets the same summation order."""
-    return np.dot if m < _BLAS_FREE_MIN_LINKS else _einsum_dot
+def _gap(total: float, best: float) -> float:
+    if total == 0.0:
+        raise DataError("relative gap undefined: total travel cost is zero")
+    return (total - best) / total
 
 
 def vht(flows: np.ndarray, latencies: np.ndarray) -> float:
-    """Total vehicle-hours (flow-weighted travel time)."""
+    """Total vehicle-hours (flow-weighted travel time), summed as a solve sums it."""
     flows = np.asarray(flows, dtype=float)
-    return float(_link_dot(flows.size)(flows, np.asarray(latencies, dtype=float)))
+    if not flows.size:
+        return 0.0
+    with np.errstate(invalid="ignore"):  # an infinite latency on an idle link, as in a solve
+        return _segment_sums(flows, np.asarray(latencies, dtype=float), [0])[0]
 
 
 def relative_gap(flows: np.ndarray, costs: np.ndarray, aon_flows: np.ndarray) -> float:
     """Relative difference between current total cost and the AON total cost."""
-    flows = np.asarray(flows, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    dot = _link_dot(flows.size)
-    total = float(dot(flows, costs))
-    if total == 0.0:
-        raise DataError("relative gap undefined: total travel cost is zero")
-    best = float(dot(np.asarray(aon_flows, dtype=float), costs))
-    return (total - best) / total
+    return _gap(vht(flows, costs), vht(aon_flows, costs))
 
 
 class _LinkArrays:
     """Per-link BPR parameters of one or more networks as numpy columns, the
     networks' links end to end.  Elementwise work runs once over all of
-    them; `inner` and `beckmann` reduce each network's slice on its own,
-    with the inner product for that network's link count."""
+    them, and `inner` and `beckmann` sum each network's slice in one
+    segmented sum."""
 
     def __init__(self, nets: Sequence[Network]):
         self.t, self.cap, self.alpha, self.beta = (
@@ -191,7 +187,7 @@ class _LinkArrays:
         # the network of each link, for `spread`
         self.owner = None if self.single else np.repeat(np.arange(len(counts)), counts)
         self.slices = [slice(end - count, end) for end, count in zip(accumulate(counts), counts)]
-        self.dots = [_link_dot(count) for count in counts]
+        self.starts = np.array([s.start for s in self.slices])
 
     def spread(self, values: Sequence[float]):
         """One value per network as a per-link factor: the value itself
@@ -200,13 +196,8 @@ class _LinkArrays:
 
     def inner(self, x: np.ndarray, y: np.ndarray, which: Sequence[int] | None = None) -> list[float]:
         """x . y over each network's links, or over those of the networks in `which`."""
-        dots = self.dots
-        if self.single:
-            return [float(dots[0](x, y))]
-        slices = self.slices
-        if which is None:
-            which = range(len(slices))
-        return [float(dots[k](x[slices[k]], y[slices[k]])) for k in which]
+        sums = _segment_sums(x, y, self.starts)
+        return sums if which is None else [sums[k] for k in which]
 
     def latencies(self, flows: np.ndarray) -> np.ndarray:
         return self.t * (1.0 + self.alpha * np.power(flows / self.cap, self.beta))
@@ -221,7 +212,7 @@ class _LinkArrays:
     def beckmann(self, flows: np.ndarray) -> list[float]:
         """Each network's Beckmann objective."""
         terms = self.t * flows + self.t_alpha * np.power(flows, self.beta + 1.0) / self.beck_scale
-        return [float(terms[s].sum()) for s in self.slices]
+        return np.add.reduceat(terms, self.starts).tolist()
 
 
 class _Solve(_Problem):
@@ -249,7 +240,7 @@ def _line_search(arrays: _LinkArrays, flows: np.ndarray, direction: np.ndarray) 
     lock-step, each with its own bracket and branches: every round
     evaluates all their trial points in one pass over the links.
     """
-    count = len(arrays.dots)
+    count = len(arrays.slices)
     steps = [0.0] * count
     lam = [0.0] * count
     g0 = arrays.inner(direction, arrays.latencies(flows + arrays.spread(lam) * direction))
@@ -364,12 +355,13 @@ def _solve_batch(
 
     Yields the problems' Assignments in problem order, each as soon as it
     and every problem before it are done.  Every elementwise step runs once
-    over the links of all problems still iterating, end to end; AON
-    loading, inner products, sums, branches and histories stay per problem,
-    so each Assignment is bit-identical to the problem's solve alone.  A
-    problem leaves the batch when it converges or reaches the iteration
-    cap.  If a problem raises, the problems before it still finish and are
-    yielded, the ones after it are dropped, and then its error is raised.
+    over the links of all problems still iterating, end to end, and each sum
+    over links is one segmented sum; branches and histories stay per
+    problem, so each Assignment is bit-identical to the problem's solve
+    alone.  A problem leaves the batch when it converges or reaches the
+    iteration cap.  If a problem raises, the problems before it still
+    finish and are yielded, the ones after it are dropped, and then its
+    error is raised.
     """
     finished: list[Assignment | None] = [None] * len(problems)
     cut, error = len(problems), None  # problems from `cut` on are dropped; `error` stopped problem `cut`
@@ -427,12 +419,17 @@ def _solve_batch(
         if exc is None and stop < len(live):
             s = arrays.slices[stop]
             exc = SolverError(f"non-finite latency on link {live[stop].net._name(int(np.argmax(~np.isfinite(lat[s]))))}")
+        # the problems from `stop` on load nothing, so an infinite latency
+        # meets a zero AON flow; silent, as a BLAS dot product is
+        with np.errstate(invalid="ignore"):
+            totals = arrays.inner(flows, lat)  # each problem's VHT
+            bests = arrays.inner(aon_flows, lat)
         going = []
         for k, (problem, s) in enumerate(zip(live, arrays.slices)):
             try:
                 if k == failed:
                     raise exc
-                gap = relative_gap(flows[s], lat[s], aon_flows[s])
+                gap = _gap(totals[k], bests[k])
             except Exception as caught:
                 cut, error = problem.index, caught
                 break
@@ -442,7 +439,7 @@ def _solve_batch(
                 finished[problem.index] = Assignment(
                     flows=flows[s],
                     latencies=lat[s],
-                    vht=float(arrays.dots[k](flows[s], lat[s])),
+                    vht=totals[k],
                     relative_gap=gap,
                     iterations=iteration,
                     beckmann_history=problem.beckmann,

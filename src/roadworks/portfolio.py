@@ -182,8 +182,13 @@ def _best_assignment(
     `leaf(assign) -> (score, fits, result)`, and the incumbent (first the
     empty assignment) changes only under `better_assignment`, so the result
     matches exhaustive enumeration, ties included.  Returns the best
-    assignment and its leaf's result.
+    assignment and its leaf's result.  Terms whose absolute sum is not
+    finite raise DataError: every non-empty choice would score inf or nan,
+    and the tie-break, not the objective, would pick.
     """
+    size = sum(abs(x) for row in terms.values() for x in row) + sum(map(abs, pair_terms.values()))
+    if not math.isfinite(size):
+        raise DataError("objective is not finite: m (yearly value of one unit of daily VHT) times the deltas overflows")
     order = sorted(terms, key=lambda i: (costs[i], i))
     n = len(order)
     pos = {i: p for p, i in enumerate(order)}

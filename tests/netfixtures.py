@@ -1,5 +1,6 @@
 """Hand-built networks shared across test modules: tiny ones, and a seeded
-grid large enough for the array path and BLAS-free reductions."""
+grid large enough for the array path and for OpenBLAS to split a dot
+product over threads, which no solve may depend on."""
 
 import random
 

@@ -814,7 +814,9 @@ def _link_row_with(column, value):
 
 # NaN in a numeric input, an infinite m, rate or link parameter other than
 # capacity, or a rate whose discount overflows: each a data error (exit 2)
-# before any solve, named on one line.  (command, flags, file edit, message)
+# before any solve, named on one line.  So is an m that makes the objective
+# overflow, once the deltas are solved.  (command, flags, file edit, message)
+OVERFLOWING_M = "m (yearly value of one unit of daily VHT) times the deltas overflows"
 BAD_NUMBERS = {
     "select-budget-nan": ("select", ("--budget", "nan"), None, "budget must be non-negative"),
     "select-m-nan": ("select", ("--budget", "900", "--m", "nan"), None, "must be positive and finite"),
@@ -825,6 +827,11 @@ BAD_NUMBERS = {
     "schedule-rate-huge": ("schedule", ("--budgets", "900,900", "--rate", "1e200"), None,
                            "interest rate 1e+200 overflows when discounting over 2 periods"),
     "schedule-m-inf": ("schedule", ("--budgets", "900", "--m", "inf"), None, "must be positive and finite"),
+    "select-objective-overflows": ("select", ("--budget", "1e308", "--m", "1e308"), None, OVERFLOWING_M),
+    "schedule-objective-overflows": ("schedule", ("--budgets", "1e308,1e308", "--rate", "0.05", "--m", "1e308"),
+                                     None, OVERFLOWING_M),
+    "schedule-independent-objective-overflows": ("schedule", ("--budgets", "1e308,1e308", "--rate", "0.05",
+                                                              "--m", "1e308", "--independent"), None, OVERFLOWING_M),
     "schedule-growth-nan": ("schedule", ("--budgets", "900,900", "--growth-file", "{tmp}/growth.rules"), None,
                             "growth factor must be non-negative"),
     "predict-pairs-threshold-nan": ("predict-pairs", ("--pairs-threshold", "nan"), None,

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -167,10 +168,11 @@ def test_sioux_falls_reaches_1e5_within_800_iterations(sioux):
 
 
 def _conjugate_weight(arrays, x, y, s1):
-    """The conjugate Frank-Wolfe weight of s1 in a s1 + (1 - a) y, clamped."""
+    """The conjugate Frank-Wolfe weight of s1 in a s1 + (1 - a) y, clamped,
+    with the solver's sums."""
     hdb = arrays.slopes(x) * (s1 - x)
-    den = float(np.dot(hdb, y - s1))
-    a = 0.0 if den == 0.0 else float(np.dot(hdb, y - x)) / den
+    (den,), (num,) = arrays.inner(hdb, y - s1), arrays.inner(hdb, y - x)
+    a = 0.0 if den == 0.0 else num / den
     return min(max(a, 0.0), 1.0 - equilibrium._CONJUGATE_MARGIN)
 
 
@@ -560,8 +562,9 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
 
 
 # Large-network determinism: the grid's 10,200 links put its AON on the
-# array path and every inner product on the reduction that avoids BLAS.  A
-# few iterations suffice for a last-bit difference to show in the flows.
+# array path and are long enough for OpenBLAS to split a dot product over
+# threads.  A few iterations suffice for a last-bit difference to show in
+# the flows.
 GRID_SETTINGS = {"target_gap": 1e-12, "max_iters": 4}
 
 
@@ -602,6 +605,63 @@ def test_grid_array_and_per_origin_trees_give_identical_flows(grid, monkeypatch)
     per_origin = _grid_solve(grid)
     assert array.flows.tobytes() == per_origin.flows.tobytes()
     assert array.gap_history == per_origin.gap_history
+
+
+# The reduction contract: every sum over links is one segmented sum over a
+# batch's link vector, and a segment sums alike wherever it sits.
+REDUCTION_LINK_COUNTS = (1, 2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193)
+
+
+def test_batch_sums_equal_each_network_summed_alone():
+    rng = np.random.default_rng(8192)
+    nets, vectors = [], []
+    for count in REDUCTION_LINK_COUNTS:
+        caps, times = rng.uniform(100.0, 2000.0, count), rng.uniform(1.0, 20.0, count)
+        links = tuple(Link(1, 2, float(q), float(t), 0.15, 4.0) for q, t in zip(caps, times))
+        nets.append(Network(node_count=2, links=links, zone_count=2))
+        # flows, latencies and a signed direction, whose sums cancel
+        vectors.append((rng.uniform(0.0, 3000.0, count), rng.uniform(1.0, 50.0, count), rng.normal(0.0, 500.0, count)))
+    alone = []
+    for net, (flows, lat, direction) in zip(nets, vectors):
+        arrays = equilibrium._LinkArrays([net])
+        (fl,), (dl,), (beck,) = arrays.inner(flows, lat), arrays.inner(direction, lat), arrays.beckmann(flows)
+        assert fl == vht(flows, lat)
+        alone.append((fl, dl, beck))
+    shuffled = [list(rng.permutation(len(nets))) for _ in range(3)]
+    for order in [list(range(len(nets))), list(range(len(nets)))[::-1]] + shuffled:
+        arrays = equilibrium._LinkArrays([nets[k] for k in order])
+        flows, lat, direction = (np.concatenate([vectors[k][i] for k in order]) for i in range(3))
+        assert arrays.inner(flows, lat) == [alone[k][0] for k in order]
+        assert arrays.inner(direction, lat) == [alone[k][1] for k in order]
+        assert arrays.beckmann(flows) == [alone[k][2] for k in order]
+        which = list(range(0, len(order), 2))
+        assert arrays.inner(direction, lat, which) == [alone[order[j]][1] for j in which]
+
+
+def test_a_solve_reports_the_vht_that_vht_computes(desk, sioux, grid):
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    x1 = apply_upgrades(desk.net, desk.upgrades, ["C-X1"])
+    solves = [
+        solve_with(desk.net, desk.demand, settings),
+        solve_with(sioux.net, sioux.demand, replace(settings, target_gap=1e-4)),
+        _grid_solve(grid),
+        *equilibrium._solve_batch([(x1, desk.demand), (sioux.net, sioux.demand), (desk.net, desk.demand)],
+                                  replace(settings, max_iters=20)),
+    ]
+    for a in solves:
+        assert a.vht == vht(a.flows, a.latencies)
+
+
+def test_a_non_finite_latency_in_a_batch_warns_nothing(desk):
+    # the choked link's latency overflows to inf, the premise of the test;
+    # no sum may warn where it meets a zero flow in an unloaded AON point
+    settings = SolverSettings(target_gap=1e-8, max_iters=1000)
+    choked = replace(desk.net, links=(replace(desk.net.links[0], capacity=1e-80),) + desk.net.links[1:])
+    problems = [(desk.net, desk.demand), (choked, desk.demand), (desk.net, desk.demand)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="non-finite latency on link 1->3"), np.errstate(over="ignore"):
+            list(equilibrium._solve_batch(problems, settings))
 
 
 def test_many_chunks_load_alike_on_both_paths_and_in_calls_of_any_size(monkeypatch):

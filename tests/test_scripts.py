@@ -259,6 +259,12 @@ def test_bench_pairs_summary_reads_the_claim_rule_off_fixed_numbers():
         "peak_rss_mb: base 14.5 [12.25, 16.75], change 15.5 [13.25, 17.75], base IQR 4.5, "
         "change lower in 0/10 pairs, median change/base 1.069, gain false, verdict unresolved (bound 0.1)",
     ]
+    # the first four pairs of setup_s, lower in 4/4 by more than the base's
+    # IQR, claim nothing: a claim needs ten pairs
+    few = bench.summarize({m: base[m][:4] for m in bench.METRICS}, {m: change["setup_s"][:4] for m in bench.METRICS})
+    assert few[0] == ("setup_s: base 11.5 [10.75, 12.25], change 4.5 [3.75, 5.25], base IQR 1.5, "
+                      "change lower in 4/4 pairs, median change/base 0.390, gain false, verdict held (bound 0.25)")
+    assert all(", gain false, " in line for line in few)
     # the verdict reads each metric's bound off BENCHMARK.json
     assert bench.BOUNDS == {"setup_s": 0.25, "solve_s": 0.25, "plan_s": 0.25, "replan_s": 0.25, "peak_rss_mb": 0.1}
     steady, wide = [10.0] * 10, base["setup_s"]
