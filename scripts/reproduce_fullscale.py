@@ -113,8 +113,8 @@ def run(argv):
     demand = parse_demand(Path(args.trips).read_text())
     upgrades = parse_upgrades(Path(args.projects).read_text(), network=net)
     stamp(
-        f"{net.node_count} nodes, {len(net.links)} links, "
-        f"{len(demand.entries)} O-D entries, {len(upgrades.ids)} projects"
+        f"{net.node_count} nodes, {net.link_count} links, "
+        f"{len(demand.q)} O-D entries, {len(upgrades.ids)} projects"
     )
 
     book = DeltaBook(settings, cache_dir=args.cache_dir)

@@ -11,8 +11,10 @@ A `Network` holds its links as read-only numpy columns (`LinkColumns`: node
 ids as int64, capacity, length, free-flow time, alpha and beta as float64),
 and a `DemandMatrix` its entries as CSR arrays sorted by origin and then
 destination (`origins`, `start`, `dest`, `q`).  The parsers fill these
-directly, a slab of rows at a time, checking each slab's numbers in bulk, and
-keep no `Link` or other object per link or entry.  `Network.links`,
+directly, a slab of rows at a time, and keep no `Link` or other object per
+link or entry.  Their bulk checks of a slab only say whether it is clean;
+when it is not, a reader that takes one row or entry at a time names the
+first bad one in file order, with its line.  `Network.links`,
 `Network.adjacency`, `DemandMatrix.entries` and `DemandMatrix.by_origin` are
 views built from the arrays on first use, for callers that want Python
 objects.
@@ -35,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -155,9 +157,8 @@ class Network:
             raise DataError("link columns differ in length")
         tails, heads, capacity, _, fftime, alpha, beta = lists
         low, high = min(tails + heads, default=1), max(tails + heads, default=1)
-        bad = _bad_link(tails, heads, capacity, fftime, alpha, beta, low, high)
-        if bad is not None:
-            raise DataError(bad[1])
+        if not _clean_links(capacity, fftime, alpha, beta, low, high):
+            raise DataError(next(filter(None, map(_link_values_problem, tails, heads, capacity, fftime, alpha, beta))))
         columns = LinkColumns._make([_readonly(np.array(c, dtype=t)) for c, t in zip(lists, _COLUMN_TYPES)])
         self.__dict__.update(node_count=node_count, zone_count=zone_count, first_thru_node=first_thru_node,
                              coordinates=coordinates, columns=columns)
@@ -283,28 +284,26 @@ class Network:
 _ZERO = 0.0
 
 
-def _bad_link(
-    tails: list, heads: list, capacity: list, fftime: list, alpha: list, beta: list, low: int, high: int
-) -> tuple[int, str] | None:
-    """The first link, given as lists of its fields and the lowest and
-    highest of its node ids, whose values `Link` rejects or whose node ids
-    do not fit in 64 bits, and what is wrong with it; None when there is
-    none."""
-    # each list is checked in one pass.  NaN fails every comparison; `sqrt`
-    # raises on a negative, and `isfinite` fails on inf and NaN
+def _clean_links(capacity: list, fftime: list, alpha: list, beta: list, low: int, high: int) -> bool:
+    """Whether every link, given as lists of its values and the lowest and
+    highest of its node ids, passes `_link_values_problem`: each list is
+    checked in one pass."""
+    # NaN fails every comparison; `sqrt` raises on a negative, and
+    # `isfinite` fails on inf and NaN
     try:
         finite = all(map(math.isfinite, map(math.sqrt, fftime + alpha + beta)))
     except ValueError:
-        finite = False
-    if not tails or (finite and all(map(_ZERO.__lt__, capacity)) and _INT64_MIN <= low and high <= _INT64_MAX):
-        return None
-    for k, (u, v, q, t, a, b) in enumerate(zip(tails, heads, capacity, fftime, alpha, beta)):
-        problem = _link_problem(u, v, q, t, a, b)
-        if problem is not None:
-            return k, problem
-        if not (_INT64_MIN <= u <= _INT64_MAX and _INT64_MIN <= v <= _INT64_MAX):
-            return k, f"link {u}->{v}: node id out of range"
-    raise AssertionError("a link fails a check")
+        return False
+    return finite and all(map(_ZERO.__lt__, capacity)) and _INT64_MIN <= low and high <= _INT64_MAX
+
+
+def _link_values_problem(u: int, v: int, capacity: float, fftime: float, alpha: float, beta: float) -> str | None:
+    """What `Link` rejects in link u->v, or that a node id does not fit in
+    64 bits; None when nothing is wrong."""
+    problem = _link_problem(u, v, capacity, fftime, alpha, beta)
+    if problem is None and not (_INT64_MIN <= u <= _INT64_MAX and _INT64_MIN <= v <= _INT64_MAX):
+        return f"link {u}->{v}: node id out of range"
+    return problem
 
 
 def _sum(q: np.ndarray) -> float:
@@ -368,11 +367,9 @@ class DemandMatrix:
                 raise DataError(f"demand entry ({r},{s}) has a non-positive node id")
             raise DataError(f"demand entry ({r},{s}) is {'negative' if q[i] < 0 else 'not a finite number'}")
         total = float(sum(entries.values()))
-        if total == math.inf:  # an infinite entry, or finite ones whose sum overflows
-            hit = q == math.inf
-            if hit.any():
-                i = int(np.argmax(hit))
-                raise DataError(f"demand entry ({rows[i]},{dest[i]}) is not a finite number")
+        if total == math.inf and (q == math.inf).any():  # `_set` rejects finite entries whose sum overflows
+            i = int(np.argmax(q == math.inf))
+            raise DataError(f"demand entry ({rows[i]},{dest[i]}) is not a finite number")
         self._set(*_csr(rows, dest, q), total)
 
     @classmethod
@@ -387,6 +384,8 @@ class DemandMatrix:
         return matrix
 
     def _set(self, origins, start, dest, q, order, total) -> None:
+        if total == math.inf:  # finite entries whose sum overflows
+            raise DataError("demand entries sum past the largest float")
         self.origins, self.start, self.dest, self.q = map(_readonly, (origins, start, dest, q))
         # the CSR position of each entry in the order given, or None when
         # that order is sorted
@@ -610,7 +609,7 @@ def _meta(tags: dict[str, str], key: str, kind: type = int) -> int | float | Non
         raise ParseError(f"metadata <{key}> is not a number: {tags[key]!r}")
 
 
-# Data lines converted at a time: bounds the tokens and strings held at once.
+# Data lines, or trip entries, converted at a time: bounds the tokens and strings held at once.
 _SLAB = 4096
 
 # Characters of a file split into lines at a time.
@@ -648,59 +647,51 @@ def _data_slabs(lines: Iterator[str], start: int) -> Iterator[tuple[list[int], l
         start += taken
 
 
-def _first_bad_number(rows: Sequence[str]) -> tuple[int, str]:
-    """The first of `rows` (well-formed link rows) with a field that is no
-    number, as `Link`'s fields are read (two ints, then five floats), and
-    the error it raises."""
-    for k, row in enumerate(rows):
-        fields = row[:-1].split()
-        try:
-            [int(f) for f in fields[:2]]
-            [float(f) for f in fields[2:7]]
-        except ValueError as exc:
-            return k, str(exc)
-    raise AssertionError("every field is a number")
+def _link_row_problem(row: str) -> str | None:
+    """What is wrong with link row `row` (a data line, its comment and outer
+    whitespace stripped), or None when nothing is.  This is the one
+    statement of a link row's checks, in order: its closing ';', its 10
+    fields, their numbers (two ints, then five floats), and then its values
+    as `_link_values_problem` checks them."""
+    if row[-1] != ";":
+        return "link row not terminated by ';'"
+    fields = row[:-1].split()
+    if len(fields) != 10:
+        return f"expected 10 link fields, got {len(fields)}"
+    try:
+        u, v = map(int, fields[:2])
+        capacity, _, fftime, alpha, beta = map(float, fields[2:7])
+    except ValueError as exc:
+        return f"non-numeric link field: {exc}"
+    return _link_values_problem(u, v, capacity, fftime, alpha, beta)
 
 
 def _link_rows(rows: Sequence[str], numbers: Sequence[int]) -> tuple[LinkColumns, int, int]:
-    """The columns of link rows and their lowest and highest node id, or a
-    ParseError for the first bad row.
+    """The columns of link rows (at least one) and their lowest and highest
+    node id, or a ParseError for the first bad row.
 
-    A row is checked for its closing ';', its field count (10 before the
-    ';'), its numbers, and then as `_bad_link` checks it, in that order.
-    Each check runs on the rows before the last failure, so the failure
-    kept is the first row's, and its first check's."""
+    The rows are split and converted at once, and each check runs in bulk,
+    only to say whether they are all clean; when one is not, the first row
+    that `_link_row_problem` rejects names the error."""
     # one split of all the rows, each closing ';' made a "~" token, which no
     # row holds once its comment is stripped: the rows are well formed when
     # every 11th token is one
     flat = ("\n".join(rows) + "\n").replace(";\n", " ~ ").split()
-    cut = len(rows)
-    if len(flat) != 11 * cut or flat[10::11].count("~") != cut:
-        cut, problem = next(
-            (k, "link row not terminated by ';'" if row[-1] != ";" else f"expected 10 link fields, got {count}")
-            for k, row in enumerate(rows)
-            if row[-1] != ";" or (count := len(row[:-1].split())) != 10
-        )
-    columns = [flat[k : 11 * cut : 11] for k in range(7)]
-    del flat
+    clean = len(flat) == 11 * len(rows) and flat[10::11].count("~") == len(rows)
     try:
-        lists = [list(map(int, columns[k])) for k in (0, 1)] + [list(map(float, columns[k])) for k in range(2, 7)]
+        lists = [list(map(int, flat[k::11])) for k in (0, 1)] + [list(map(float, flat[k::11])) for k in range(2, 7)]
     except ValueError:
-        cut, error = _first_bad_number(rows[:cut])
-        problem = f"non-numeric link field: {error}"
-        lists = [list(map(int, columns[k][:cut])) for k in (0, 1)] + [list(map(float, columns[k][:cut])) for k in range(2, 7)]
-    tails, heads, capacity, _, fftime, alpha, beta = lists
-    low = min(min(tails, default=1), min(heads, default=1))
-    high = max(max(tails, default=1), max(heads, default=1))
-    bad = _bad_link(tails, heads, capacity, fftime, alpha, beta, low, high)
-    if bad is not None:
-        cut, problem = bad
-    if cut < len(rows):
-        raise ParseError(problem, line=numbers[cut])
-    # one read-only array per type, whose rows are the columns
-    nodes, values = _readonly(np.array(lists[:2], dtype=np.int64)), _readonly(np.array(lists[2:], dtype=float))
-    columns = LinkColumns(nodes[0], nodes[1], values[0], values[1], values[2], values[3], values[4])
-    return columns, low, high
+        clean = False
+    if clean:
+        tails, heads, capacity, _, fftime, alpha, beta = lists
+        low, high = min(min(tails), min(heads)), max(max(tails), max(heads))
+        if _clean_links(capacity, fftime, alpha, beta, low, high):
+            # one read-only array per type, whose rows are the columns
+            nodes, values = _readonly(np.array(lists[:2], dtype=np.int64)), _readonly(np.array(lists[2:], dtype=float))
+            columns = LinkColumns(nodes[0], nodes[1], values[0], values[1], values[2], values[3], values[4])
+            return columns, low, high
+    problem, number = next((p, n) for p, n in zip(map(_link_row_problem, rows), numbers) if p is not None)
+    raise ParseError(problem, line=number)
 
 
 def parse_network(text: str) -> Network:
@@ -759,146 +750,61 @@ def _strictly_sorted(rows: np.ndarray, dest: np.ndarray) -> bool:
     return bool((later | (same & (dest[1:] > dest[:-1]))).all())
 
 
-def _first_repeat(origin: np.ndarray, dest: np.ndarray, q: np.ndarray) -> int | None:
-    """The first entry whose pair an earlier entry with flow already holds,
-    or None.  An entry of zero flow is never kept, so it holds no pair."""
+def _repeats(origin: np.ndarray, dest: np.ndarray, q: np.ndarray) -> bool:
+    """Whether an entry's pair is held by an earlier entry with flow; an
+    entry of zero flow is never kept, so it holds no pair."""
     if _strictly_sorted(origin, dest):
-        return None
+        return False
     order = np.lexsort((dest, origin))  # stable: file order within a pair
-    o, d, flowing = origin[order], dest[order], q[order] != 0
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (o[1:] != o[:-1]) | (d[1:] != d[:-1])
-    before = np.cumsum(flowing) - flowing  # entries with flow before each
-    seen = before - before[np.flatnonzero(new)][np.cumsum(new) - 1] > 0
-    return int(order[seen].min()) if seen.any() else None
+    o, d = origin[order], dest[order]
+    # some entry with flow has a later one of its pair after it
+    return bool(((q[order[:-1]] != 0) & (o[1:] == o[:-1]) & (d[1:] == d[:-1])).any())
 
 
-def _first_non_float(strings: Sequence[str]) -> int:
-    for k, text in enumerate(strings):
-        try:
-            float(text)
-        except ValueError:
-            return k
-    return len(strings)
-
-
-class _TripEntries:
-    """A trip file's entries, taken a line at a time and converted to
-    arrays a slab at a time, so that the entries' strings are held for one
-    slab only."""
-
-    def __init__(self, zone_count: int | None):
-        self.zone_count = zone_count
-        # no id above it fits (the zone count, if any, bounds it)
-        self.top = _INT64_MAX if zone_count is None else min(zone_count, _INT64_MAX)
-        # each entry line's number and entry count
-        self.numbers: list[int] = []
-        self.counts: list[int] = []
-        # the entries not yet converted: origins, and destinations and
-        # flows as strings
-        self.origins: list[int] = []
-        self.dests: list[str] = []
-        self.flows: list[str] = []
-        self.done = 0  # entries converted
-        # of the entries converted: the lowest node id, and whether any flow is zero
-        self.low, self.zeros = 1, False
-        # the converted entries' origin, destination and flow arrays
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
-        self.error: ParseError | None = None  # the first entry that failed a check of its own
-
-    def beyond(self, kind: str, node: int) -> str:
-        if self.zone_count is None:
-            return f"{kind} {node} is out of range"
-        return f"{kind} {node} exceeds zone count {self.zone_count}"
-
-    def add(self, number: int, origin: int, dests: list[str], flows: list[str]) -> None:
-        self.numbers.append(number)
-        self.counts.append(len(dests))
-        self.origins += [origin] * len(dests)
-        self.dests += dests
-        self.flows += flows
-        if len(self.flows) >= _SLAB:
-            self.convert()
-
-    def line_of(self, entry: int) -> int:
-        """The line number of entry `entry`, counting from 0."""
-        return self.numbers[int(np.searchsorted(np.cumsum(self.counts), entry, side="right"))]
-
-    def convert(self) -> None:
-        """Convert the entries still held as strings, up to the first that
-        fails a check of its own.  Each check runs on the entries before
-        the last failure, in the order non-numeric flow, destination range,
-        sign, finiteness, so the failure kept is the first in file order."""
-        origins, dests, flows = self.origins, self.dests, self.flows
-        cut, problem = len(flows), None
-        try:
-            q = list(map(float, flows))
-        except ValueError:
-            cut = _first_non_float(flows)
-            problem = f"non-numeric flow {flows[cut]!r}"
-            q = list(map(float, flows[:cut]))
-        d = list(map(int, dests[:cut]))
-        if d and max(d) > self.top:
-            cut = next(k for k, node in enumerate(d) if node > self.top)
-            problem = self.beyond("destination", d[cut])
-            del d[cut:], q[cut:]
-        # each list is checked in one pass; the entry pattern admits no NaN
-        if not (all(map(_ZERO.__le__, q)) and all(map(math.inf.__gt__, q))):
-            cut, flow = next((k, flow) for k, flow in enumerate(q) if not 0 <= flow < math.inf)
-            if flow < 0:
-                problem = f"negative demand for pair ({origins[cut]},{d[cut]})"
-            else:
-                problem = f"demand {flows[cut]} for pair ({origins[cut]},{d[cut]}) is not finite"
-            del d[cut:], q[cut:]
-        if problem is not None:
-            self.error = ParseError(problem, line=self.line_of(self.done + cut))
-        del origins[cut:]
-        if origins:
-            self.low = min(self.low, min(origins), min(d))
-            self.zeros = self.zeros or 0.0 in q
-        self.columns[0].append(np.array(origins, dtype=np.int64))
-        self.columns[1].append(np.array(d, dtype=np.int64))
-        self.columns[2].append(np.array(q, dtype=float))
-        self.done += cut
-        origins.clear()
-        dests.clear()
-        flows.clear()
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The converted entries' origins, destinations and flows, each
-        column joined and then let go before the next."""
-        out = []
-        for column, dtype in zip(self.columns, (np.int64, np.int64, float)):
-            out.append(column[0] if len(column) == 1 else np.concatenate(column) if column else np.zeros(0, dtype))
-            column.clear()
-        return tuple(out)
-
-
-def _read_trips(entries: _TripEntries, slabs: Iterable[tuple[list[int], list[str]]]) -> ParseError | None:
-    """Give `entries` each trip line of `slabs` (data slabs of a trip file)
-    until a line fails a check of its own, whose error it returns, or one
-    of the entries fails one; None when no line fails."""
+def _trip_error(text: str) -> ParseError | None:
+    """The first error in the data of trip file `text`, or None when there
+    is none.  This is the one statement of a trip file's checks, read a
+    line and an entry at a time, in file order: a line's own checks (its
+    origin's range, an entry before any origin, text that is no entry) come
+    before its entries', and each entry's run in the order non-numeric
+    flow, destination range, sign, finiteness and repeated pair."""
+    lines = _lines(text)
+    tags, start = _read_metadata(lines)
+    zone_count = _meta(tags, "NUMBER OF ZONES")
+    top = _INT64_MAX if zone_count is None else min(zone_count, _INT64_MAX)
+    beyond = "is out of range" if zone_count is None else f"exceeds zone count {zone_count}"
+    held: set[tuple[int, int]] = set()  # the pairs of the entries with flow
     origin = None
-    for numbers, rows in slabs:
+    for numbers, rows in _data_slabs(lines, start):
         for number, line in zip(numbers, rows):
+            rest = line
             m = _ORIGIN_RE.match(line)
             if m:
                 origin = int(m.group(1))
-                if origin > entries.top:
-                    return ParseError(entries.beyond("origin", origin), line=number)
+                if origin > top:
+                    return ParseError(f"origin {origin} {beyond}", line=number)
                 rest = line[m.end():].strip()
-                if not rest:
-                    continue
-            else:
-                rest = line
-            if origin is None:
+            elif origin is None:
                 return ParseError("trip entry before any 'Origin' line", line=number)
-            parts = _TRIP_ENTRY_RE.split(rest)  # text, dest, flow, text, ..., text
+            parts = _TRIP_ENTRY_RE.split(rest)
             if "".join(parts[::3]).strip():
                 return ParseError(f"unparseable trip entries: {rest!r}", line=number)
-            entries.add(number, origin, parts[1::3], parts[2::3])
-            if entries.error is not None:
-                return None
+            for dest, flow in zip(parts[1::3], parts[2::3]):
+                try:
+                    q = float(flow)
+                except ValueError:
+                    return ParseError(f"non-numeric flow {flow!r}", line=number)
+                d = int(dest)
+                if d > top:
+                    return ParseError(f"destination {d} {beyond}", line=number)
+                if q < 0:
+                    return ParseError(f"negative demand for pair ({origin},{d})", line=number)
+                if q == math.inf:
+                    return ParseError(f"demand {flow} for pair ({origin},{d}) is not finite", line=number)
+                if (origin, d) in held:
+                    return ParseError(f"duplicate entry for pair ({origin},{d})", line=number)
+                if q:
+                    held.add((origin, d))
     return None
 
 
@@ -906,33 +812,66 @@ def parse_demand(text: str) -> DemandMatrix:
     """Parse a TNTP trip file into a DemandMatrix.
 
     One regex call per line splits it into its entries, whose numbers are
-    converted and checked as arrays a slab at a time.  The first bad line
-    or entry in file order raises: a line's own checks (its origin's range,
-    an entry before any origin, text that is no entry) come before its
-    entries', and each entry's run in the order non-numeric flow,
-    destination range, sign, finiteness and repeated pair."""
+    converted a slab of _SLAB entries at a time, so that their strings are
+    held for one slab only.  Each check runs on a slab in bulk and only says
+    whether it is clean; when one fails, `_trip_error` reads the file again a line
+    and an entry at a time and names the first bad line or entry in file
+    order."""
     lines = _lines(text)
     tags, start = _read_metadata(lines)
     zone_count = _meta(tags, "NUMBER OF ZONES")
     declared_total = _meta(tags, "TOTAL OD FLOW", float)
 
-    entries = _TripEntries(zone_count)
-    error = _read_trips(entries, _data_slabs(lines, start))
-    if entries.flows:
-        entries.convert()
-    origin, dest, q = entries.arrays()
-    repeat = _first_repeat(origin, dest, q)
-    if repeat is not None:
-        raise ParseError(f"duplicate entry for pair ({origin[repeat]},{dest[repeat]})",
-                         line=entries.line_of(repeat))
-    if entries.error is not None:
-        raise entries.error
-    if error is not None:
-        raise error
-    if entries.zeros:  # a zero entry is not kept
+    def unclean() -> Exception:
+        return _trip_error(text) or AssertionError("a trip line fails a check")
+
+    # no id above it fits (the zone count, if any, bounds it)
+    top = _INT64_MAX if zone_count is None else min(zone_count, _INT64_MAX)
+    columns: tuple[list[np.ndarray], ...] = ([], [], [])  # the converted entries' origin, destination and flow arrays
+    origins, dests, flows = [], [], []  # the entries not yet converted, destinations and flows as strings
+    low, zeros, origin = 1, False, None  # the lowest node id, and whether any flow is zero
+    # the entries are converted once _SLAB are held, and at the end of the
+    # file, which the "" after its last line marks (no data line is blank)
+    for line in chain((line for _, rows in _data_slabs(lines, start) for line in rows), [""]):
+        if line:
+            m = _ORIGIN_RE.match(line)
+            if m:
+                origin = int(m.group(1))
+            parts = _TRIP_ENTRY_RE.split(line[m.end():] if m else line)  # text, dest, flow, ..., text
+            if origin is None or origin > top or "".join(parts[::3]).strip():
+                raise unclean()
+            origins += [origin] * (len(parts) // 3)
+            dests += parts[1::3]
+            flows += parts[2::3]
+            if len(flows) < _SLAB:
+                continue
+        elif not flows:
+            break
+        try:
+            q = list(map(float, flows))
+        except ValueError:
+            raise unclean() from None
+        d = list(map(int, dests))
+        # each list is checked in one pass; the entry pattern admits no NaN
+        if max(d) > top or not (all(map(_ZERO.__le__, q)) and all(map(math.inf.__gt__, q))):
+            raise unclean()
+        low = min(low, min(origins), min(d))
+        zeros = zeros or 0.0 in q
+        for column, values, dtype in zip(columns, (origins, d, q), (np.int64, np.int64, float)):
+            column.append(np.array(values, dtype=dtype))
+        origins, dests, flows = [], [], []
+    arrays = []
+    for column, dtype in zip(columns, (np.int64, np.int64, float)):
+        # each column joined and then let go before the next
+        arrays.append(column[0] if len(column) == 1 else np.concatenate(column) if column else np.zeros(0, dtype))
+        column.clear()
+    origin, dest, q = arrays
+    if _repeats(origin, dest, q):
+        raise unclean()
+    if zeros:  # a zero entry is not kept
         flowing = q != 0
         origin, dest, q = origin[flowing], dest[flowing], q[flowing]
-    if entries.low < 1 and ((origin < 1) | (dest < 1)).any():  # an id `DemandMatrix` rejects
+    if low < 1 and ((origin < 1) | (dest < 1)).any():  # an id `DemandMatrix` rejects
         i = int(np.argmax((origin < 1) | (dest < 1)))
         raise DataError(f"demand entry ({origin[i]},{dest[i]}) has a non-positive node id")
     matrix = DemandMatrix._of(*_csr(origin, dest, q), _sum(q))

@@ -931,6 +931,15 @@ def test_an_infinite_trip_entry_is_a_parse_error(data_dir, tmp_path, capsys, tot
     assert capsys.readouterr() == ("", "error: line 6: demand 1e309 for pair (1,2) is not finite\n")
 
 
+def test_a_demand_whose_entries_sum_past_the_largest_float_exits_2(data_dir, tmp_path, capsys):
+    # each entry is finite, and no declared total is checked against the sum
+    trips = tmp_path / "trips.tntp"
+    trips.write_text("<NUMBER OF ZONES> 24\n<END OF METADATA>\nOrigin 1\n  2 : 1e308; 3 : 1e308;\n")
+    argv = ["solve", "--net", str(data_dir / "siouxfalls_net.tntp"), "--trips", str(trips)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: demand entries sum past the largest float\n")
+
+
 @pytest.mark.parametrize("orders", ["1,,3", "1,2,", ""])
 def test_empty_orders_element_is_a_usage_error(data_dir, tmp_path, capsys, orders):
     # rejected before the cache is read: none exists at this path

@@ -24,6 +24,7 @@ from roadworks import (
     parse_upgrades,
     write_network,
 )
+from roadworks.network import _SLAB
 
 
 def test_parse_network_desk(desk):
@@ -108,6 +109,8 @@ _NET_HEAD = (
     ("2 3 100 1 1 0.15 -4 0 0 1 ;", "link 2->3: negative BPR parameter", 9),
     ("2 4 100 1 1 0.15 4 0 0 1 ;   ~ node 4 > 3", "link 2->4 references a node outside 1..3", None),
     ("0 2 100 1 1 0.15 4 0 0 1;", "link 0->2 references a node outside 1..3", None),
+    ("2 9223372036854775808 100 1 1 0.15 4 0 0 1 ;", "link 2->9223372036854775808: node id out of range", 9),
+    ("-9223372036854775809 3 100 1 1 0.15 4 0 0 1 ;", "link -9223372036854775809->3: node id out of range", 9),
     ("2 3 100 1 1 0.15 4 0 0 1;\n\n2 3 100 1 1 0.15 4 0 0 1 ;\n~ end",
      "<NUMBER OF LINKS> declares 2 but file holds 3", 11),
     # the first bad row wins, whatever its check
@@ -115,7 +118,8 @@ _NET_HEAD = (
     ("2 3 100\n2 3 0 1 1 0.15 4 0 0 1 ;", "link row not terminated by ';'", 9),
 ], ids=["unterminated", "too-few-fields", "too-many-fields", "non-numeric-float", "non-numeric-int",
         "non-numeric-late", "stray-semicolon", "zero-capacity", "nan-capacity", "negative-fftime",
-        "negative-alpha", "negative-beta", "node-above-range", "node-zero", "link-count",
+        "negative-alpha", "negative-beta", "node-above-range", "node-zero", "node-past-int64",
+        "node-below-int64", "link-count",
         "value-before-structure", "structure-before-value"])
 def test_parse_network_error_messages_and_lines(rows, message, line):
     with pytest.raises(ParseError) as err:
@@ -135,17 +139,60 @@ _TRIPS_HEAD = "<NUMBER OF ZONES> 3\n<TOTAL OD FLOW> {total}\n<END OF METADATA>\n
     ("Origin 2\n 1 : 5.0;\n 1 : 0;", "6", "duplicate entry for pair (2,1)", 10),
     ("Origin 4\n  1 : 5.0;", "6", "origin 4 exceeds zone count 3", 8),
     ("Origin 2 1 : 1.0; 4 : 5.0;", "6", "destination 4 exceeds zone count 3", 8),
+    ("Origin 2 9223372036854775808 : 1.0;", "6", "destination 9223372036854775808 exceeds zone count 3", 8),
     ("", "7.5", "<TOTAL OD FLOW> declares 7.5 but entries sum to 6.0", None),
     # a line's own checks come before those of its entries
     ("Origin 2\n  1 : -5.0; junk", "6", "unparseable trip entries: '1 : -5.0; junk'", 9),
     ("Origin 4 junk", "6", "origin 4 exceeds zone count 3", 8),
     ("Origin 2\n  1 : -5.0;\n  junk", "6", "negative demand for pair (2,1)", 9),
 ], ids=["unparseable", "non-numeric", "negative", "infinite", "duplicate", "duplicate-zero",
-        "origin-range", "destination-range", "total", "unparseable-first", "origin-first", "earlier-line-first"])
+        "origin-range", "destination-range", "destination-past-int64", "total", "unparseable-first", "origin-first", "earlier-line-first"])
 def test_parse_demand_error_messages_and_lines(rest, total, message, line):
     with pytest.raises(ParseError) as err:
         parse_demand(_TRIPS_HEAD.format(total=total) + rest + "\n")
     assert (str(err.value), err.value.line) == (message if line is None else f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("rest, message", [
+    ("Origin 1 9223372036854775808 : 1.0;", "destination 9223372036854775808 is out of range"),
+    ("Origin 9223372036854775808\n 1 : 1.0;", "origin 9223372036854775808 is out of range"),
+], ids=["destination", "origin"])
+def test_without_a_zone_count_an_id_past_64_bits_is_out_of_range(rest, message):
+    with pytest.raises(ParseError) as err:
+        parse_demand("<END OF METADATA>\nOrigin 1\n 2 : 1.0;\n" + rest + "\n")
+    assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+
+
+# edits of a trip file of three slabs of lines, each line k (counting from
+# 1) being ``Origin r s : 2.5;`` with r = (k - 3) // 100 + 1 and s = (k - 3) % 100 + 1,
+# and the error they make
+@pytest.mark.parametrize("edits, message", [
+    # the pair (1,5) is held by line 7, two slabs before
+    ({3 * _SLAB: "Origin 1 5 : 1.0;"}, f"line {3 * _SLAB}: duplicate entry for pair (1,5)"),
+    ({2 * _SLAB + 50: "Origin 150 7 : -1.0;"}, f"line {2 * _SLAB + 50}: negative demand for pair (150,7)"),
+    ({2 * _SLAB + 60: "Origin 150 3 : 1e999;"}, f"line {2 * _SLAB + 60}: demand 1e999 for pair (150,3) is not finite"),
+    # the first error in file order wins: a repeat before a later line's fault
+    ({_SLAB + 20: "Origin 1 19 : 1.0;", 2 * _SLAB + 9: "junk"}, f"line {_SLAB + 20}: duplicate entry for pair (1,19)"),
+    ({_SLAB + 21: "Origin 1 5 : 0;", 2 * _SLAB + 9: "Origin 150 7 : x;"},
+     f"line {_SLAB + 21}: duplicate entry for pair (1,5)"),
+], ids=["repeat-of-an-earlier-slab", "negative-in-a-later-slab", "infinite-in-a-later-slab",
+        "repeat-before-a-line-fault", "zero-repeat-before-a-bad-entry"])
+def test_trip_errors_past_the_first_slab_name_their_line(edits, message):
+    lines = ["<NUMBER OF ZONES> 200", "<END OF METADATA>"]
+    lines += [f"Origin {k // 100 + 1} {k % 100 + 1} : 2.5;" for k in range(3 * _SLAB)]
+    for number, text in edits.items():
+        lines[number - 1] = text
+    with pytest.raises(ParseError) as err:
+        parse_demand("\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+def test_a_bad_link_row_past_the_first_slab_names_its_line():
+    rows = [f"{k % 50 + 1} {(k + 1) % 50 + 1} 100 1 1 0.15 4 0 0 1 ;" for k in range(2 * _SLAB)]
+    rows[_SLAB + 99] = "7 8 100 1 -1 0.15 4 0 0 1 ;"
+    with pytest.raises(ParseError) as err:
+        parse_network("<NUMBER OF ZONES> 5\n<END OF METADATA>\n" + "\n".join(rows) + "\n")
+    assert str(err.value) == f"line {_SLAB + 102}: link 7->8: negative free-flow time"
 
 
 def test_parse_demand_entry_before_any_origin():
@@ -184,6 +231,8 @@ def test_network_validation():
         Network(node_count=2, links=(link,), zone_count=1)
     with pytest.raises(DataError):
         Network(node_count=2, links=(), zone_count=5)
+    with pytest.raises(DataError, match=r"^link 9223372036854775808->2: node id out of range$"):
+        Network(node_count=2, links=(Link(1 << 63, 2, 100.0, 1.0, 0.15, 4.0),), zone_count=1)
 
 
 def test_demand_validation():
@@ -197,6 +246,16 @@ def test_demand_validation():
 def test_demand_must_be_finite(q):
     with pytest.raises(DataError, match=r"demand entry \(1,2\) is not a finite number"):
         DemandMatrix({(1, 2): q})
+
+
+def test_a_demand_whose_entries_sum_past_the_largest_float_is_rejected():
+    with pytest.raises(DataError, match="^demand entries sum past the largest float$"):
+        DemandMatrix({(1, 2): 1e308, (1, 3): 1e308})
+    # an infinite entry is still named first
+    with pytest.raises(DataError, match=r"^demand entry \(1,3\) is not a finite number$"):
+        DemandMatrix({(1, 2): 1e308, (1, 3): math.inf})
+    with pytest.raises(DataError, match="^demand entries sum past the largest float$"):
+        DemandMatrix({(1, 2): 1e308, (1, 3): 1.0}).scaled({3}, 1e308)
 
 
 def test_network_round_trip(desk, sioux):
