@@ -42,13 +42,13 @@ Example:
 
 import sys
 import time
-from pathlib import Path
 
 from roadworks import (
     DeltaBook,
     PlanningHorizon,
     SelectionProblem,
     SolverSettings,
+    check_growth_zones,
     error_report,
     format_error_report,
     format_pair_list,
@@ -69,7 +69,7 @@ from roadworks import (
     realized_npv,
     table_from_cache,
 )
-from roadworks.cli import UsageParser, parse_budgets, run_command
+from roadworks.cli import UsageParser, parse_budgets, read_text, run_command
 
 
 def stamp(msg):
@@ -107,11 +107,13 @@ def run(argv):
     settings = SolverSettings(target_gap=args.gap, max_iters=args.max_iters)
 
     stamp(f"parsing {args.net}")
-    net = parse_network(Path(args.net).read_text())
+    net = parse_network(read_text(args.net))
     if args.nodes:
-        net = net.with_coordinates(parse_nodes(Path(args.nodes).read_text()))
-    demand = parse_demand(Path(args.trips).read_text())
-    upgrades = parse_upgrades(Path(args.projects).read_text(), network=net)
+        net = net.with_coordinates(parse_nodes(read_text(args.nodes)))
+    demand = parse_demand(read_text(args.trips))
+    upgrades = parse_upgrades(read_text(args.projects), network=net)
+    rules = parse_growth_rules(read_text(args.growth_file)) if args.growth_file else ()
+    check_growth_zones(rules, net.zone_count)
     stamp(
         f"{net.node_count} nodes, {net.link_count} links, "
         f"{len(demand.q)} O-D entries, {len(upgrades.ids)} projects"
@@ -156,7 +158,6 @@ def run(argv):
     if args.skip_schedule:
         return 0
 
-    rules = parse_growth_rules(Path(args.growth_file).read_text()) if args.growth_file else ()
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
 
     stamp(f"greedy schedule over {horizon.T} periods at r = {args.rate:g}")

@@ -69,6 +69,7 @@ from .scheduler import (
     GrowthRule,
     PlanningHorizon,
     Schedule,
+    check_growth_zones,
     check_schedule,
     format_schedule_listing,
     format_schedule_table,

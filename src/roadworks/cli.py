@@ -72,6 +72,7 @@ from .scenario import (
 )
 from .scheduler import (
     PlanningHorizon,
+    check_growth_zones,
     check_schedule,
     format_schedule_listing,
     format_schedule_table,
@@ -94,15 +95,20 @@ class UsageParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+def read_text(path: str) -> str:
+    """The text of the file at `path`; one that does not decode is a DataError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text ({exc.reason} at byte {exc.start})") from None
 
 
 def _config_tokens(args: argparse.Namespace, flags: Sequence[str]) -> list[str]:
     """The --config file as flag tokens of this command, to go before the explicit ones."""
     try:
-        data = json.loads(_read(args.config))
+        with open(args.config) as fh:
+            data = json.load(fh)
     except ValueError as exc:
         raise _UsageError(f"config {args.config}: {exc}")
     if not isinstance(data, dict):
@@ -135,15 +141,15 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _load_network(args) -> Network:
-    net = parse_network(_read(args.net))
+    net = parse_network(read_text(args.net))
     if getattr(args, "nodes", None):
-        net = net.with_coordinates(parse_nodes(_read(args.nodes)))
+        net = net.with_coordinates(parse_nodes(read_text(args.nodes)))
     return net
 
 
 def _load_upgrades(args, net: Network) -> UpgradeSet:
     _require(args, "upgrades")
-    return parse_upgrades(_read(args.upgrades), network=net)
+    return parse_upgrades(read_text(args.upgrades), network=net)
 
 
 def _settings(args) -> SolverSettings:
@@ -164,7 +170,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_pairs(path: str, upgrades: UpgradeSet) -> set[tuple[str, str]]:
     """The pairs of a --pairs-file; an id that names no upgrade is a DataError."""
-    pairs = set(parse_pair_list(_read(path)))
+    pairs = set(parse_pair_list(read_text(path)))
     for pair in sorted(pairs):
         for i in pair:
             if i not in upgrades.by_id:
@@ -196,7 +202,7 @@ def _open_cache(args, net: Network, demand: DemandMatrix, create: bool = False) 
 
 def cmd_solve(args) -> int:
     net = _load_network(args)
-    demand = parse_demand(_read(args.trips))
+    demand = parse_demand(read_text(args.trips))
     if args.apply:
         upgrades = _load_upgrades(args, net)
         net = apply_upgrades(net, upgrades, _split_tokens(args.apply, upgrades))
@@ -213,7 +219,7 @@ def cmd_solve(args) -> int:
 
 def cmd_deltas(args) -> int:
     net = _load_network(args)
-    demand = parse_demand(_read(args.trips))
+    demand = parse_demand(read_text(args.trips))
     upgrades = _load_upgrades(args, net)
     settings = _settings(args)
     ids = upgrades.ids
@@ -263,7 +269,7 @@ def cmd_predict_pairs(args) -> int:
 
 def cmd_select(args) -> int:
     net = _load_network(args)
-    demand = parse_demand(_read(args.trips))
+    demand = parse_demand(read_text(args.trips))
     upgrades = _load_upgrades(args, net)
     cache = _open_cache(args, net, demand)
     restriction = _pair_restriction(args, net, upgrades)
@@ -294,11 +300,12 @@ def parse_budgets(text: str) -> tuple[float, ...]:
 
 def cmd_schedule(args) -> int:
     net = _load_network(args)
-    demand = parse_demand(_read(args.trips))
+    demand = parse_demand(read_text(args.trips))
     upgrades = _load_upgrades(args, net)
     settings = _settings(args)
     budgets = parse_budgets(args.budgets)
-    rules = parse_growth_rules(_read(args.growth_file)) if args.growth_file else ()
+    rules = parse_growth_rules(read_text(args.growth_file)) if args.growth_file else ()
+    check_growth_zones(rules, net.zone_count)
     horizon = PlanningHorizon.with_growth(budgets, args.rate, demand, rules, m=args.m)
     if args.independent:
         book = DeltaBook(settings, cache_dir=args.cache_dir)
@@ -326,7 +333,7 @@ def cmd_error_report(args) -> int:
     if any(k < 1 for k in orders):
         raise _UsageError("--orders must list positive integers")
     net = _load_network(args)
-    demand = parse_demand(_read(args.trips))
+    demand = parse_demand(read_text(args.trips))
     upgrades = _load_upgrades(args, net)
     cache = _open_cache(args, net, demand)
     table = table_from_cache(cache)

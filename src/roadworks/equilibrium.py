@@ -52,7 +52,8 @@ Determinism contract: solves run on one thread, and the same inputs give
 bit-identical flows, alone or in any batch: elementwise results do not
 depend on where a link sits in the batch, a segment's sum does not depend on
 where the segment sits, and a problem's AON flows depend neither on the
-loading path nor on the batch around it (`shortest_path`).  No solve calls
+loading path, nor on how its origins are cut into loading calls, nor on the
+batch around it (`shortest_path`).  No solve calls
 BLAS on a link vector, so flows depend neither on the BLAS library nor on
 its thread count.
 """

@@ -207,7 +207,11 @@ class FileDeltaCache(MemoryDeltaCache):
             fh.seek(self._end)
             data = fh.read()
         whole = data.rfind(b"\n") + 1
-        lines = data[:whole].decode().splitlines()
+        try:
+            lines = data[:whole].decode().splitlines()
+        except UnicodeDecodeError as exc:
+            number = self._lines + data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"cache {self.path}, line {number}: not {exc.encoding} text ({exc.reason})") from None
         header: dict[str, str | float] = {}
         for number, raw in enumerate(lines, start=self._lines + 1):
             line = raw.strip()

@@ -39,6 +39,7 @@ from .scenario import DeltaBook
 __all__ = [
     "GrowthRule",
     "parse_growth_rules",
+    "check_growth_zones",
     "PlanningHorizon",
     "Schedule",
     "FeasibilityReport",
@@ -106,6 +107,15 @@ def parse_growth_rules(text: str) -> tuple[GrowthRule, ...]:
             raise ParseError(f"non-numeric growth factor {fields[2]!r}", line=lineno)
         rules.append(GrowthRule(tuple(sorted(set(zones))), factor))
     return tuple(rules)
+
+
+def check_growth_zones(rules: Iterable[GrowthRule], zone_count: int) -> None:
+    """Raise a DataError naming the first zone of `rules` outside a
+    network's zones 1..zone_count, which no trip can touch."""
+    for rule in rules:
+        for zone in rule.zones:
+            if zone > zone_count:
+                raise DataError(f"growth rule names zone {zone} outside the zone range 1..{zone_count}")
 
 
 @dataclass(frozen=True)

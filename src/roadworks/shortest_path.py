@@ -27,10 +27,10 @@ Both paths follow the same rules, so the choice never changes a result:
 - Ties: labels are the same IEEE sums and exact minima, and ties between
   equal-cost paths go to the lower link index, so both build the same labels
   and predecessor tree.
-- Summation order: within a chunk each link's load adds pair by pair, in the
-  demand's order, each pair from its destination up; a problem's chunk flows
-  then add in chunk order.  So a problem's flows depend neither on the path
-  nor on the calls and the batch around it.
+- Summation order: each link's load is one running sum from 0.0 that adds
+  the problem's O-D pairs in the demand's order, each from its destination
+  up, across all of a load's calls.  So a problem's flows depend neither on
+  the path, nor on how its origins are cut into calls, nor on its batch.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -51,9 +52,9 @@ __all__ = ["ShortestPathTree", "shortest_paths", "all_or_nothing"]
 
 _INF = math.inf
 
-# Origins per loading chunk.  It fixes the order in which a problem's flows
-# are summed, chunk by chunk, on both paths, so any other value changes the
-# flows in their last bits.
+# Origins per loading chunk, the unit loading calls are cut in.  It changes
+# no result: 16 origins per call is about the fewest at which a large grid's
+# array trees pay their per-pass cost (3.8 ms a tree against 12.4 ms at 1).
 _CHUNK = 16
 
 # Origins times links of one loading call, over all its problems, from which
@@ -274,17 +275,21 @@ class _Problem:
         self.net = net
         self.demand = demand
         self.trips = demand._trips
-        self.from_nodes = net.columns.from_node.tolist()
+
+    @cached_property
+    def from_nodes(self) -> list[int]:
+        """Each link's tail, for the kernel's walk; built on its first load."""
+        return self.net.columns.from_node.tolist()
 
 
-def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> list[float]:
+def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range, flows: list[float]) -> None:
     """AON-load the origins of the problem's trip rows `rows` under the
     cost array `costs` with the per-origin kernel, walking each O-D pair's
-    path in Python; returns the flow on each link."""
+    path in Python and adding its trips into `flows`, the problem's running
+    load on each link."""
     net = problem.net
     cost_list = costs.tolist()
     adj, n, first_thru = net.adjacency, net.node_count, net.first_thru_node
-    flows = [0.0] * net.link_count
     from_nodes = problem.from_nodes
     limit = net.node_count + 1
     # `by_origin` holds the rows of `trips`, as (destination, flow) pairs
@@ -302,7 +307,6 @@ def _load_chunk(problem: _Problem, costs: np.ndarray, rows: range) -> list[float
                 steps += 1
                 if steps >= limit:
                     raise SolverError(f"predecessor walk did not terminate for pair ({origin},{dest})")
-    return flows
 
 
 class _Pairs:
@@ -312,17 +316,15 @@ class _Pairs:
     leaves its zone (intrazonal trips load no link and always have a path),
     in problem order and each problem in its trips' order.  A pair is kept
     as its destination's place in the trees (row times the graph's width
-    plus the node) and its trips, 16 bytes, plus its chunk when the call
-    holds more than one."""
+    plus the node) and its trips, 16 bytes."""
 
     def __init__(self, graph: _BatchGraph, tails: np.ndarray, call: "_Call", problems: Sequence[_Problem]):
         self.graph = graph
         self.tails = tails
         self.row_ends = call.row_ends
-        rows = np.diff(self.row_ends)
         spans = [(problem.trips, a, b) for problem, (a, b) in zip(problems, call.ranges)]
         self.origins = np.concatenate([t.origins[a:b] for t, a, b in spans])
-        self.owners = np.repeat(np.arange(len(spans)), rows)
+        self.owners = np.repeat(np.arange(len(spans)), np.diff(self.row_ends))
         counts = np.concatenate([np.diff(t.start[a : b + 1]) for t, a, b in spans])
         row = np.repeat(np.arange(len(counts)), counts)
         dest = np.concatenate([t.dest[t.start[a] : t.start[b]] for t, a, b in spans])
@@ -332,29 +334,21 @@ class _Pairs:
         self.q = np.concatenate([t.q[t.start[a] : t.start[b]] for t, a, b in spans])[keep]
         ends = [0, *accumulate(np.bincount(row, minlength=len(counts)).tolist())]
         self.pair_ends = [ends[end] for end in self.row_ends]
-        self.chunks = call.chunks
-        self.chunk = None
-        if self.chunks > 1:
-            # each pair's chunk in the call: its origin's place in its
-            # problem's rows of the call, by _CHUNK
-            place = np.arange(len(counts)) - np.repeat(self.row_ends[:-1], rows)
-            self.chunk = (place // _CHUNK)[row]
 
 
-def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
-    """The array path of AON loading: the flows of one call's chunks of the
-    first `stop` problems under `costs`, one row per chunk over all of the
-    problems' links (zeros elsewhere).
+def _load_trees(pairs: _Pairs, costs: np.ndarray, flows: np.ndarray, stop: int):
+    """The array path of AON loading: add the loads of one call's origins of
+    the first `stop` problems under `costs` into `flows`, the problems'
+    running loads over their link vector.
 
     Trees for every row come from one `_trees_for_origins` call, then every
     O-D pair walks up its tree together with the others, one link per pass.
     A stable sort by pair puts the (pair, link) entries in the per-origin
-    walk's order, and bincount adds their weights one by one in input order
-    into (chunk, link) bins, so each link's load in a chunk is summed in the
-    Python walk's order.  Returns ``(loads, failed, error)``: `failed` is
-    the first problem, in order, with a demanded pair that has no path or
-    whose walk does not end, and `error` names that pair; they are `stop`
-    and None when there is none.
+    walk's order, and `np.add.at` adds their trips one by one in that order,
+    so each link's load is summed in the Python walk's order.  Returns
+    ``(failed, error)``: `failed` is the first problem, in order, with a
+    demanded pair that has no path or whose walk does not end, and `error`
+    names that pair; they are `stop` and None when there is none.
     """
     rows, end = pairs.row_ends[stop], pairs.pair_ends[stop]
     width = pairs.graph.width
@@ -395,30 +389,25 @@ def _load_trees(pairs: _Pairs, costs: np.ndarray, stop: int):
     pair = np.concatenate(walked)
     del walked
     order = np.argsort(pair, kind="stable")
-    pair = pair[order]
-    links = len(tails)
-    bins = np.concatenate(taken)
-    del taken
-    bins = bins[order]
-    del order
-    if pairs.chunk is not None:
-        bins += pairs.chunk[pair] * links
-    loads = np.bincount(bins, weights=pairs.q[pair], minlength=pairs.chunks * links)
-    return loads.reshape(pairs.chunks, links), failed, error
+    trips = pairs.q[pair[order]]
+    del pair
+    links = np.concatenate(taken)[order]
+    del taken, order
+    np.add.at(flows, links, trips)
+    return failed, error
 
 
 class _Call:
     """One AON loading call of a batch: chunks `first` up to `end` of every
     problem, its trip rows (origins) ``first * _CHUNK`` up to ``end *
-    _CHUNK``, kept as one (start, end) range of rows per problem, the
-    chunks of the problem with the most, and its path by the rule above."""
+    _CHUNK``, kept as one (start, end) range of rows per problem, and its
+    path by the rule above."""
 
     def __init__(self, problems: Sequence[_Problem], first: int, end: int):
         sizes = [len(problem.trips.origins) for problem in problems]
         self.ranges = [(min(first * _CHUNK, size), min(end * _CHUNK, size)) for size in sizes]
         rows = [b - a for a, b in self.ranges]
         self.row_ends = [0, *accumulate(rows)]
-        self.chunks = -(-max(rows) // _CHUNK)
         work = sum(count * problem.net.link_count for count, problem in zip(rows, problems))
         self.array = work >= _ARRAY_MIN_WORK
         self.pairs = None  # built on the first array-path load
@@ -426,7 +415,8 @@ class _Call:
 
 class _Loader:
     """AON loading of a batch's problems in calls (`_Call`) of whole chunk
-    indices, cut by _CALL_MAX_CELLS; each chunk's flows add in chunk order."""
+    indices, cut by _CALL_MAX_CELLS, each call adding into the batch's one
+    flow vector."""
 
     def __init__(self, problems: Sequence[_Problem], slices: Sequence[slice]):
         self.problems = problems
@@ -457,27 +447,18 @@ class _Loader:
         Returns ``(flows, failed, error)``: `failed` is the first problem, in
         order, whose loading raised or failed, and `error` what it raised;
         they are `stop` and None when there is none."""
-        flows, failed, error = None, stop, None
+        flows, failed, error = np.zeros(len(costs)), stop, None
         for call in self.calls:
             if not call.row_ends[failed]:  # no origins this far out before `failed`
                 break
-            loads, k, exc = self._load(call, costs, failed)
+            k, exc = self._load(call, costs, flows, failed)
             if exc is not None:
                 failed, error = k, exc
-            if loads is None:
-                break
-            for load in loads:
-                if flows is None:
-                    flows = load
-                else:
-                    flows += load
-        return (np.zeros(len(costs)) if flows is None else flows), failed, error
+        return flows, failed, error
 
-    def _load(self, call: _Call, costs: np.ndarray, stop: int):
-        """The flows of `call` for the problems before `stop`, one vector
-        over all the problems' links per chunk, in chunk order, or None when
-        an error left nothing loaded; then `failed` and `error` as in
-        `__call__`."""
+    def _load(self, call: _Call, costs: np.ndarray, flows: np.ndarray, stop: int):
+        """Add the loads of `call` for the problems before `stop` into
+        `flows`; returns `failed` and `error` as `__call__` does."""
         if call.array:
             if call.pairs is None:
                 if self.graph is None:
@@ -485,18 +466,17 @@ class _Loader:
                     self.tails = np.concatenate([problem.net.columns.from_node for problem in self.problems])
                 call.pairs = _Pairs(self.graph, self.tails, call, self.problems)
             try:
-                return _load_trees(call.pairs, costs, stop)
+                return _load_trees(call.pairs, costs, flows, stop)
             except Exception as exc:  # no one pair's fault: the first problem loaded takes it
-                return None, next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
-        loads = np.zeros((call.chunks, len(costs)))
-        for k in range(stop):
-            s, (a, b) = self.slices[k], call.ranges[k]
+                return next(k for k in range(stop) if call.row_ends[k + 1] > call.row_ends[k]), exc
+        for k, s in enumerate(self.slices[:stop]):
+            running = flows[s].tolist()
             try:
-                for i in range(a, b, _CHUNK):
-                    loads[(i - a) // _CHUNK, s] = _load_chunk(self.problems[k], costs[s], range(i, min(i + _CHUNK, b)))
+                _load_chunk(self.problems[k], costs[s], range(*call.ranges[k]), running)
             except Exception as exc:
-                return loads, k, exc
-        return loads, stop, None
+                return k, exc
+            flows[s] = running
+        return stop, None
 
 
 def all_or_nothing(

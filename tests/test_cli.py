@@ -128,6 +128,26 @@ def test_garbage_network_is_a_data_error(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# a file holding a byte that is not UTF-8 exits 2 naming it, except a
+# --config file, which is a usage error like any other unreadable config
+@pytest.mark.parametrize("flag", ["net", "trips", "nodes", "upgrades", "growth-file", "pairs-file", "config"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(data_dir, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"~ \xff\n")
+    argv = desk_args(data_dir, "schedule", "--budgets", "900,900")
+    if f"--{flag}" in argv:
+        argv[argv.index(f"--{flag}") + 1] = str(bad)
+    else:
+        argv += [f"--{flag}", str(bad)]
+    if flag == "config":
+        assert main(argv) == 1
+        message = f"usage error: config {bad}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
+    else:
+        assert main(argv) == 2
+        message = f"error: {bad}: not utf-8 text (invalid start byte at byte 2)"
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_reserved_upgrade_id_is_a_data_error(data_dir, tmp_path, capsys):
     text = (data_dir / DESK["upgrades"]).read_text()
     upg = tmp_path / "renamed.upg"
@@ -368,6 +388,19 @@ def test_malformed_cache_number_is_a_data_error(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{cache}, line {lines + 1}: bad number in 'C-A1 1.2.3 1e-16'" in err
+
+
+def test_a_cache_row_that_is_not_utf8_exits_2_naming_its_line(data_dir, tmp_path, capsys):
+    rc, _ = select_pipeline(data_dir, tmp_path, capsys, 2400.0)
+    assert rc == 0
+    cache = tmp_path / "desk.cache"
+    lines = cache.read_text().count("\n")
+    with open(cache, "ab") as fh:
+        fh.write(b"C-A1,C-A2 1.5 1e-16\nC-A1,C-\xff 1.5 1e-16\n")
+    args = desk_args(data_dir, "select", "--gap", "1e-6", "--cache", str(cache), "--budget", "2400")
+    assert main(args) == 2
+    message = f"error: cache {cache}, line {lines + 2}: not utf-8 text (invalid start byte)\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_torn_last_cache_row_is_dropped(data_dir, tmp_path, capsys):
@@ -917,6 +950,17 @@ def test_growth_that_overflows_exits_2(data_dir, tmp_path, capsys, case):
     rules.write_text(rule + "\n")
     assert main(desk_args(data_dir, "schedule", "--budgets", budgets, "--growth-file", str(rules))) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("rule, zone", [("SCALE 99 1.5", 99), ("SCALE 1-3 1.1", 3)])
+@pytest.mark.parametrize("independent", [False, True])
+def test_a_growth_zone_outside_the_network_exits_2(data_dir, tmp_path, capsys, rule, zone, independent):
+    # desk has zones 1..2; a rule on any other zone would scale no trip
+    rules = tmp_path / "growth.rules"
+    rules.write_text(rule + "\n")
+    argv = desk_args(data_dir, "schedule", "--budgets", "900,900,1700", "--rate", "0.05", "--growth-file", str(rules))
+    assert main(argv + ["--independent"] * independent) == 2
+    assert capsys.readouterr() == ("", f"error: growth rule names zone {zone} outside the zone range 1..2\n")
 
 
 @pytest.mark.parametrize("total", ["1000.0", "1e309"])

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -514,6 +514,18 @@ def test_each_loading_call_picks_its_path_by_its_work(desk, sioux, grid, monkeyp
     assert path([(deep, grid_demand(zones=9))]) == {"array"}
 
 
+def test_only_the_kernel_lists_the_link_tails(grid, monkeypatch):
+    # the kernel's walk reads each link's tail from a Python list, which the
+    # array path never needs, so a problem only it loads never builds one
+    net, demand = grid
+    costs = np.ones(len(net.links))
+    for threshold, built in ((0, False), (math.inf, True)):
+        _force_path(monkeypatch, threshold)
+        problem = shortest_path._Problem(net, demand)
+        shortest_path._Loader([problem], [slice(0, len(costs))])(costs, 1)
+        assert ("from_nodes" in vars(problem)) == built
+
+
 def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it(desk, monkeypatch):
     settings = SolverSettings(target_gap=1e-8, max_iters=1000)
     slow = apply_upgrades(desk.net, desk.upgrades, ["C-A1", "C-X1"])
@@ -546,12 +558,12 @@ def test_an_unexpected_loading_error_ends_the_batch_after_the_problems_before_it
     _force_path(monkeypatch, math.inf)
     load, loads = shortest_path._load_chunk, []
 
-    def overflow(problem, costs, chunk):
+    def overflow(problem, costs, rows, flows):
         if problem.index == 1:
-            loads.append(chunk)
+            loads.append(rows)
             if len(loads) == 3:
                 raise FloatingPointError("overflow")
-        return load(problem, costs, chunk)
+        load(problem, costs, rows, flows)
 
     monkeypatch.setattr(shortest_path, "_load_chunk", overflow)
     done = []
@@ -665,9 +677,11 @@ def test_a_non_finite_latency_in_a_batch_warns_nothing(desk):
 
 
 def test_many_chunks_load_alike_on_both_paths_and_in_calls_of_any_size(monkeypatch):
-    # 49 zones make 4 chunks, so the order the chunks are summed in shows
+    # 49 origins with non-integer trips, whose sums would show any change in
+    # the order they are added in: whole numbers sum exactly in every order
     net = grid_net(side=13, zone_lines=(0, 2, 4, 6, 8, 10, 12))
     demand = grid_demand(zones=49, per_pair=3.0)
+    assert any(q != int(q) for q in demand.q.tolist())
     costs = [1.0 + (i % 11) / 10 for i in range(len(net.links))]
     widened = replace(net, links=(replace(net.links[0], capacity=3000.0),) + net.links[1:])
     settings = SolverSettings(target_gap=1e-12, max_iters=3)
@@ -679,16 +693,22 @@ def test_many_chunks_load_alike_on_both_paths_and_in_calls_of_any_size(monkeypat
 
     monkeypatch.setattr(shortest_path, "_trees_for_origins", record)
     runs = {}
-    # all four chunks in one array call, one chunk per call, and the kernel
-    for threshold, cells in ((0, shortest_path._CALL_MAX_CELLS), (0, 1), (math.inf, 1)):
-        _force_path(monkeypatch, threshold)
-        monkeypatch.setattr(shortest_path, "_CALL_MAX_CELLS", cells)
-        rows.clear()
-        aon = all_or_nothing(net, demand, costs)
-        runs[threshold, cells] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
-        assert set(rows) == ({49, 98} if cells > 1 else {16, 32, 1, 2} if threshold == 0 else set())
-    one_call, per_chunk, kernel = runs.values()
-    assert one_call == per_chunk == kernel
+    # origins cut into chunks of 1, 3, 16 and 64, on both paths, the chunks
+    # one per call (a bound of 1 cell), in calls under the default bound, and
+    # all in one call
+    for chunk in (1, 3, 16, 64):
+        monkeypatch.setattr(shortest_path, "_CHUNK", chunk)
+        for threshold, cells in product((0, math.inf), (1, shortest_path._CALL_MAX_CELLS, math.inf)):
+            _force_path(monkeypatch, threshold)
+            monkeypatch.setattr(shortest_path, "_CALL_MAX_CELLS", cells)
+            rows.clear()
+            aon = all_or_nothing(net, demand, costs)
+            runs[chunk, threshold, cells] = [aon.tobytes()] + _in_batches([(net, demand), (widened, demand)], settings, 2)
+            # a lone problem's and a batch of two's origins per array call
+            sizes = {49} if cells > 1 else {min(chunk, 49), 49 % chunk or chunk}
+            assert set(rows) == (set() if threshold else sizes | {2 * size for size in sizes})
+    first = next(iter(runs.values()))
+    assert all(run == first for run in runs.values())
 
 
 # The loader cases below run on both tree paths: the array path with its numpy

@@ -20,6 +20,7 @@ from roadworks import (
     UpgradeSet,
     apply_upgrades,
     better_assignment,
+    check_growth_zones,
     check_schedule,
     compute_deltas,
     format_schedule_listing,
@@ -72,6 +73,16 @@ def test_parse_growth_rules():
         parse_growth_rules("GROW 1 1.05\n")
     with pytest.raises(ParseError):
         parse_growth_rules("SCALE 8-5 1.05\n")
+
+
+def test_growth_zones_must_lie_in_the_network():
+    rules = parse_growth_rules("SCALE 1,3 1.05\nSCALE 5-8 1.10\n")
+    check_growth_zones(rules, 8)
+    with pytest.raises(DataError, match=r"^growth rule names zone 7 outside the zone range 1..6$"):
+        check_growth_zones(rules, 6)
+    with pytest.raises(DataError, match=r"^growth rule names zone 3 outside the zone range 1..2$"):
+        check_growth_zones(rules, 2)
+    check_growth_zones((), 0)
 
 
 def test_with_growth_compounds():

@@ -95,7 +95,7 @@ def test_fullscale_driver_runs_on_desk(data_dir, desk, tmp_path, capsys, monkeyp
     script = load_script()
     cache_dir = tmp_path / "cache"
     growth = tmp_path / "growth.rules"
-    growth.write_text("SCALE 1-3 1.1\n")
+    growth.write_text("SCALE 1-2 1.1\n")
     argv = driver_args(data_dir, cache_dir, "--budgets", "900,900,1700", "--growth-file", str(growth))
     solves = record_solves(monkeypatch, script)
     assert script.main(argv) == 0
@@ -204,6 +204,24 @@ def test_fullscale_driver_rejects_an_empty_budget_element(data_dir, tmp_path, ca
     cache_dir = tmp_path / "cache"
     assert load_script().main(driver_args(data_dir, cache_dir, "--budgets", "900,,1700")) == 1
     assert capsys.readouterr() == ("", "usage error: --budgets: bad value '900,,1700'\n")
+    assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["net-not-utf8", "growth-zone"])
+def test_fullscale_driver_rejects_bad_input_before_any_solve(data_dir, tmp_path, capsys, case):
+    cache_dir, bad = tmp_path / "cache", tmp_path / "bad.txt"
+    argv = driver_args(data_dir, cache_dir)
+    if case == "net-not-utf8":
+        bad.write_bytes(b"~ \xff\n")
+        argv[argv.index("--net") + 1] = str(bad)
+        message = f"error: {bad}: not utf-8 text (invalid start byte at byte 2)\n"
+    else:
+        # desk has zones 1..2
+        bad.write_text("SCALE 1 1.1\nSCALE 99 1.5\n")
+        argv += ["--growth-file", str(bad)]
+        message = "error: growth rule names zone 99 outside the zone range 1..2\n"
+    assert load_script().main(argv) == 2
+    assert capsys.readouterr().err == message
     assert not cache_dir.exists()
 
 
@@ -331,3 +349,35 @@ def test_bench_pairs_runs_every_workload_for_each_seed(monkeypatch, capsys):
         won = "2/2" if workload == "desk-cli" else "0/2"
         assert all(f"change lower in {won} pairs" in row for row in rows)
     assert lines[-1] == "every run correct with 0 failed operations: true"
+
+
+COMPARE = ROOT / "scripts" / "compare_outputs.py"
+
+
+def test_compare_outputs_finds_an_unchanged_tree_identical_and_a_changed_output(tmp_path, capsys, monkeypatch):
+    # the scripts put their own folders first on sys.path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    # a repository of its own, whose working tree is its HEAD
+    repo = tmp_path / "repo"
+    load_script(BENCH_PAIRS)._copy_tree(str(repo))
+    git = ["git", "-C", str(repo), "-c", "user.name=roadworks", "-c", "user.email=roadworks@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "snapshot"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    script = repo / COMPARE.relative_to(ROOT)
+    run = subprocess.run([sys.executable, str(script), "--base", "HEAD"], capture_output=True, text=True, timeout=600)
+    assert (run.returncode, run.stderr) == (0, "")
+    *lines, last = run.stdout.splitlines()
+    monkeypatch.setitem(sys.modules, "bench_pairs", load_script(repo / BENCH_PAIRS.relative_to(ROOT)))
+    compare = load_script(script)
+    assert [line.split(": ", 1)[0] for line in lines] == [label for label, _ in compare.COMMANDS]
+    assert all(line.split(": ", 1)[1].startswith("exit code same (0), stdout same, stderr same, files same (")
+               for line in lines)
+    assert last == "identical: true"
+
+    # a change to what `solve` prints shows in that command's stdout alone
+    cli = repo / "src" / "roadworks" / "cli.py"
+    cli.write_text(cli.read_text().replace('print(f"iterations {', 'print(f"iters {', 1))
+    monkeypatch.setattr(compare, "COMMANDS", [command for command in compare.COMMANDS if command[0] == "sioux solve"])
+    assert compare.main(["--base", "HEAD"]) == 0
+    assert capsys.readouterr().out == (
+        "sioux solve: exit code same (0), stdout differs, stderr same, files same (3)\nidentical: false\n")
